@@ -40,7 +40,6 @@ from .operators import (
     WeightField,
     apply_operator,
     norm_r,
-    pairing,
     seminorm_p,
 )
 from .sampling import trial_fields
@@ -207,25 +206,32 @@ class ChainResult:
         return worst
 
 
-def _level_residual(u: Field, problem: RegularizedProblem, kernel: Kernel,
-                    trials: int, seed: int) -> float:
-    """Weak residual of the level equation against seeded test fields.
+def _residual_probes(kernel: Kernel, trials: int,
+                     seed: int) -> list[tuple[np.ndarray, float]]:
+    """Seeded test fields phi with their energy norms [phi] = ([phi]^p)^(1/p).
+
+    They depend only on the kernel, so a chain draws them once for all
+    levels.
+    """
+    p = kernel.params.p
+    return [(phi.values, seminorm_p(phi, kernel) ** (1.0 / p))
+            for phi in trial_fields(kernel.grid, trials, seed)]
+
+
+def _level_residual(u: Field, source: np.ndarray, kernel: Kernel,
+                    probes: list[tuple[np.ndarray, float]]) -> float:
+    """Weak residual max |<A u, phi> - source . phi| / (1 + [phi]) over the
+    probes, for the dual vector ``source`` (cell measures included).
 
     Uses the exact identity pairing(u, v) = grad . v, so the cost per
-    trial is linear in the node count.
+    probe is linear in the node count.
     """
     grad = apply_operator(u, kernel)
-    m = kernel.grid.measure
-    source = m * problem.omega_n.values / (
-        u.values + problem.shift
-    ) ** problem.alpha
-    p = kernel.params.p
     worst = 0.0
-    for phi in trial_fields(kernel.grid, trials, seed):
-        lhs = float(grad @ phi.values)
-        rhs = float(source @ phi.values)
-        scale = 1.0 + seminorm_p(phi, kernel) ** (1.0 / p)
-        worst = max(worst, abs(lhs - rhs) / scale)
+    for phi, norm in probes:
+        lhs = float(grad @ phi)
+        rhs = float(source @ phi)
+        worst = max(worst, abs(lhs - rhs) / (1.0 + norm))
     return worst
 
 
@@ -338,6 +344,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         embedding = embedding_for_existence_bound(kernel, opts.solve)
     bound = _existence_bound(omega, alpha, kernel, embedding)
 
+    probes = _residual_probes(kernel, opts.residual_trials, opts.residual_seed)
     levels: list[LevelRecord] = []
     power_seminorms: list[float] = []
     prev: Field | None = None
@@ -350,8 +357,10 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         start = prev if prev is not None else (init or Field.zero(kernel.grid))
         u_n, sweeps = solve_level(problem, kernel, start, opts)
         sn = seminorm_p(u_n, kernel)
-        residual = _level_residual(u_n, problem, kernel,
-                                   opts.residual_trials, opts.residual_seed)
+        source = kernel.grid.measure * problem.omega_n.values / (
+            u_n.values + problem.shift
+        ) ** problem.alpha
+        residual = _level_residual(u_n, source, kernel, probes)
         levels.append(LevelRecord(
             n=n,
             u=u_n,
@@ -433,16 +442,13 @@ def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
     m = kernel.grid.measure
     p = kernel.params.p
     source = m * omega.values / u.values**alpha
+    probes = _residual_probes(kernel, trials, seed)
+    worst = _level_residual(u, source, kernel, probes)
     sn_u = seminorm_p(u, kernel)
-    worst = 0.0
     aux_slack = math.inf
-    for phi in trial_fields(kernel.grid, trials, seed):
-        lhs = pairing(u, phi, kernel)
-        rhs = float(source @ phi.values)
-        sn_phi = seminorm_p(phi, kernel)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + sn_phi ** (1.0 / p)))
-        bound = sn_u ** ((p - 1.0) / p) * sn_phi ** (1.0 / p)
-        aux_slack = min(aux_slack, bound - abs(rhs))
+    for phi, norm in probes:
+        bound = sn_u ** ((p - 1.0) / p) * norm
+        aux_slack = min(aux_slack, bound - abs(float(source @ phi)))
     return ResidualReport(max_residual=worst, aux_min_slack=aux_slack,
                           trials=trials)
 

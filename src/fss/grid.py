@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -170,6 +171,12 @@ class Kernel:
     ``boundary_weight[i] = sum_j w_collar[i, j] + m * tail[i]`` is the total
     coupling of node i to the zero exterior; it is the only quantity the
     energy needs from the collar, since collar values vanish.
+
+    At p = 2 the energy is the quadratic form [u]^2 = u^T K u with the
+    ``stiffness`` matrix K = 2 (diag(row sums of w_interior) - w_interior
+    + diag(boundary_weight)).  K costs M^2 doubles (39 MB at M = 2209), so
+    it is built on first use: the operators ask for it on their first p = 2
+    evaluation, while ``build_kernel`` and the p != 2 paths never do.
     """
 
     grid: Grid
@@ -187,6 +194,14 @@ class Kernel:
     @property
     def interior_count(self) -> int:
         return self.grid.interior_count
+
+    @cached_property
+    def stiffness(self) -> np.ndarray:
+        """Matrix K of the p = 2 energy [u]^2 = u^T K u, built once."""
+        k = -2.0 * self.w_interior
+        k[np.diag_indices_from(k)] += 2.0 * (self.w_interior.sum(axis=1)
+                                             + self.boundary_weight)
+        return k
 
 
 def _pair_weights(x: np.ndarray, y: np.ndarray, measure: float, exponent: float,

@@ -10,6 +10,15 @@ where the first sum runs over ordered interior pairs and ``B_i`` collects
 all coupling of node i to the zero exterior (collar pairs plus analytic
 tail).  The duality pairing and the operator application are the exact
 differential of (1/p)[u]^p, so discrete duality holds to rounding.
+
+At p = 2 the energy is the quadratic form
+
+    [u]^2 = u^T K u,   K = 2 (diag(sum_j w_ij) - w + diag(B)),
+
+so every entry point below evaluates it with one matvec against the
+kernel's cached ``stiffness`` matrix K instead of the M x M pairwise pass.
+K costs M^2 doubles (39 MB at M = 2209) and is built on the first p = 2
+evaluation; other p never build it.
 """
 
 from __future__ import annotations
@@ -142,6 +151,8 @@ def seminorm_p(u: Field, kernel: Kernel) -> float:
     """
     uv = _field_on_kernel(u, kernel)
     p = kernel.params.p
+    if p == 2.0:
+        return float(uv @ (kernel.stiffness @ uv))
     diff = uv[:, None] - uv[None, :]
     pair_sum = float((kernel.w_interior * np.abs(diff) ** p).sum())
     boundary = 2.0 * float(kernel.boundary_weight @ np.abs(uv) ** p)
@@ -153,6 +164,8 @@ def pairing(u: Field, v: Field, kernel: Kernel) -> float:
     uv = _field_on_kernel(u, kernel)
     vv = _field_on_kernel(v, kernel)
     p = kernel.params.p
+    if p == 2.0:
+        return float((kernel.stiffness @ uv) @ vv)
     du = uv[:, None] - uv[None, :]
     dv = vv[:, None] - vv[None, :]
     pair_sum = float((kernel.w_interior * phi_p(du, p) * dv).sum())
@@ -168,6 +181,8 @@ def apply_operator(u: Field, kernel: Kernel) -> np.ndarray:
     """
     uv = _field_on_kernel(u, kernel)
     p = kernel.params.p
+    if p == 2.0:
+        return kernel.stiffness @ uv
     du = uv[:, None] - uv[None, :]
     g = 2.0 * (kernel.w_interior * phi_p(du, p)).sum(axis=1)
     g += 2.0 * kernel.boundary_weight * phi_p(uv, p)
@@ -176,21 +191,26 @@ def apply_operator(u: Field, kernel: Kernel) -> np.ndarray:
 
 def energy_and_gradient(values: np.ndarray, kernel: Kernel,
                         rhs: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Value and gradient of (1/p)[u]^p - rhs . u in one pairwise pass.
+    """Value and gradient of (1/p)[u]^p - rhs . u in one pairwise pass
+    (one matvec at p = 2).
 
     ``rhs`` is a dual vector (already carrying cell measures); ``None``
     means the plain energy.  Internal fast path for the solvers, operating
     on bare arrays.
     """
     p = kernel.params.p
-    diff = values[:, None] - values[None, :]
-    absd = np.abs(diff)
-    core = kernel.w_interior * absd ** (p - 1.0)
-    energy = float((core * absd).sum()) / p
-    grad = 2.0 * (core * np.sign(diff)).sum(axis=1)
-    absu = np.abs(values)
-    energy += 2.0 / p * float(kernel.boundary_weight @ absu**p)
-    grad += 2.0 * kernel.boundary_weight * phi_p(values, p)
+    if p == 2.0:
+        grad = kernel.stiffness @ values
+        energy = 0.5 * float(values @ grad)
+    else:
+        diff = values[:, None] - values[None, :]
+        absd = np.abs(diff)
+        core = kernel.w_interior * absd ** (p - 1.0)
+        energy = float((core * absd).sum()) / p
+        grad = 2.0 * (core * np.sign(diff)).sum(axis=1)
+        absu = np.abs(values)
+        energy += 2.0 / p * float(kernel.boundary_weight @ absu**p)
+        grad += 2.0 * kernel.boundary_weight * phi_p(values, p)
     if rhs is not None:
         energy -= float(rhs @ values)
         grad = grad - rhs

@@ -1,8 +1,11 @@
 """Independent oracles: bisection for the scalar system, dense linear
-algebra for p = 2, and finite differences for gradients.
+algebra for p = 2, plain double sums for the energy, pairing and
+gradient, and finite differences for gradients.
 
 These never call the solver paths they certify.
 """
+
+import math
 
 import numpy as np
 
@@ -81,6 +84,46 @@ def dense_p2_matrix(kernel) -> np.ndarray:
     d = np.diag(w.sum(axis=1))
     b = np.diag(kernel.boundary_weight)
     return 2.0 * (d - w + b)
+
+
+def _odd_power(t: float, p: float) -> float:
+    return math.copysign(abs(t) ** (p - 1.0), t)
+
+
+def double_sum_seminorm(kernel, u: np.ndarray, p: float) -> float:
+    """[u]^p = sum_{i,j} w_ij |u_i - u_j|^p + 2 sum_i B_i |u_i|^p, term by
+    term from the pair weights and exterior couplings."""
+    w, b = kernel.w_interior, kernel.boundary_weight
+    total = 0.0
+    for i in range(u.size):
+        for j in range(u.size):
+            total += w[i, j] * abs(u[i] - u[j]) ** p
+        total += 2.0 * b[i] * abs(u[i]) ** p
+    return total
+
+
+def double_sum_pairing(kernel, u: np.ndarray, v: np.ndarray, p: float) -> float:
+    """Duality pairing sum_{i,j} w_ij phi(u_i - u_j)(v_i - v_j)
+    + 2 sum_i B_i phi(u_i) v_i with phi(t) = |t|^(p-2) t."""
+    w, b = kernel.w_interior, kernel.boundary_weight
+    total = 0.0
+    for i in range(u.size):
+        for j in range(u.size):
+            total += w[i, j] * _odd_power(u[i] - u[j], p) * (v[i] - v[j])
+        total += 2.0 * b[i] * _odd_power(u[i], p) * v[i]
+    return total
+
+
+def double_sum_gradient(kernel, u: np.ndarray, p: float) -> np.ndarray:
+    """Nodal gradient of (1/p)[u]^p:
+    2 sum_j w_ij phi(u_i - u_j) + 2 B_i phi(u_i)."""
+    w, b = kernel.w_interior, kernel.boundary_weight
+    grad = np.zeros(u.size)
+    for i in range(u.size):
+        for j in range(u.size):
+            grad[i] += 2.0 * w[i, j] * _odd_power(u[i] - u[j], p)
+        grad[i] += 2.0 * b[i] * _odd_power(u[i], p)
+    return grad
 
 
 def central_difference_gradient(energy, u: np.ndarray, step: float) -> np.ndarray:

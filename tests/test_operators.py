@@ -7,18 +7,29 @@ from hypothesis import given, settings, strategies as st
 from fss import (
     Field,
     FieldMismatchError,
+    FracParams,
     WeightField,
     apply_operator,
     build_grid,
+    build_kernel,
     log_functional,
     norm_r,
     pairing,
     poincare_constant,
     seminorm_p,
+    solve_nonsingular,
     weighted_qmean,
 )
+from fss.operators import energy_and_gradient
 
-from oracles import central_difference_gradient
+from conftest import synthetic_unit_kernel
+from oracles import (
+    central_difference_gradient,
+    dense_p2_matrix,
+    double_sum_gradient,
+    double_sum_pairing,
+    double_sum_seminorm,
+)
 
 
 def rand_field(grid, rng):
@@ -160,6 +171,58 @@ class TestApplyOperator:
             fd = central_difference_gradient(energy, u.values, 1e-6)
             scale = np.abs(g).max()
             assert np.abs(g - fd).max() <= 1e-5 * scale
+
+
+class TestP2FastPath:
+    """At p = 2 every entry point goes through the stiffness matrix; the
+    double-sum oracle checks it independently of that matrix."""
+
+    @pytest.fixture(params=["1d", "2d", "synthetic"])
+    def kernel(self, request, kernel_1d):
+        if request.param == "1d":
+            return kernel_1d
+        if request.param == "2d":
+            grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 6, 0.5)
+            return build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2), True)
+        return synthetic_unit_kernel(p=2.0, pair_weight=1.7)
+
+    def test_entry_points_match_double_sum(self, kernel):
+        rng = np.random.default_rng(71)
+        grid = kernel.grid
+        for _ in range(5):
+            u = rand_field(grid, rng)
+            v = rand_field(grid, rng)
+            rhs = rng.uniform(-1.0, 1.0, grid.interior_count)
+            sn = double_sum_seminorm(kernel, u.values, 2.0)
+            grad = double_sum_gradient(kernel, u.values, 2.0)
+            scale = np.abs(grad).max()
+            assert seminorm_p(u, kernel) == pytest.approx(sn, rel=1e-12)
+            assert pairing(u, v, kernel) == pytest.approx(
+                double_sum_pairing(kernel, u.values, v.values, 2.0), rel=1e-12)
+            assert np.abs(apply_operator(u, kernel) - grad).max() \
+                <= 1e-12 * scale
+            energy, g = energy_and_gradient(u.values, kernel, rhs)
+            assert energy == pytest.approx(0.5 * sn - rhs @ u.values,
+                                           rel=1e-12)
+            assert np.abs(g - (grad - rhs)).max() \
+                <= 1e-12 * np.abs(grad - rhs).max()
+
+    def test_stiffness_is_dense_oracle(self, kernel):
+        assert np.array_equal(kernel.stiffness, dense_p2_matrix(kernel))
+
+    def test_stiffness_built_on_first_use(self, grid_1d):
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1), True)
+        assert "stiffness" not in kernel.__dict__
+        seminorm_p(Field.constant(grid_1d, 1.0), kernel)
+        assert "stiffness" in kernel.__dict__
+
+    def test_never_built_for_other_p(self, grid_1d):
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=3.0, n_dim=1), True)
+        u = solve_nonsingular(np.ones(grid_1d.interior_count), kernel)
+        seminorm_p(u, kernel)
+        pairing(u, u, kernel)
+        apply_operator(u, kernel)
+        assert "stiffness" not in kernel.__dict__
 
 
 class TestWeightedQMean:
