@@ -92,7 +92,6 @@ class ChainOptions:
     max_fixed_point_sweeps: int = 500
     chain_tol: float = 1e-7
     max_levels: int = 40
-    polish: bool = True
     polish_tol: float = 1e-13
     max_polish_sweeps: int = 400
     residual_trials: int = 100
@@ -323,10 +322,11 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     ``schedule`` is an increasing sequence of levels (default: powers of
     two).  Levels are warm-started from their predecessor and the walk
     stops once consecutive level solutions differ by at most the chain
-    tolerance in the max norm; exhausting the schedule yields a result
-    flagged as non-converged.  For alpha <= 1 the a-priori energy ceiling
-    is recorded per level; alpha > 1 requires a compactly supported
-    weight and records the auxiliary power seminorms instead.
+    tolerance in the max norm, then polishes the limit; exhausting the
+    schedule yields an unpolished result flagged as non-converged.  For
+    alpha <= 1 the a-priori energy ceiling is recorded per level; alpha > 1
+    requires a compactly supported weight and records the auxiliary power
+    seminorms instead.
     """
     opts = opts or ChainOptions()
     _validate_alpha(omega, alpha, kernel)
@@ -391,7 +391,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     u_final = prev if prev is not None else levels[-1].u
     polish_sweeps = 0
     polish_delta = math.inf
-    if opts.polish and converged:
+    if converged:
         u_final, polish_sweeps, polish_delta = _polish(
             u_final, omega, alpha, kernel, opts
         )

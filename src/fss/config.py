@@ -11,9 +11,7 @@ path of each offending field.  Weight kinds:
                    singularity strengths alpha > 1)
     file           nodal values from a JSON file {"values": [...]}
 
-Environment: FSS_SEED overrides the verification seed, FSS_THREADS caps
-the worker count (the pipeline is single-threaded, so any positive cap is
-honored trivially).
+Environment: FSS_SEED overrides the verification seed.
 """
 
 from __future__ import annotations
@@ -46,13 +44,11 @@ class RunConfig:
     weight_params: dict
     alpha: float | None
     alpha_grid: tuple | None
-    alpha0: float | None
     schedule: tuple | None
     chain_options: ChainOptions
     trials: int
     seed: int
     output: dict
-    threads: int
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -172,16 +168,6 @@ def load_config(path: str) -> RunConfig:
                     "problem.alpha_grid",
                 )
         alpha_grid = tuple(float(a) for a in alpha_grid)
-    alpha0 = problem_block.get("alpha0")
-    if alpha0 is not None:
-        if not isinstance(alpha0, _NUMBER) or not (0.0 < alpha0 < 1.0):
-            raise ConfigError("alpha0 must lie in (0, 1)", "problem.alpha0")
-        if w_r < r_alpha(float(alpha0), frac) - 1e-12:
-            raise ConfigError(
-                f"weight.r = {w_r} is below r_alpha at alpha0", "problem.alpha0"
-            )
-        alpha0 = float(alpha0)
-
     schedule = problem_block.get("n_schedule")
     if schedule is not None:
         if (not isinstance(schedule, list) or len(schedule) == 0
@@ -229,16 +215,6 @@ def load_config(path: str) -> RunConfig:
         except ValueError:
             raise ConfigError("FSS_SEED must be an integer", "env.FSS_SEED")
 
-    threads = 1
-    env_threads = os.environ.get("FSS_THREADS")
-    if env_threads is not None:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            raise ConfigError("FSS_THREADS must be an integer", "env.FSS_THREADS")
-        if threads < 1:
-            raise ConfigError("FSS_THREADS must be at least 1", "env.FSS_THREADS")
-
     output = raw.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("expected object", "output")
@@ -256,13 +232,11 @@ def load_config(path: str) -> RunConfig:
         weight_params=weight_params,
         alpha=alpha,
         alpha_grid=alpha_grid,
-        alpha0=alpha0,
         schedule=schedule,
         chain_options=chain_opts,
         trials=trials,
         seed=seed,
         output=output,
-        threads=threads,
     )
 
 

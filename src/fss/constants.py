@@ -174,25 +174,31 @@ def verify_sobolev(solution: SingularSolution, trials: int = 1000,
         s = sn - term
         return s, sn
 
+    return _certify(slack, c_val, kernel.grid, solution.extremal, trials,
+                    seed, extremal_scales, extra_fields)
+
+
+def _certify(slack, constant: float, grid, extremal: Field, trials: int,
+             seed: int, extremal_scales, extra_fields) -> CertificationReport:
+    """Summarize ``slack`` (returning slack and [v]^p) over the seeded trial
+    fields, then ``extra_fields``, then the nonzero multiples of the
+    extremal."""
+
     def candidates():
         for index in range(trials):
-            yield trial_field(kernel.grid, seed, index), False
+            yield trial_field(grid, seed, index), False
         for v in extra_fields:
             yield v, False
         for k in extremal_scales:
-            v = k * solution.extremal
+            v = k * extremal
             if np.any(v.values != 0.0):
                 yield v, True
 
-    return _certify(candidates(), slack, trials, c_val)
-
-
-def _certify(candidates, slack, trials, constant) -> CertificationReport:
     min_slack = math.inf
     min_rel = math.inf
     violations = 0
     extremal_max_rel = 0.0
-    for v, is_extremal in candidates:
+    for v, is_extremal in candidates():
         s, sn = slack(v)
         rel = s / sn if sn > 0.0 else 0.0
         min_slack = min(min_slack, s)
@@ -461,17 +467,8 @@ def verify_log_sobolev(estimate: MuEstimate, trials: int = 1000,
         term = math.exp(log_mu + p / omega.norm_1 * li)
         return sn - term, sn
 
-    def candidates():
-        for index in range(trials):
-            yield trial_field(kernel.grid, seed, index), False
-        for v in extra_fields:
-            yield v, False
-        for k in extremal_scales:
-            v = k * estimate.extremal
-            if np.any(v.values != 0.0):
-                yield v, True
-
-    return _certify(candidates(), slack, trials, mu)
+    return _certify(slack, mu, kernel.grid, estimate.extremal, trials,
+                    seed, extremal_scales, extra_fields)
 
 
 @dataclass(frozen=True)

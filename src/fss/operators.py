@@ -8,17 +8,23 @@ the collar, so the double sum defining the energy splits into
 
 where the first sum runs over ordered interior pairs and ``B_i`` collects
 all coupling of node i to the zero exterior (collar pairs plus analytic
-tail).  The duality pairing and the operator application are the exact
-differential of (1/p)[u]^p, so discrete duality holds to rounding.
+tail).  The nodal gradient of (1/p)[u]^p,
 
-At p = 2 the energy is the quadratic form
+    (A u)_i = 2 sum_j w_ij phi_p(u_i - u_j)  +  2 B_i phi_p(u_i),
 
-    [u]^2 = u^T K u,   K = 2 (diag(sum_j w_ij) - w + diag(B)),
+is the one pairwise pass (``_gradient``); every entry point below is an
+inner product with it:
 
-so every entry point below evaluates it with one matvec against the
-kernel's cached ``stiffness`` matrix K instead of the M x M pairwise pass.
-K costs M^2 doubles (39 MB at M = 2209) and is built on the first p = 2
-evaluation; other p never build it.
+    pairing(u, v) = <A u, v>,    [u]^p = <A u, u>,
+
+the second by p-homogeneity (Euler's identity), so discrete duality holds
+to rounding.  At p = 2 the pass is the matvec A u = K u with
+
+    K = 2 (diag(sum_j w_ij) - w + diag(B)),
+
+the kernel's cached ``stiffness`` matrix.  K costs M^2 doubles (39 MB at
+M = 2209) and is built on the first p = 2 evaluation; other p never
+build it.
 """
 
 from __future__ import annotations
@@ -143,74 +149,57 @@ def _field_on_kernel(u: Field, kernel: Kernel):
     return u.values
 
 
+def _gradient(values: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Nodal gradient A u of (1/p)[u]^p: the one pairwise pass.
+
+    A u_i = 2 sum_j w_ij phi_p(u_i - u_j) + 2 B_i phi_p(u_i), which at
+    p = 2 is one matvec against the cached stiffness matrix.
+    """
+    p = kernel.params.p
+    if p == 2.0:
+        return kernel.stiffness @ values
+    diff = values[:, None] - values[None, :]
+    g = 2.0 * (kernel.w_interior * phi_p(diff, p)).sum(axis=1)
+    g += 2.0 * kernel.boundary_weight * phi_p(values, p)
+    return g
+
+
 def seminorm_p(u: Field, kernel: Kernel) -> float:
-    """p-th power of the nonlocal energy seminorm, [u]^p.
+    """p-th power of the nonlocal energy seminorm, [u]^p = <A u, u>.
 
     Nonnegative, and zero only for the zero field (every node couples to
     the zero collar with positive weight).
     """
     uv = _field_on_kernel(u, kernel)
-    p = kernel.params.p
-    if p == 2.0:
-        return float(uv @ (kernel.stiffness @ uv))
-    diff = uv[:, None] - uv[None, :]
-    pair_sum = float((kernel.w_interior * np.abs(diff) ** p).sum())
-    boundary = 2.0 * float(kernel.boundary_weight @ np.abs(uv) ** p)
-    return pair_sum + boundary
+    return float(uv @ _gradient(uv, kernel))
 
 
 def pairing(u: Field, v: Field, kernel: Kernel) -> float:
-    """Duality pairing of the nonlocal p-operator at u against v."""
+    """Duality pairing of the nonlocal p-operator at u against v, <A u, v>."""
     uv = _field_on_kernel(u, kernel)
     vv = _field_on_kernel(v, kernel)
-    p = kernel.params.p
-    if p == 2.0:
-        return float((kernel.stiffness @ uv) @ vv)
-    du = uv[:, None] - uv[None, :]
-    dv = vv[:, None] - vv[None, :]
-    pair_sum = float((kernel.w_interior * phi_p(du, p) * dv).sum())
-    boundary = 2.0 * float(kernel.boundary_weight @ (phi_p(uv, p) * vv))
-    return pair_sum + boundary
+    return float(_gradient(uv, kernel) @ vv)
 
 
 def apply_operator(u: Field, kernel: Kernel) -> np.ndarray:
-    """Nodal gradient of the energy (1/p)[u]^p.
+    """Nodal gradient A u of the energy (1/p)[u]^p.
 
     The returned dual vector g satisfies sum_i g_i v_i = pairing(u, v)
     for every field v.
     """
-    uv = _field_on_kernel(u, kernel)
-    p = kernel.params.p
-    if p == 2.0:
-        return kernel.stiffness @ uv
-    du = uv[:, None] - uv[None, :]
-    g = 2.0 * (kernel.w_interior * phi_p(du, p)).sum(axis=1)
-    g += 2.0 * kernel.boundary_weight * phi_p(uv, p)
-    return g
+    return _gradient(_field_on_kernel(u, kernel), kernel)
 
 
 def energy_and_gradient(values: np.ndarray, kernel: Kernel,
                         rhs: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Value and gradient of (1/p)[u]^p - rhs . u in one pairwise pass
-    (one matvec at p = 2).
+    """Value and gradient of (1/p)[u]^p - rhs . u from one pairwise pass.
 
     ``rhs`` is a dual vector (already carrying cell measures); ``None``
-    means the plain energy.  Internal fast path for the solvers, operating
+    means the plain energy.  Internal entry point for the solvers, operating
     on bare arrays.
     """
-    p = kernel.params.p
-    if p == 2.0:
-        grad = kernel.stiffness @ values
-        energy = 0.5 * float(values @ grad)
-    else:
-        diff = values[:, None] - values[None, :]
-        absd = np.abs(diff)
-        core = kernel.w_interior * absd ** (p - 1.0)
-        energy = float((core * absd).sum()) / p
-        grad = 2.0 * (core * np.sign(diff)).sum(axis=1)
-        absu = np.abs(values)
-        energy += 2.0 / p * float(kernel.boundary_weight @ absu**p)
-        grad += 2.0 * kernel.boundary_weight * phi_p(values, p)
+    grad = _gradient(values, kernel)
+    energy = float(values @ grad) / kernel.params.p
     if rhs is not None:
         energy -= float(rhs @ values)
         grad = grad - rhs

@@ -41,7 +41,6 @@ class SolveOptions:
     max_iter: int = 10000
     backtrack: float = 0.5
     sufficient_decrease: float = 1e-4
-    init: str = "warm"  # "warm": use a provided start field; "zero": always 0
     lbfgs_memory: int = 8
     max_backtracks: int = 60
 
@@ -162,9 +161,10 @@ def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
 
     Returns the unique minimizer of (1/p)[v]^p - sum m f v, i.e. the field
     whose operator application equals the datum in duality.  The gradient
-    max-norm at return is at most ``opts.grad_tol``.  Any finite datum is
-    accepted; for nonnegative data (every use in this package) the
-    minimizer is nonnegative by the comparison principle.
+    max-norm at return is at most ``opts.grad_tol``.  The descent starts
+    from ``x0`` when given, else from zero.  Any finite datum is accepted;
+    for nonnegative data (every use in this package) the minimizer is
+    nonnegative by the comparison principle.
     """
     opts = opts or SolveOptions()
     fv = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
@@ -175,10 +175,7 @@ def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
     if not np.all(np.isfinite(fv)):
         raise ValueError("datum must be finite")
     rhs = kernel.grid.measure * fv
-    if x0 is not None and opts.init == "warm":
-        start = x0.values
-    else:
-        start = np.zeros(kernel.interior_count)
+    start = x0.values if x0 is not None else np.zeros(kernel.interior_count)
     u = _minimize(kernel, rhs, start, opts)
     return Field(u, kernel.grid)
 

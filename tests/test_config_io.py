@@ -88,11 +88,6 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path))
         assert cfg.seed == 7
 
-    def test_threads_env_validation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FSS_THREADS", "0")
-        with pytest.raises(ConfigError, match="FSS_THREADS"):
-            load_config(write_config(tmp_path))
-
     def test_hash_stability(self, tmp_path):
         a = load_config(write_config(tmp_path))
         b = load_config(write_config(tmp_path, name="other.json"))

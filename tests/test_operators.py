@@ -173,9 +173,45 @@ class TestApplyOperator:
             assert np.abs(g - fd).max() <= 1e-5 * scale
 
 
+class TestDoubleSumOracle:
+    """Every entry point against the double sums of ``oracles.py``, which
+    read only ``w_interior`` and ``boundary_weight``: independent of the
+    stiffness matrix and of the one pairwise pass the entry points share."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0], ids=["p1.5", "p2", "p3"])
+    @pytest.mark.parametrize("kind", ["1d", "2d", "synthetic"])
+    def test_entry_points_match_double_sum(self, kind, p, grid_1d):
+        if kind == "1d":
+            kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1), True)
+        elif kind == "2d":
+            grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 6, 0.5)
+            kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=2), True)
+        else:
+            kernel = synthetic_unit_kernel(p=p, pair_weight=1.7)
+        rng = np.random.default_rng(71)
+        grid = kernel.grid
+        for _ in range(5):
+            u = rand_field(grid, rng)
+            v = rand_field(grid, rng)
+            rhs = rng.uniform(-1.0, 1.0, grid.interior_count)
+            sn = double_sum_seminorm(kernel, u.values, p)
+            grad = double_sum_gradient(kernel, u.values, p)
+            scale = np.abs(grad).max()
+            assert seminorm_p(u, kernel) == pytest.approx(sn, rel=1e-12)
+            assert pairing(u, v, kernel) == pytest.approx(
+                double_sum_pairing(kernel, u.values, v.values, p), rel=1e-12)
+            assert np.abs(apply_operator(u, kernel) - grad).max() \
+                <= 1e-12 * scale
+            energy, g = energy_and_gradient(u.values, kernel, rhs)
+            assert energy == pytest.approx(sn / p - rhs @ u.values,
+                                           rel=1e-12)
+            assert np.abs(g - (grad - rhs)).max() \
+                <= 1e-12 * np.abs(grad - rhs).max()
+
+
 class TestP2FastPath:
-    """At p = 2 every entry point goes through the stiffness matrix; the
-    double-sum oracle checks it independently of that matrix."""
+    """At p = 2 the pairwise pass is a matvec against the stiffness matrix,
+    which must equal the dense p = 2 oracle and be built only when used."""
 
     @pytest.fixture(params=["1d", "2d", "synthetic"])
     def kernel(self, request, kernel_1d):
@@ -185,27 +221,6 @@ class TestP2FastPath:
             grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 6, 0.5)
             return build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2), True)
         return synthetic_unit_kernel(p=2.0, pair_weight=1.7)
-
-    def test_entry_points_match_double_sum(self, kernel):
-        rng = np.random.default_rng(71)
-        grid = kernel.grid
-        for _ in range(5):
-            u = rand_field(grid, rng)
-            v = rand_field(grid, rng)
-            rhs = rng.uniform(-1.0, 1.0, grid.interior_count)
-            sn = double_sum_seminorm(kernel, u.values, 2.0)
-            grad = double_sum_gradient(kernel, u.values, 2.0)
-            scale = np.abs(grad).max()
-            assert seminorm_p(u, kernel) == pytest.approx(sn, rel=1e-12)
-            assert pairing(u, v, kernel) == pytest.approx(
-                double_sum_pairing(kernel, u.values, v.values, 2.0), rel=1e-12)
-            assert np.abs(apply_operator(u, kernel) - grad).max() \
-                <= 1e-12 * scale
-            energy, g = energy_and_gradient(u.values, kernel, rhs)
-            assert energy == pytest.approx(0.5 * sn - rhs @ u.values,
-                                           rel=1e-12)
-            assert np.abs(g - (grad - rhs)).max() \
-                <= 1e-12 * np.abs(grad - rhs).max()
 
     def test_stiffness_is_dense_oracle(self, kernel):
         assert np.array_equal(kernel.stiffness, dense_p2_matrix(kernel))
