@@ -15,15 +15,26 @@ Each level is solved as a fixed point of the map T that sends w to the
 solution of the nonsingular problem with frozen datum
 min(omega, n) / (|w| + 1/n)**alpha.  T is order-reversing, so the plain
 Picard iteration oscillates (with rate approaching 1 for alpha = 1 and
-large n); the implementation therefore iterates the half-averaged map
-w -> (w + T(w)) / 2, whose local contraction rate stays at most ~1/2.
+large n).  The half-averaged map w -> (w + T(w)) / 2 damps the
+oscillation, but contracts only at a rate of about 1/2, and every sweep is
+a full nonlinear solve.  The sweeps therefore feed the next solve an
+Anderson-mixed iterate (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)): the
+averaged image corrected by the least-squares combination of the last
+three iterate and residual differences.  The mixer restarts from the
+plain averaged step whenever the mixed iterate is non-finite or has a
+node <= 0, so every frozen datum stays defined and the iterates stay
+strictly positive.  The stop test is unchanged, half the sweep difference
+(1/2)|T w - w|_inf against the fixed-point tolerance, and the returned
+level solution is the averaged image (w + T w)/2 of the last iterate.
 
 Levels are walked along a geometric schedule with warm starts.  The level
 solutions increase in n, their energies increase, and they dominate the
 barrier m_alpha * psi built from the capped weight.  After the schedule
-converges, the limit is polished by the same averaged iteration applied
-to the unregularized datum omega / w**alpha, which removes the residual
-O(1/n) regularization error.
+converges, the limit is polished by the same Anderson-mixed averaged
+sweeps applied to the unregularized datum omega / w**alpha, which remove
+the residual O(1/n) regularization error; the polish stops on the same
+quantity (1/2)|T w - w|_inf at the polish tolerance, or once it has not
+improved for six sweeps, and returns the best averaged image.
 """
 
 from __future__ import annotations
@@ -83,6 +94,11 @@ def make_level(omega: WeightField, n: int, alpha: float) -> RegularizedProblem:
                               omega_n=truncate_weight(omega, n))
 
 
+# Number of past differences the Anderson mixer of the fixed-point sweeps
+# combines.
+_ANDERSON_MEMORY = 3
+
+
 @dataclass(frozen=True)
 class ChainOptions:
     """Tolerances for the fixed-point sweeps, the n-schedule, and polish."""
@@ -107,38 +123,89 @@ def fixed_point_step(problem: RegularizedProblem, kernel: Kernel, w: Field,
     return solve_nonsingular(datum, kernel, opts, x0=w)
 
 
+class _AndersonMixer:
+    """Anderson acceleration (Walker & Ni 2011) of an averaged fixed-point map.
+
+    ``step(x, g)`` takes an iterate x and its averaged image
+    g = (x + T x)/2, so the residual is f = g - x.  Over the last
+    ``_ANDERSON_MEMORY`` differences it picks the coefficients gamma that
+    minimize |f - dF gamma|_2 and returns g - dG gamma, where dG = dX + dF.
+    The first step, and every step after a restart, is g itself.  It
+    restarts (drops its history and returns g) whenever the mixed iterate
+    is non-finite or has a node <= 0, so every iterate stays strictly
+    positive and the singular data stay defined.
+    """
+
+    def __init__(self):
+        self._x: list[np.ndarray] = []
+        self._g: list[np.ndarray] = []
+
+    def step(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        self._x.append(x)
+        self._g.append(g)
+        if len(self._x) > _ANDERSON_MEMORY + 1:
+            del self._x[0], self._g[0]
+        if len(self._x) == 1:
+            return g
+        d_g = np.diff(self._g, axis=0).T
+        d_f = d_g - np.diff(self._x, axis=0).T
+        gamma = np.linalg.lstsq(d_f, g - x, rcond=None)[0]
+        mixed = g - d_g @ gamma
+        if np.all(np.isfinite(mixed)) and mixed.min() > 0.0:
+            return mixed
+        self._x.clear()
+        self._g.clear()
+        return g
+
+
 def solve_level(problem: RegularizedProblem, kernel: Kernel, init: Field,
                 opts: ChainOptions | None = None) -> tuple[Field, int]:
-    """Iterate the averaged fixed-point map until the sweep difference
-    drops below the fixed-point tolerance.
+    """Anderson-mixed sweeps of the averaged map w -> (w + T w)/2 until
+    half the sweep difference, (1/2)|T w - w|_inf, drops below the
+    fixed-point tolerance.
 
-    Returns the level solution (strictly positive at every interior node)
-    and the number of sweeps used.  Raises ``StagnationError`` when the
-    sweep budget runs out.
+    Returns the averaged image (w + T w)/2 of the last iterate (strictly
+    positive at every interior node) and the number of sweeps used.
+    Raises ``StagnationError`` when the sweep budget runs out, and
+    re-raises a ``SolverError`` of a sweep; both name the level, the
+    sweep and alpha.
     """
     opts = opts or ChainOptions()
     if init.values.min() < 0.0:
         raise ValueError("initial field must be nonnegative")
+    context = dict(level=problem.level, alpha=problem.alpha)
+    where = f"level {problem.level} (alpha {problem.alpha:g})"
+    mixer = _AndersonMixer()
     w = init
     history: list[float] = []
     for sweep in range(1, opts.max_fixed_point_sweeps + 1):
-        image = fixed_point_step(problem, kernel, w, opts.solve)
+        try:
+            image = fixed_point_step(problem, kernel, w, opts.solve)
+        except SolverError as err:
+            raise SolverError(f"{where}, sweep {sweep}: {err}",
+                              iterate=err.iterate, grad_norm=err.grad_norm,
+                              iterations=err.iterations, sweep=sweep,
+                              **context) from err
         new = 0.5 * (w + image)
         delta = (new - w).max_norm()
         history.append(delta)
-        w = new
         if delta <= opts.fixed_point_tol:
+            w = new
             break
+        w = w.with_values(mixer.step(w.values, new.values))
     else:
         raise StagnationError(
-            f"fixed-point sweeps stagnated at level {problem.level} "
+            f"fixed-point sweeps stagnated at {where} after {sweep} sweeps "
             f"(last difference {history[-1]:.3e})",
             iterate=w,
             history=history,
+            sweep=sweep,
+            **context,
         )
     if w.values.min() <= 0.0:
-        raise SolverError("level solution is not strictly positive",
-                          iterate=w.values)
+        raise SolverError(f"{where}, sweep {sweep}: level solution is not "
+                          "strictly positive", iterate=w.values, sweep=sweep,
+                          **context)
     return w, sweep
 
 
@@ -276,15 +343,18 @@ def default_schedule(max_levels: int, base: int = 2):
 
 def _polish(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
             opts: ChainOptions) -> tuple[Field, int, float]:
-    """Averaged fixed-point sweeps on the unregularized datum.
+    """Anderson-mixed averaged sweeps on the unregularized datum.
 
     Starting from the converged chain limit (strictly positive), this
-    removes the remaining O(1/n) regularization error.  Stops at the
-    polish tolerance or when the sweep differences stop shrinking (double
-    precision floor).
+    removes the remaining O(1/n) regularization error.  Each sweep
+    measures delta = (1/2)|T w - w|_inf for the map T with datum
+    omega / w^alpha and keeps the averaged image (w + T w)/2 with the
+    smallest delta.  Stops at the polish tolerance or when delta has not
+    improved for six sweeps (double precision floor).
     """
     tight = replace(opts.solve, grad_tol=min(opts.solve.grad_tol, 1e-12),
                     max_iter=max(opts.solve.max_iter, 20000))
+    mixer = _AndersonMixer()
     w = u
     best = w
     best_delta = math.inf
@@ -302,14 +372,14 @@ def _polish(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
             image = Field(err.iterate, kernel.grid)
         new = 0.5 * (w + image)
         delta = (new - w).max_norm()
-        w = new
         if delta < best_delta:
-            best, best_delta = w, delta
+            best, best_delta = new, delta
             stale = 0
         else:
             stale += 1
         if delta <= opts.polish_tol or stale >= 6:
             break
+        w = w.with_values(mixer.step(w.values, new.values))
     return best, sweeps, best_delta
 
 

@@ -68,6 +68,8 @@ def _need(block: dict, key: str, path: str, kind=None):
 
 
 _NUMBER = (int, float)
+_PROBLEM_KEYS = ("alpha", "alpha_grid", "n_schedule", "max_levels",
+                 "tolerances")
 
 
 def load_config(path: str) -> RunConfig:
@@ -135,6 +137,9 @@ def load_config(path: str) -> RunConfig:
     problem_block = raw.get("problem", {})
     if not isinstance(problem_block, dict):
         raise ConfigError("expected object", "problem")
+    for key in problem_block:
+        if key not in _PROBLEM_KEYS:
+            raise ConfigError(f"unknown problem key '{key}'", f"problem.{key}")
     alpha = problem_block.get("alpha")
     if alpha is not None:
         if not isinstance(alpha, _NUMBER) or alpha <= 0:
@@ -179,6 +184,12 @@ def load_config(path: str) -> RunConfig:
                               "problem.n_schedule")
         schedule = tuple(schedule)
 
+    max_levels = problem_block.get("max_levels", 40)
+    if (not isinstance(max_levels, int) or isinstance(max_levels, bool)
+            or max_levels < 1):
+        raise ConfigError("max_levels must be an integer >= 1",
+                          "problem.max_levels")
+
     tol_block = problem_block.get("tolerances", {})
     if not isinstance(tol_block, dict):
         raise ConfigError("expected object", "problem.tolerances")
@@ -194,7 +205,7 @@ def load_config(path: str) -> RunConfig:
         fixed_point_tol=float(tol_block.get("fixed_point", 1e-9)),
         chain_tol=float(tol_block.get("chain", 1e-7)),
         polish_tol=float(tol_block.get("polish", 1e-13)),
-        max_levels=int(problem_block.get("max_levels", 40)),
+        max_levels=max_levels,
     )
 
     verif_block = raw.get("verification", {})

@@ -17,26 +17,37 @@ class SolverError(FssError):
     """Raised when an iterative solve fails to converge.
 
     Carries the last iterate and gradient norm so callers can inspect
-    how far the solve got.
+    how far the solve got.  Inside the approximation chain it also names
+    the chain ``level``, the fixed-point ``sweep`` and ``alpha``; these are
+    None for a stand-alone solve.
     """
 
-    def __init__(self, message, iterate=None, grad_norm=None, iterations=None):
+    def __init__(self, message, iterate=None, grad_norm=None, iterations=None,
+                 level=None, sweep=None, alpha=None):
         super().__init__(message)
         self.iterate = iterate
         self.grad_norm = grad_norm
         self.iterations = iterations
+        self.level = level
+        self.sweep = sweep
+        self.alpha = alpha
 
 
 class StagnationError(FssError):
     """Raised when a fixed-point sweep exhausts its budget.
 
-    Carries per-sweep difference history for diagnosis.
+    Carries per-sweep difference history for diagnosis, and the chain
+    ``level``, last ``sweep`` and ``alpha`` where it happened.
     """
 
-    def __init__(self, message, iterate=None, history=None):
+    def __init__(self, message, iterate=None, history=None, level=None,
+                 sweep=None, alpha=None):
         super().__init__(message)
         self.iterate = iterate
         self.history = history or []
+        self.level = level
+        self.sweep = sweep
+        self.alpha = alpha
 
 
 class ConfigError(FssError):

@@ -7,6 +7,8 @@ from fss import (
     Field,
     FssError,
     SolveOptions,
+    SolverError,
+    StagnationError,
     WeightField,
     embedding_constant,
     fixed_point_step,
@@ -19,6 +21,7 @@ from fss import (
     truncate_weight,
     weak_residual,
 )
+from fss.chain import _AndersonMixer
 
 from conftest import (
     compact_bump_values,
@@ -156,6 +159,94 @@ class TestSolveLevel:
                         kernel_1d.grid)
             gap = abs(pairing(u, phi, kernel_1d) - float(source @ phi.values))
             assert gap <= 1e-7
+
+
+def plain_averaged_level(problem, kernel, init, opts):
+    """Reference loop: w <- (w + T w)/2 until the sweep difference is at
+    most the fixed-point tolerance."""
+    w = init
+    for sweep in range(1, opts.max_fixed_point_sweeps + 1):
+        new = 0.5 * (w + fixed_point_step(problem, kernel, w, opts.solve))
+        delta = (new - w).max_norm()
+        w = new
+        if delta <= opts.fixed_point_tol:
+            return w, sweep
+    raise AssertionError("plain averaged loop did not converge")
+
+
+class TestAndersonLevel:
+    @pytest.mark.parametrize("n,alpha", [(4, 0.5), (64, 1.0)])
+    def test_matches_plain_averaged_loop(self, kernel_1d, bump_weight, n,
+                                         alpha):
+        opts = ChainOptions()
+        problem = make_level(bump_weight, n, alpha)
+        start = Field.zero(kernel_1d.grid)
+        mixed, sweeps = solve_level(problem, kernel_1d, start, opts)
+        plain, plain_sweeps = plain_averaged_level(problem, kernel_1d, start,
+                                                   opts)
+        assert (mixed - plain).max_norm() <= 1e-8
+        assert sweeps < plain_sweeps
+
+    def test_mixer_solves_linear_map(self):
+        # For an affine averaged map the secant extrapolation of two
+        # iterates lands on the fixed point of every decoupled node.
+        mixer = _AndersonMixer()
+        fixed = np.array([2.0])
+
+        def averaged(x):
+            return fixed + 0.5 * (x - fixed)
+
+        x0 = np.array([1.0])
+        x1 = mixer.step(x0, averaged(x0))
+        x2 = mixer.step(x1, averaged(x1))
+        assert x2 == pytest.approx(fixed, rel=1e-14)
+
+    def test_mixer_restarts_on_nonpositive_extrapolation(self):
+        # Residuals -0.1 and then -0.095 after a step of -0.1 on both
+        # nodes: the secant extrapolation moves both nodes by -1.805, which
+        # gives -1 on the first node and 3.1 on the second.
+        mixer = _AndersonMixer()
+        mixer.step(np.array([1.0, 5.1]), np.array([0.9, 5.0]))
+        x1 = np.array([0.9, 5.0])
+        g1 = x1 - 0.095
+        out = mixer.step(x1, g1)
+        assert np.array_equal(out, g1)
+        # the history is gone: the next step is the averaged step again
+        g2 = np.array([0.7, 0.8])
+        assert np.array_equal(mixer.step(g1, g2), g2)
+
+
+class TestChainErrors:
+    def test_solver_error_names_level_sweep_alpha(self, kernel_1d,
+                                                  bump_weight):
+        opts = ChainOptions(solve=SolveOptions(max_iter=1))
+        problem = make_level(bump_weight, 4, 0.5)
+        with pytest.raises(SolverError) as err:
+            solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
+        exc = err.value
+        assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
+        assert "level 4" in str(exc) and "sweep 1" in str(exc)
+        assert exc.iterate is not None and exc.grad_norm > 0.0
+        assert exc.iterations == 1
+
+    def test_stagnation_error_names_level_sweep_alpha(self, kernel_1d,
+                                                      bump_weight):
+        opts = ChainOptions(max_fixed_point_sweeps=2)
+        problem = make_level(bump_weight, 8, 1.0)
+        with pytest.raises(StagnationError) as err:
+            solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
+        exc = err.value
+        assert (exc.level, exc.sweep, exc.alpha) == (8, 2, 1.0)
+        assert len(exc.history) == 2
+        assert "level 8" in str(exc)
+
+    def test_standalone_solver_error_has_no_chain_context(self, kernel_1d,
+                                                          bump_weight):
+        problem = make_level(bump_weight, 4, 0.5)
+        with pytest.raises(SolverError) as err:
+            fixed_point_step(problem, kernel_1d, Field.zero(kernel_1d.grid),
+                             SolveOptions(max_iter=1))
+        assert err.value.level is None and err.value.sweep is None
 
 
 class TestRunChain:

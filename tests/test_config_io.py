@@ -83,6 +83,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="r_alpha"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["n_shedule", "alpha0"])
+    def test_rejects_unknown_problem_key(self, tmp_path, key):
+        path = write_config(tmp_path, {"problem": {"alpha": 0.5,
+                                                   key: [1, 2, 4]}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.field == f"problem.{key}"
+
+    @pytest.mark.parametrize("value", ["abc", 0, -3, 2.7, True])
+    def test_rejects_bad_max_levels(self, tmp_path, value):
+        path = write_config(tmp_path, {"problem": {"max_levels": value}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.field == "problem.max_levels"
+
+    def test_accepts_max_levels(self, tmp_path):
+        path = write_config(tmp_path, {"problem": {"max_levels": 12}})
+        assert load_config(path).chain_options.max_levels == 12
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FSS_SEED", "7")
         cfg = load_config(write_config(tmp_path))
