@@ -35,6 +35,15 @@ sweeps applied to the unregularized datum omega / w**alpha, which remove
 the residual O(1/n) regularization error; the polish stops on the same
 quantity (1/2)|T w - w|_inf at the polish tolerance, or once it has not
 improved for six sweeps, and returns the best averaged image.
+
+At p = 2 the operator is linear, and T w is one linear solve with the
+same symmetric positive definite stiffness matrix K at every sweep, every
+level and in the polish.  The chain factors K once (the kernel's cached
+Cholesky factor), so T is one triangular solve pair: the barrier, every
+sweep and every polish sweep start from that direct solution, and the
+L-BFGS solver only certifies it, checking the gradient against its
+tolerance after one evaluation (it refines a start that misses).  Other p
+start each solve from the current iterate.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .exceptions import FssError, SolverError, StagnationError
 from .grid import Kernel, r_alpha
@@ -114,13 +124,34 @@ class ChainOptions:
     residual_seed: int = 7
 
 
+def _start(datum: np.ndarray, kernel: Kernel, x0: Field | None) -> Field | None:
+    """Start of a chain solve with this datum: at p = 2 the direct solution
+    of K u = m datum by the kernel's cached Cholesky factor, else ``x0``."""
+    if kernel.params.p != 2.0:
+        return x0
+    u = cho_solve(kernel.stiffness_factor, kernel.grid.measure * datum,
+                  check_finite=False)
+    return Field(u, kernel.grid)
+
+
+def _located(err: SolverError, where: str, **context) -> SolverError:
+    """``err`` re-raised with the chain stage ``where`` in its message and
+    the ``level``/``sweep``/``alpha`` of ``context`` as attributes."""
+    return SolverError(f"{where}: {err}", iterate=err.iterate,
+                       grad_norm=err.grad_norm, iterations=err.iterations,
+                       **context)
+
+
 def fixed_point_step(problem: RegularizedProblem, kernel: Kernel, w: Field,
                      opts: SolveOptions | None = None) -> Field:
-    """One application of T: solve with datum omega_n / (|w| + 1/n)^alpha."""
+    """One application of T: solve with datum omega_n / (|w| + 1/n)^alpha.
+
+    Starts from w, or at p = 2 from the direct solution (see ``_start``).
+    """
     datum = problem.omega_n.values / (
         np.abs(w.values) + problem.shift
     ) ** problem.alpha
-    return solve_nonsingular(datum, kernel, opts, x0=w)
+    return solve_nonsingular(datum, kernel, opts, x0=_start(datum, kernel, w))
 
 
 class _AndersonMixer:
@@ -182,10 +213,8 @@ def solve_level(problem: RegularizedProblem, kernel: Kernel, init: Field,
         try:
             image = fixed_point_step(problem, kernel, w, opts.solve)
         except SolverError as err:
-            raise SolverError(f"{where}, sweep {sweep}: {err}",
-                              iterate=err.iterate, grad_norm=err.grad_norm,
-                              iterations=err.iterations, sweep=sweep,
-                              **context) from err
+            raise _located(err, f"{where}, sweep {sweep}", sweep=sweep,
+                           **context) from err
         new = 0.5 * (w + image)
         delta = (new - w).max_norm()
         history.append(delta)
@@ -243,6 +272,7 @@ class ChainResult:
     kernel: Kernel
     levels: tuple[LevelRecord, ...]
     u_alpha: Field
+    seminorm: float  # [u_alpha]^p
     converged: bool
     final_increment: float
     psi: Field
@@ -350,7 +380,8 @@ def _polish(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
     measures delta = (1/2)|T w - w|_inf for the map T with datum
     omega / w^alpha and keeps the averaged image (w + T w)/2 with the
     smallest delta.  Stops at the polish tolerance or when delta has not
-    improved for six sweeps (double precision floor).
+    improved for six sweeps (double precision floor).  A solve that fails
+    without an iterate is re-raised naming the polish, the sweep and alpha.
     """
     tight = replace(opts.solve, grad_tol=min(opts.solve.grad_tol, 1e-12),
                     max_iter=max(opts.solve.max_iter, 20000))
@@ -363,10 +394,12 @@ def _polish(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
     for sweeps in range(1, opts.max_polish_sweeps + 1):
         datum = omega.values / w.values**alpha
         try:
-            image = solve_nonsingular(datum, kernel, tight, x0=w)
+            image = solve_nonsingular(datum, kernel, tight,
+                                      x0=_start(datum, kernel, w))
         except SolverError as err:
             if err.iterate is None:
-                raise
+                raise _located(err, f"polish (alpha {alpha:g}), sweep {sweeps}",
+                               sweep=sweeps, alpha=alpha) from err
             # Solve hit the floating-point floor; its iterate is still the
             # best available refinement.
             image = Field(err.iterate, kernel.grid)
@@ -396,7 +429,8 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     schedule yields an unpolished result flagged as non-converged.  For
     alpha <= 1 the a-priori energy ceiling is recorded per level; alpha > 1
     requires a compactly supported weight and records the auxiliary power
-    seminorms instead.
+    seminorms instead.  A ``SolverError`` of the barrier or of the
+    embedding-constant search is re-raised naming that stage and alpha.
     """
     opts = opts or ChainOptions()
     _validate_alpha(omega, alpha, kernel)
@@ -409,9 +443,18 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         raise ValueError("schedule must be strictly increasing")
 
     params = kernel.params
-    psi = solve_barrier(omega, kernel, opts.solve)
+    try:
+        psi = solve_barrier(omega, kernel, opts.solve,
+                            x0=_start(np.minimum(omega.values, 1.0), kernel,
+                                      None))
+    except SolverError as err:
+        raise _located(err, f"barrier (alpha {alpha:g})", alpha=alpha) from err
     if alpha < 1.0 and embedding is None:
-        embedding = embedding_for_existence_bound(kernel, opts.solve)
+        try:
+            embedding = embedding_for_existence_bound(kernel, opts.solve)
+        except SolverError as err:
+            raise _located(err, f"embedding constant (alpha {alpha:g})",
+                           alpha=alpha) from err
     bound = _existence_bound(omega, alpha, kernel, embedding)
 
     probes = _residual_probes(kernel, opts.residual_trials, opts.residual_seed)
@@ -477,6 +520,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         kernel=kernel,
         levels=tuple(levels),
         u_alpha=u_final,
+        seminorm=sn_final,
         converged=converged,
         final_increment=final_increment,
         psi=psi,

@@ -122,7 +122,7 @@ def _cmd_solve(args) -> int:
         "config_hash": cfg.config_hash(),
         "grid_shape": grid_shape_of(grid),
         "alpha": cfg.alpha,
-        "seminorm_p": chain.levels[-1].seminorm,
+        "seminorm_p": chain.seminorm,
         "converged": chain.converged,
         "format": "interior nodal values, row-major",
     }

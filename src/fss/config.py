@@ -75,12 +75,12 @@ _PROBLEM_KEYS = ("alpha", "alpha_grid", "n_schedule", "max_levels",
 def load_config(path: str) -> RunConfig:
     """Parse and validate a JSON config; every violation names its field."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}")
     try:
-        raw = json.loads(text)
+        raw = json.loads(data)
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"parse error at line {err.lineno}, column {err.colno}: {err.msg}"

@@ -17,12 +17,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cho_factor
 
 from .exceptions import FieldMismatchError, GridError
 
 # Surface measure of the unit sphere boundary, indexed by N-1: sigma[1]=2
 # (two endpoints), sigma[2]=2*pi (circle circumference).
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}
+
+# Elements per row block of the p != 2 pairwise pass (256 KB of doubles).
+PAIR_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,12 @@ class Kernel:
     ``stiffness`` matrix K = 2 (diag(row sums of w_interior) - w_interior
     + diag(boundary_weight)).  K costs M^2 doubles (39 MB at M = 2209), so
     it is built on first use: the operators ask for it on their first p = 2
-    evaluation, while ``build_kernel`` and the p != 2 paths never do.
+    evaluation, while ``build_kernel`` and the p != 2 paths never do.  Its
+    Cholesky factor ``stiffness_factor`` (another M^2 doubles) is built
+    only when the approximation chain asks for it, to start each p = 2
+    solve from the direct solution of K u = rhs.  At p != 2 the pairwise
+    pass runs in row blocks through the two scratch arrays of
+    ``pair_buffers``, built on the first such evaluation.
     """
 
     grid: Grid
@@ -203,16 +212,41 @@ class Kernel:
                                              + self.boundary_weight)
         return k
 
+    @cached_property
+    def stiffness_factor(self) -> tuple[np.ndarray, bool]:
+        """Cholesky factor of ``stiffness`` in ``cho_factor`` form, built once."""
+        return cho_factor(self.stiffness, check_finite=False)
+
+    @cached_property
+    def pair_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two reused (rows, M) scratch arrays of the blocked p != 2 pass,
+        with rows * M about ``PAIR_BLOCK_ELEMENTS``."""
+        m = self.interior_count
+        rows = max(1, min(m, PAIR_BLOCK_ELEMENTS // m))
+        return np.empty((rows, m)), np.empty((rows, m))
+
 
 def _pair_weights(x: np.ndarray, y: np.ndarray, measure: float, exponent: float,
                   same_set: bool) -> np.ndarray:
-    diff = x[:, None, :] - y[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    """m^2 / |x_i - y_j|^exponent in one (len(x), len(y)) array.
+
+    The squared distance is accumulated one axis at a time and the rest is
+    taken in place, so no (len(x), len(y), N) difference array is formed.
+    """
+    w = np.subtract.outer(x[:, 0], y[:, 0])
+    np.square(w, out=w)
+    for axis in range(1, x.shape[1]):
+        d = np.subtract.outer(x[:, axis], y[:, axis])
+        np.square(d, out=d)
+        w += d
+    np.sqrt(w, out=w)
     if same_set:
-        np.fill_diagonal(dist, 1.0)
-    w = measure * measure / dist**exponent
+        diagonal = w.reshape(-1)[::w.shape[1] + 1]  # a view into w
+        diagonal[...] = 1.0
+    np.power(w, exponent, out=w)
+    np.divide(measure * measure, w, out=w)
     if same_set:
-        np.fill_diagonal(w, 0.0)
+        diagonal[...] = 0.0
     return w
 
 

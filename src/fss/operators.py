@@ -24,7 +24,11 @@ to rounding.  At p = 2 the pass is the matvec A u = K u with
 
 the kernel's cached ``stiffness`` matrix.  K costs M^2 doubles (39 MB at
 M = 2209) and is built on the first p = 2 evaluation; other p never
-build it.
+build it.  Its Cholesky factor is not used here: only the approximation
+chain asks for it.  At p != 2 the pass runs over row blocks of about
+``grid.PAIR_BLOCK_ELEMENTS`` pairs, writing into two scratch arrays that
+the kernel builds on the first such evaluation and then reuses, so an
+evaluation allocates O(M) memory instead of several M x M temporaries.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class Field:
                 f"field has {values.shape} values for "
                 f"{self.grid.interior_count} interior nodes"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("field values must be finite")
 
     @classmethod
@@ -114,9 +118,9 @@ class WeightField:
                 f"weight has {values.shape} values for "
                 f"{self.grid.interior_count} interior nodes"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("weight values must be finite")
-        if np.any(values < 0.0):
+        if (values < 0.0).any():
             raise ValueError("weight values must be nonnegative")
         if self.r < 1.0:
             raise ValueError(f"integrability exponent r must be >= 1, got {self.r}")
@@ -153,13 +157,27 @@ def _gradient(values: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Nodal gradient A u of (1/p)[u]^p: the one pairwise pass.
 
     A u_i = 2 sum_j w_ij phi_p(u_i - u_j) + 2 B_i phi_p(u_i), which at
-    p = 2 is one matvec against the cached stiffness matrix.
+    p = 2 is one matvec against the cached stiffness matrix.  Other p sum
+    the pair terms in row blocks through the kernel's two reused
+    ``pair_buffers``, so no M x M temporary is allocated per call.
     """
     p = kernel.params.p
     if p == 2.0:
         return kernel.stiffness @ values
-    diff = values[:, None] - values[None, :]
-    g = 2.0 * (kernel.w_interior * phi_p(diff, p)).sum(axis=1)
+    w = kernel.w_interior
+    diff_buf, term_buf = kernel.pair_buffers
+    rows = diff_buf.shape[0]
+    g = np.empty(values.size)
+    for start in range(0, values.size, rows):
+        stop = min(start + rows, values.size)
+        diff, term = diff_buf[:stop - start], term_buf[:stop - start]
+        np.subtract(values[start:stop, None], values[None, :], out=diff)
+        np.abs(diff, out=term)
+        np.power(term, p - 1.0, out=term)
+        np.copysign(term, diff, out=term)
+        np.multiply(w[start:stop], term, out=term)
+        np.sum(term, axis=1, out=g[start:stop])
+    g *= 2.0
     g += 2.0 * kernel.boundary_weight * phi_p(values, p)
     return g
 

@@ -181,15 +181,17 @@ def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
 
 
 def solve_barrier(omega: WeightField, kernel: Kernel,
-                  opts: SolveOptions | None = None) -> Field:
+                  opts: SolveOptions | None = None,
+                  x0: Field | None = None) -> Field:
     """Positive field driven by the capped weight min(omega, 1).
 
-    Solves the nonlocal p-problem with datum min(omega, 1); the result is
-    strictly positive at every interior node (every node couples to the
-    support of the datum), which makes it usable as a lower barrier.
+    Solves the nonlocal p-problem with datum min(omega, 1), starting from
+    ``x0`` when given; the result is strictly positive at every interior
+    node (every node couples to the support of the datum), which makes it
+    usable as a lower barrier.
     """
     datum = np.minimum(omega.values, 1.0)
-    psi = solve_nonsingular(datum, kernel, opts)
+    psi = solve_nonsingular(datum, kernel, opts, x0=x0)
     if psi.values.min() <= 0.0:
         raise SolverError(
             "barrier field is not strictly positive",

@@ -135,3 +135,27 @@ def central_difference_gradient(energy, u: np.ndarray, step: float) -> np.ndarra
         um[i] -= step
         grad[i] = (energy(up) - energy(um)) / (2.0 * step)
     return grad
+
+
+def full_matrix_pair_weights(x: np.ndarray, y: np.ndarray, measure: float,
+                             exponent: float, same_set: bool) -> np.ndarray:
+    """m^2 / |x_i - y_j|^exponent from the full (len(x), len(y), N)
+    difference array (zero on the diagonal when ``same_set``)."""
+    diff = x[:, None, :] - y[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    if same_set:
+        np.fill_diagonal(dist, 1.0)
+    w = measure * measure / dist**exponent
+    if same_set:
+        np.fill_diagonal(w, 0.0)
+    return w
+
+
+def full_matrix_gradient(kernel, u: np.ndarray, p: float) -> np.ndarray:
+    """Nodal gradient 2 sum_j w_ij phi(u_i - u_j) + 2 B_i phi(u_i) with
+    phi(t) = sign(t)|t|^(p-1), from one M x M array of pair terms."""
+    diff = u[:, None] - u[None, :]
+    phi = np.sign(diff) * np.abs(diff) ** (p - 1.0)
+    grad = 2.0 * (kernel.w_interior * phi).sum(axis=1)
+    grad += 2.0 * kernel.boundary_weight * (np.sign(u) * np.abs(u) ** (p - 1.0))
+    return grad

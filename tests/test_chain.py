@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 from fss import (
     ChainOptions,
     Field,
+    FracParams,
     FssError,
     SolveOptions,
     SolverError,
     StagnationError,
     WeightField,
+    build_kernel,
     embedding_constant,
     fixed_point_step,
     linfty_bound_report,
@@ -18,9 +20,11 @@ from fss import (
     run_chain,
     seminorm_p,
     solve_level,
+    solve_nonsingular,
     truncate_weight,
     weak_residual,
 )
+from fss import chain as chain_module, solver as solver_module
 from fss.chain import _AndersonMixer
 
 from conftest import (
@@ -28,7 +32,11 @@ from conftest import (
     synthetic_unit_kernel,
     tight_chain_options,
 )
-from oracles import scalar_level_solution, scalar_singular_solution
+from oracles import (
+    dense_p2_matrix,
+    scalar_level_solution,
+    scalar_singular_solution,
+)
 
 
 class TestTruncateWeight:
@@ -217,12 +225,16 @@ class TestAndersonLevel:
 
 
 class TestChainErrors:
-    def test_solver_error_names_level_sweep_alpha(self, kernel_1d,
+    # At p = 2 every chain solve starts from the direct solution and meets
+    # the gradient tolerance at once, so max_iter = 1 forces an L-BFGS
+    # failure only at p != 2.
+    def test_solver_error_names_level_sweep_alpha(self, kernel_1d_p3,
                                                   bump_weight):
         opts = ChainOptions(solve=SolveOptions(max_iter=1))
         problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
-            solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
+            solve_level(problem, kernel_1d_p3, Field.zero(kernel_1d_p3.grid),
+                        opts)
         exc = err.value
         assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
         assert "level 4" in str(exc) and "sweep 1" in str(exc)
@@ -240,13 +252,125 @@ class TestChainErrors:
         assert len(exc.history) == 2
         assert "level 8" in str(exc)
 
-    def test_standalone_solver_error_has_no_chain_context(self, kernel_1d,
+    def test_standalone_solver_error_has_no_chain_context(self, kernel_1d_p3,
                                                           bump_weight):
         problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
-            fixed_point_step(problem, kernel_1d, Field.zero(kernel_1d.grid),
+            fixed_point_step(problem, kernel_1d_p3,
+                             Field.zero(kernel_1d_p3.grid),
                              SolveOptions(max_iter=1))
         assert err.value.level is None and err.value.sweep is None
+
+    def test_p2_solver_error_names_level_sweep_alpha(self, kernel_1d,
+                                                     bump_weight):
+        # The direct start misses an unreachable gradient tolerance, and
+        # the L-BFGS refinement that follows fails at the rounding floor.
+        opts = ChainOptions(solve=SolveOptions(grad_tol=1e-30))
+        problem = make_level(bump_weight, 4, 0.5)
+        with pytest.raises(SolverError) as err:
+            solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
+        exc = err.value
+        assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
+        assert "level 4" in str(exc) and "sweep 1" in str(exc)
+        assert exc.iterate is not None and exc.grad_norm > 0.0
+
+    def test_barrier_error_names_stage_and_alpha(self, kernel_1d_p3,
+                                                 bump_weight):
+        opts = ChainOptions(solve=SolveOptions(max_iter=1))
+        with pytest.raises(SolverError) as err:
+            run_chain(bump_weight, 0.5, kernel_1d_p3, opts=opts)
+        exc = err.value
+        assert str(exc).startswith("barrier (alpha 0.5): ")
+        assert exc.alpha == 0.5 and exc.level is None and exc.sweep is None
+        assert exc.iterate is not None and exc.iterations == 1
+
+    def test_embedding_error_names_stage_and_alpha(self, kernel_1d_p3,
+                                                   bump_weight, monkeypatch):
+        def fail(kernel, opts=None, seed=0):
+            raise SolverError("embedding constant search did not converge")
+
+        monkeypatch.setattr(chain_module, "embedding_for_existence_bound",
+                            fail)
+        with pytest.raises(SolverError) as err:
+            run_chain(bump_weight, 0.5, kernel_1d_p3)
+        exc = err.value
+        assert str(exc) == ("embedding constant (alpha 0.5): embedding "
+                            "constant search did not converge")
+        assert exc.alpha == 0.5 and exc.level is None and exc.sweep is None
+
+    def test_polish_error_names_sweep_and_alpha(self, kernel_1d_p3,
+                                                bump_weight, monkeypatch):
+        # A polish solve that fails with an iterate keeps it as its image;
+        # one that fails without an iterate ends the chain naming the polish.
+        solve = chain_module.solve_nonsingular
+        tight = ChainOptions().solve.grad_tol
+
+        def fail_in_polish(datum, kernel, opts=None, x0=None):
+            if opts is not None and opts.grad_tol < tight:
+                raise SolverError("no iterate")
+            return solve(datum, kernel, opts, x0=x0)
+
+        monkeypatch.setattr(chain_module, "solve_nonsingular", fail_in_polish)
+        with pytest.raises(SolverError) as err:
+            run_chain(bump_weight, 1.0, kernel_1d_p3)
+        exc = err.value
+        assert str(exc) == "polish (alpha 1), sweep 1: no iterate"
+        assert (exc.level, exc.sweep, exc.alpha) == (None, 1, 1.0)
+
+
+class TestCholeskyStart:
+    """At p = 2 every chain solve starts from the direct solution by the
+    kernel's cached Cholesky factor, which only the chain builds."""
+
+    def test_built_by_run_chain_at_p2(self, grid_1d, bump_weight):
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
+        assert "stiffness_factor" not in kernel.__dict__
+        run_chain(bump_weight, 1.0, kernel)
+        assert "stiffness_factor" in kernel.__dict__
+
+    def test_not_built_at_p3(self, grid_1d, bump_weight):
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=3.0, n_dim=1))
+        run_chain(bump_weight, 1.0, kernel)
+        assert "stiffness_factor" not in kernel.__dict__
+        assert "stiffness" not in kernel.__dict__
+
+    @pytest.mark.parametrize("n,alpha", [(1, 0.5), (64, 1.0)])
+    def test_step_matches_plain_solve(self, grid_1d, bump_weight, n, alpha):
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
+        opts = SolveOptions()
+        problem = make_level(bump_weight, n, alpha)
+        w = Field.constant(grid_1d, 0.3)
+        image = fixed_point_step(problem, kernel, w, opts)
+        assert "stiffness_factor" in kernel.__dict__
+        datum = problem.omega_n.values / (w.values + problem.shift) ** alpha
+        plain = solve_nonsingular(datum, kernel, opts, x0=w)
+        # Both gradients K u - m f are at most grad_tol in the max norm.
+        inverse = np.linalg.inv(dense_p2_matrix(kernel))
+        bound = 2.0 * opts.grad_tol * np.abs(inverse).sum(axis=1).max()
+        assert (image - plain).max_norm() <= bound
+
+    def test_every_chain_solve_takes_one_evaluation(self, grid_1d,
+                                                    bump_weight, monkeypatch):
+        counts = {"solves": 0, "evaluations": 0}
+        solve = chain_module.solve_nonsingular
+        evaluate = solver_module.energy_and_gradient
+
+        def counted_solve(*args, **kwargs):
+            counts["solves"] += 1
+            return solve(*args, **kwargs)
+
+        def counted_evaluate(*args, **kwargs):
+            counts["evaluations"] += 1
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(chain_module, "solve_nonsingular", counted_solve)
+        monkeypatch.setattr(solver_module, "energy_and_gradient",
+                            counted_evaluate)
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
+        result = run_chain(bump_weight, 1.0, kernel)
+        assert result.converged and result.polish_sweeps > 0
+        # the barrier goes through solve_barrier, not chain_module's name
+        assert counts["evaluations"] == counts["solves"] + 1
 
 
 class TestRunChain:

@@ -38,6 +38,19 @@ class TestSolveCommand:
         assert {"n", "seminorm_p", "min_u", "max_u", "fp_iters", "residual"} \
             == set(diag["levels"][0])
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_metadata_seminorm_is_that_of_stored_values(self, tmp_path,
+                                                        alpha):
+        from fss import Field, FracParams, build_grid, build_kernel, seminorm_p
+
+        path, out = cli_config(tmp_path, alpha=alpha)
+        assert run_command(["solve", "--config", path]) == 0
+        sol = json.load(open(out["solution"]))
+        grid = build_grid([(0.0, 1.0)], 1.0 / 17, 0.5)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1), True)
+        stored = seminorm_p(Field(sol["values"], grid), kernel)
+        assert sol["metadata"]["seminorm_p"] == stored
+
     def test_solve_alpha_one_records_mu(self, tmp_path):
         path, out = cli_config(tmp_path, alpha=1.0)
         assert run_command(["solve", "--config", path]) == 0

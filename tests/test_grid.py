@@ -11,6 +11,8 @@ from fss import (
     r_alpha,
 )
 
+from oracles import full_matrix_pair_weights
+
 
 class TestBuildGrid:
     def test_1d_example(self):
@@ -151,6 +153,24 @@ class TestBuildKernel:
                 continue
             ratio = scaled.w_interior[i, j] / base.w_interior[i, j]
             assert ratio == pytest.approx(c ** (2.0 - params.sp), rel=1e-12)
+
+
+class TestPairWeights:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("box,h,collar", [
+        ([(0.0, 1.0)], 1.0 / 17, 0.5),
+        ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12, 0.25),
+        ([(0.0, 1.0), (0.0, 2.0)], 1.0 / 7, 0.5),
+    ], ids=["1d", "2d", "2d-rect"])
+    def test_bitwise_equal_to_full_difference_array(self, box, h, collar, p):
+        grid = build_grid(box, h, collar)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=len(box)))
+        exponent = grid.n_dim + kernel.params.sp
+        m = grid.measure
+        assert np.array_equal(kernel.w_interior, full_matrix_pair_weights(
+            grid.interior, grid.interior, m, exponent, True))
+        assert np.array_equal(kernel.w_collar, full_matrix_pair_weights(
+            grid.interior, grid.collar, m, exponent, False))
 
 
 class TestRAlpha:

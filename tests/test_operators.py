@@ -20,6 +20,7 @@ from fss import (
     solve_nonsingular,
     weighted_qmean,
 )
+from fss.grid import PAIR_BLOCK_ELEMENTS
 from fss.operators import energy_and_gradient
 
 from conftest import synthetic_unit_kernel
@@ -29,6 +30,7 @@ from oracles import (
     double_sum_gradient,
     double_sum_pairing,
     double_sum_seminorm,
+    full_matrix_gradient,
 )
 
 
@@ -238,6 +240,62 @@ class TestP2FastPath:
         pairing(u, u, kernel)
         apply_operator(u, kernel)
         assert "stiffness" not in kernel.__dict__
+
+    def test_factor_not_built_by_operators_or_solver(self, grid_1d):
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1), True)
+        assert "stiffness_factor" not in kernel.__dict__
+        u = solve_nonsingular(np.ones(grid_1d.interior_count), kernel)
+        seminorm_p(u, kernel)
+        pairing(u, u, kernel)
+        apply_operator(u, kernel)
+        assert "stiffness" in kernel.__dict__
+        assert "stiffness_factor" not in kernel.__dict__
+        assert "pair_buffers" not in kernel.__dict__
+
+    def test_factor_solves_stiffness_system(self, kernel):
+        from scipy.linalg import cho_solve
+
+        b = np.linspace(-1.0, 2.0, kernel.interior_count)
+        u = cho_solve(kernel.stiffness_factor, b)
+        assert np.abs(kernel.stiffness @ u - b).max() <= 1e-12 * np.abs(b).max()
+
+
+class TestBlockedPass:
+    """At p != 2 the pairwise pass runs in row blocks through two reused
+    buffers; it must equal the full-matrix formula bit for bit, and it
+    must build neither the stiffness matrix nor its factor."""
+
+    # M = 255 runs in blocks of 128 rows and M = 529 in blocks of 61, so
+    # both end in a partial block; M = 31 and 121 fit in one block.
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0])
+    @pytest.mark.parametrize("box,h,collar", [
+        ([(0.0, 1.0)], 1.0 / 32, 0.5),
+        ([(0.0, 1.0)], 1.0 / 256, 0.5),
+        ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12, 0.25),
+        ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 24, 0.25),
+    ], ids=["1d-M31", "1d-M255", "2d-M121", "2d-M529"])
+    def test_bitwise_equal_to_full_matrix(self, box, h, collar, p):
+        grid = build_grid(box, h, collar)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=len(box)))
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            u = rand_field(grid, rng)
+            assert np.array_equal(apply_operator(u, kernel),
+                                  full_matrix_gradient(kernel, u.values, p))
+        rows = kernel.pair_buffers[0].shape[0]
+        assert rows == min(grid.interior_count,
+                           PAIR_BLOCK_ELEMENTS // grid.interior_count)
+        assert "stiffness" not in kernel.__dict__
+        assert "stiffness_factor" not in kernel.__dict__
+
+    def test_buffers_built_on_first_use_and_reused(self, grid_1d):
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=3.0, n_dim=1))
+        assert "pair_buffers" not in kernel.__dict__
+        u = Field.constant(grid_1d, 1.0)
+        seminorm_p(u, kernel)
+        buffers = kernel.pair_buffers
+        apply_operator(u, kernel)
+        assert kernel.pair_buffers is buffers
 
 
 class TestWeightedQMean:
