@@ -17,7 +17,6 @@ from .chain import (
     RegularizedProblem,
     ResidualReport,
     default_schedule,
-    fixed_point_step,
     linfty_bound_report,
     make_level,
     run_chain,

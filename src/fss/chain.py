@@ -11,48 +11,47 @@ denominator by 1/n,
 
     (nonlocal p-operator) u_n = min(omega, n) / (u_n + 1/n)**alpha .
 
-Each level is solved as a fixed point of the map T that sends w to the
-solution of the nonsingular problem with frozen datum
-min(omega, n) / (|w| + 1/n)**alpha.  T is order-reversing, so the plain
-Picard iteration oscillates (with rate approaching 1 for alpha = 1 and
-large n).  The half-averaged map w -> (w + T(w)) / 2 damps the
-oscillation, but contracts only at a rate of about 1/2, and every sweep is
-a full nonlinear solve.  The sweeps therefore feed the next solve an
-Anderson-mixed iterate (Walker & Ni, SIAM J. Numer. Anal. 49 (2011)): the
-averaged image corrected by the least-squares combination of the last
-three iterate and residual differences.  The mixer restarts from the
-plain averaged step whenever the mixed iterate is non-finite or has a
-node <= 0, so every frozen datum stays defined and the iterates stay
-strictly positive.  The stop test is unchanged, half the sweep difference
-(1/2)|T w - w|_inf against the fixed-point tolerance, and the returned
-level solution is the averaged image (w + T w)/2 of the last iterate.
+Level n is the unique minimizer, over u + 1/n > 0 on the support S of
+the weight, of the strictly convex energy
 
-Levels are walked along a geometric schedule with warm starts.  The level
-solutions increase in n, their energies increase, and they dominate the
-barrier m_alpha * psi built from the capped weight.  After the schedule
-converges, the limit is polished by the same Anderson-mixed averaged
-sweeps applied to the unregularized datum omega / w**alpha, which remove
-the residual O(1/n) regularization error; the polish stops on the same
-quantity (1/2)|T w - w|_inf at the polish tolerance, or once it has not
-improved for six sweeps, and returns the best averaged image.
+    J_n(u) = (1/p) [u]^p + sum_i m omega_n,i G_alpha(u_i + 1/n)
 
-At p = 2 the operator is linear, and T w is one linear solve with the
-same symmetric positive definite stiffness matrix K at every sweep, every
-level and in the polish.  The chain factors K once (the kernel's cached
-Cholesky factor), so T is one triangular solve pair: the barrier, every
-sweep and every polish sweep start from that direct solution, and the
-L-BFGS solver only certifies it, checking the gradient against its
-tolerance after one evaluation (it refines a start that misses).  Other p
-start each solve from the current iterate.
+with omega_n = min(omega, n) and G_alpha'(z) = -z**(-alpha), and the
+singular limit minimizes the same energy with omega and shift 0.  One
+damped Newton routine solves every level and the limit.  Its gradient is
+A u - m omega_n (u + 1/n)**(-alpha) and its Hessian H_p(u) + D, with
+D = diag(alpha m omega_n (u + 1/n)**(-alpha-1)) and H_p the Hessian of
+(1/p)[u]^p (``operators.energy_hessian``).  Each step is cut to go at
+most 0.995 of the way to the boundary u + 1/n = 0 and then backtracked
+until it passes the Armijo test on J_n (Nocedal & Wright, Numerical
+Optimization, 2006, ch. 3 and 19).  A solve stops once the max-norm of
+its Newton step is at most its tolerance (``fixed_point_tol`` at a level,
+``polish_tol`` at the limit), or, when that tolerance lies below the
+double-precision floor, after three steps that neither shrink the step
+nor promise a measurable energy decrease; it returns its best iterate.
+
+At p = 2, H_p is the stiffness matrix K and D lives only on S, so a step
+uses the kernel's cached Cholesky factor of K and factors only the
+|S| x |S| matrix I + D_S^(1/2) (K^-1)_SS D_S^(1/2) (Woodbury); the S
+columns of K^-1 are solved once per kernel.  Other p assemble H_p and
+factor H_p + D by Cholesky at each step.  For p > 2, H_p vanishes at
+u = 0, so the walk starts from the barrier.
+
+Levels are walked along a geometric schedule with warm starts, the first
+from the barrier psi.  The level solutions increase in n, their energies
+increase, and they dominate the barrier m_alpha * psi built from the
+capped weight.  Once consecutive levels agree to the chain tolerance the
+limit is polished: the same Newton routine on the unregularized energy
+removes the residual O(1/n) regularization error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .exceptions import FssError, SolverError, StagnationError
 from .grid import Kernel, r_alpha
@@ -60,6 +59,8 @@ from .operators import (
     Field,
     WeightField,
     apply_operator,
+    energy_and_gradient,
+    energy_hessian,
     norm_r,
     seminorm_p,
 )
@@ -69,7 +70,6 @@ from .solver import (
     SolveOptions,
     embedding_for_existence_bound,
     solve_barrier,
-    solve_nonsingular,
 )
 
 
@@ -104,34 +104,32 @@ def make_level(omega: WeightField, n: int, alpha: float) -> RegularizedProblem:
                               omega_n=truncate_weight(omega, n))
 
 
-# Number of past differences the Anderson mixer of the fixed-point sweeps
-# combines.
-_ANDERSON_MEMORY = 3
+# Newton steps one chain solve (a level or the limit) may take.
+_NEWTON_STEPS = 100
+# Steps at the double-precision floor after which a solve returns its best
+# iterate.
+_FLOOR_STEPS = 3
+# Largest fraction of the distance to the boundary u + shift = 0 a step
+# may cover.
+_TO_BOUNDARY = 0.995
 
 
 @dataclass(frozen=True)
 class ChainOptions:
-    """Tolerances for the fixed-point sweeps, the n-schedule, and polish."""
+    """Tolerances of the chain's Newton solves and of the n-schedule.
+
+    ``fixed_point_tol`` bounds the Newton step max-norm at every level and
+    ``polish_tol`` at the limit.  ``solve`` sets the barrier and
+    embedding-constant solves and the Newton line search.
+    """
 
     solve: SolveOptions = dc_field(default_factory=SolveOptions)
     fixed_point_tol: float = 1e-9
-    max_fixed_point_sweeps: int = 500
     chain_tol: float = 1e-7
     max_levels: int = 40
     polish_tol: float = 1e-13
-    max_polish_sweeps: int = 400
     residual_trials: int = 100
     residual_seed: int = 7
-
-
-def _start(datum: np.ndarray, kernel: Kernel, x0: Field | None) -> Field | None:
-    """Start of a chain solve with this datum: at p = 2 the direct solution
-    of K u = m datum by the kernel's cached Cholesky factor, else ``x0``."""
-    if kernel.params.p != 2.0:
-        return x0
-    u = cho_solve(kernel.stiffness_factor, kernel.grid.measure * datum,
-                  check_finite=False)
-    return Field(u, kernel.grid)
 
 
 def _located(err: SolverError, where: str, **context) -> SolverError:
@@ -142,100 +140,137 @@ def _located(err: SolverError, where: str, **context) -> SolverError:
                        **context)
 
 
-def fixed_point_step(problem: RegularizedProblem, kernel: Kernel, w: Field,
-                     opts: SolveOptions | None = None) -> Field:
-    """One application of T: solve with datum omega_n / (|w| + 1/n)^alpha.
+def _solve_p2_newton(kernel: Kernel, support: np.ndarray, root: np.ndarray,
+                     c: np.ndarray) -> np.ndarray:
+    """Solve (K + D) x = b at p = 2 for D = diag(root^2) and b = root * c on
+    the ``support`` nodes, both zero elsewhere.
 
-    Starts from w, or at p = 2 from the direct solution (see ``_start``).
+    By Woodbury, with Z the support columns of K^-1 and r = ``root``,
+    (K + D)^-1 P = Z (D^-1 + Z_S)^-1 D^-1 = Z r C^-1 r^-1, so
+    x = Z (r C^-1 c) with C = I + r Z_S r, which is symmetric positive
+    definite with eigenvalues at least 1.  No term grows with D: a large
+    D, which the singular weight gives near the boundary u + shift = 0,
+    costs no accuracy.
     """
-    datum = problem.omega_n.values / (
-        np.abs(w.values) + problem.shift
-    ) ** problem.alpha
-    return solve_nonsingular(datum, kernel, opts, x0=_start(datum, kernel, w))
+    z = kernel.inverse_stiffness_columns(support)
+    m = root[:, None] * z[support] * root[None, :]
+    m[np.diag_indices_from(m)] += 1.0
+    factor = cho_factor(m, overwrite_a=True, check_finite=False)
+    return z @ (root * cho_solve(factor, c, check_finite=False))
 
 
-class _AndersonMixer:
-    """Anderson acceleration (Walker & Ni 2011) of an averaged fixed-point map.
+def _newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
+            kernel: Kernel, tol: float, line: SolveOptions, where: str,
+            level: int | None = None) -> tuple[np.ndarray, int, float]:
+    """Damped Newton on J(u) = (1/p)[u]^p + sum_i m w_i G_alpha(u_i + shift).
 
-    ``step(x, g)`` takes an iterate x and its averaged image
-    g = (x + T x)/2, so the residual is f = g - x.  Over the last
-    ``_ANDERSON_MEMORY`` differences it picks the coefficients gamma that
-    minimize |f - dF gamma|_2 and returns g - dG gamma, where dG = dX + dF.
-    The first step, and every step after a restart, is g itself.  It
-    restarts (drops its history and returns g) whenever the mixed iterate
-    is non-finite or has a node <= 0, so every iterate stays strictly
-    positive and the singular data stay defined.
+    Starts from ``u``, which must satisfy u + shift > 0 on the support of
+    ``weight``.  Returns the best iterate, the number of Newton steps and
+    the max-norm of the step that produced that iterate (see the module
+    docstring for the stop rule).  The line search takes its parameters
+    from ``line``.  Every failure raises a ``SolverError`` whose message
+    starts "``where``, sweep <step>: " and which carries ``level``,
+    ``alpha``, the step as ``sweep`` and ``iterations``, the iterate and
+    its gradient max-norm: a non-finite Hessian or step, a Hessian that
+    is not positive definite, a step that is not a descent direction, a
+    failed line search, and a best iterate
+    that is not strictly positive at every node.  Running out of
+    steps raises the ``StagnationError`` subclass with the step max-norms
+    as ``history``.
     """
+    support = np.flatnonzero(weight > 0.0)
+    mass = kernel.grid.measure * weight[support]
 
-    def __init__(self):
-        self._x: list[np.ndarray] = []
-        self._g: list[np.ndarray] = []
+    def evaluate(v):
+        """J(v), its gradient, and the size of the terms summed into J."""
+        energy, g = energy_and_gradient(v, kernel)
+        z = v[support] + shift
+        potential = mass * (-np.log(z) if alpha == 1.0
+                            else z ** (1.0 - alpha) / (alpha - 1.0))
+        g[support] -= mass * z ** (-alpha)
+        return (energy + float(potential.sum()), g,
+                energy + float(np.abs(potential).sum()))
 
-    def step(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-        self._x.append(x)
-        self._g.append(g)
-        if len(self._x) > _ANDERSON_MEMORY + 1:
-            del self._x[0], self._g[0]
-        if len(self._x) == 1:
-            return g
-        d_g = np.diff(self._g, axis=0).T
-        d_f = d_g - np.diff(self._x, axis=0).T
-        gamma = np.linalg.lstsq(d_f, g - x, rcond=None)[0]
-        mixed = g - d_g @ gamma
-        if np.all(np.isfinite(mixed)) and mixed.min() > 0.0:
-            return mixed
-        self._x.clear()
-        self._g.clear()
-        return g
+    def fail(reason, error=SolverError, **extra):
+        return error(f"{where}, sweep {step}: {reason}", iterate=u,
+                     grad_norm=float(np.abs(grad).max()), iterations=step,
+                     sweep=step, level=level, alpha=alpha, **extra)
+
+    fval, grad, size = evaluate(u)
+    best, best_delta, stale, history = u, math.inf, 0, []
+    for step in range(1, _NEWTON_STEPS + 1):
+        z = u[support] + shift
+        curvature = alpha * mass * z ** (-alpha - 1.0)
+        try:
+            if kernel.params.p == 2.0:
+                # -grad = P (m w z^-alpha + D u_S) - (K + D) u, and
+                # m w z^-alpha = D z / alpha.
+                root = np.sqrt(curvature)
+                d = _solve_p2_newton(kernel, support, root,
+                                     root * (u[support] + z / alpha)) - u
+            else:
+                h = energy_hessian(u, kernel)
+                h[support, support] += curvature
+                if not np.isfinite(h).all():
+                    raise fail("Hessian has a non-finite entry")
+                d = cho_solve(cho_factor(h, overwrite_a=True,
+                                         check_finite=False),
+                              -grad, check_finite=False)
+        except LinAlgError as err:
+            raise fail("Hessian is not positive definite") from err
+        if not np.isfinite(d).all():
+            raise fail("Newton step is not finite")
+        slope = float(grad @ d)
+        # Near the minimum the decrease predicted by the slope drops below
+        # the rounding noise of the summed energy terms.
+        noise = 8.0 * np.finfo(float).eps * (1.0 + size)
+        if slope > noise:
+            raise fail("Newton step is not a descent direction")
+        delta = float(np.abs(d).max())
+        history.append(delta)
+        reach = float((-d[support] / z).max())
+        t = min(1.0, _TO_BOUNDARY / reach) if reach > 0.0 else 1.0
+        for _ in range(line.max_backtracks):
+            trial = u + t * d
+            ftrial, gtrial, strial = evaluate(trial)
+            if ftrial <= fval + line.sufficient_decrease * t * slope + noise:
+                break
+            t *= line.backtrack
+        else:
+            raise fail("line search failed")
+        u, fval, grad, size = trial, ftrial, gtrial, strial
+        if delta < best_delta:
+            best, best_delta, stale = u, delta, 0
+        elif -slope <= noise:
+            stale += 1
+        if delta <= tol or stale >= _FLOOR_STEPS:
+            if best.min() <= 0.0:
+                raise fail("solution is not strictly positive")
+            return best, step, best_delta
+    raise fail(f"no convergence within {step} Newton steps (last step "
+               f"{history[-1]:.3e})", StagnationError, history=history)
 
 
 def solve_level(problem: RegularizedProblem, kernel: Kernel, init: Field,
                 opts: ChainOptions | None = None) -> tuple[Field, int]:
-    """Anderson-mixed sweeps of the averaged map w -> (w + T w)/2 until
-    half the sweep difference, (1/2)|T w - w|_inf, drops below the
-    fixed-point tolerance.
+    """Minimize the level energy J_n by damped Newton from ``init``.
 
-    Returns the averaged image (w + T w)/2 of the last iterate (strictly
-    positive at every interior node) and the number of sweeps used.
-    Raises ``StagnationError`` when the sweep budget runs out, and
-    re-raises a ``SolverError`` of a sweep; both name the level, the
-    sweep and alpha.
+    Returns the level solution (strictly positive at every interior node)
+    and the number of Newton steps, the last of which has max-norm at most
+    the fixed-point tolerance.  For p > 2 the Hessian vanishes at u = 0,
+    so start from a field such as the barrier.  Raises a ``SolverError``
+    naming the level, the step (``sweep``) and alpha when a step fails,
+    and its ``StagnationError`` subclass when the step budget runs out.
     """
     opts = opts or ChainOptions()
     if init.values.min() < 0.0:
         raise ValueError("initial field must be nonnegative")
-    context = dict(level=problem.level, alpha=problem.alpha)
-    where = f"level {problem.level} (alpha {problem.alpha:g})"
-    mixer = _AndersonMixer()
-    w = init
-    history: list[float] = []
-    for sweep in range(1, opts.max_fixed_point_sweeps + 1):
-        try:
-            image = fixed_point_step(problem, kernel, w, opts.solve)
-        except SolverError as err:
-            raise _located(err, f"{where}, sweep {sweep}", sweep=sweep,
-                           **context) from err
-        new = 0.5 * (w + image)
-        delta = (new - w).max_norm()
-        history.append(delta)
-        if delta <= opts.fixed_point_tol:
-            w = new
-            break
-        w = w.with_values(mixer.step(w.values, new.values))
-    else:
-        raise StagnationError(
-            f"fixed-point sweeps stagnated at {where} after {sweep} sweeps "
-            f"(last difference {history[-1]:.3e})",
-            iterate=w,
-            history=history,
-            sweep=sweep,
-            **context,
-        )
-    if w.values.min() <= 0.0:
-        raise SolverError(f"{where}, sweep {sweep}: level solution is not "
-                          "strictly positive", iterate=w.values, sweep=sweep,
-                          **context)
-    return w, sweep
+    u, steps, _ = _newton(init.values, problem.omega_n.values, problem.shift,
+                          problem.alpha, kernel, opts.fixed_point_tol,
+                          opts.solve,
+                          f"level {problem.level} (alpha {problem.alpha:g})",
+                          level=problem.level)
+    return Field(u, kernel.grid), steps
 
 
 @dataclass(frozen=True)
@@ -245,7 +280,7 @@ class LevelRecord:
     n: int
     u: Field
     seminorm: float  # [u_n]^p
-    fp_sweeps: int
+    fp_sweeps: int  # Newton steps
     residual: float
     min_value: float
     max_value: float
@@ -278,8 +313,8 @@ class ChainResult:
     psi: Field
     m_alpha: float
     barrier: Field
-    polish_sweeps: int
-    polish_delta: float
+    polish_sweeps: int  # Newton steps at the limit
+    polish_delta: float  # max-norm of the step that produced u_alpha
     energy_identity_gap: float
     power_seminorms: tuple[float, ...] | None
 
@@ -289,17 +324,13 @@ class ChainResult:
 
     def monotone_gap(self) -> float:
         """Largest nodewise violation of u_n <= u_{n+1} over stored levels."""
-        worst = 0.0
-        for prev, cur in zip(self.levels, self.levels[1:]):
-            worst = max(worst, float((prev.u.values - cur.u.values).max()))
-        return worst
+        return max([0.0] + [float((prev.u.values - cur.u.values).max())
+                            for prev, cur in zip(self.levels, self.levels[1:])])
 
     def barrier_gap(self) -> float:
         """Largest nodewise violation of m_alpha * psi <= u_n."""
-        worst = 0.0
-        for rec in self.levels:
-            worst = max(worst, float((self.barrier.values - rec.u.values).max()))
-        return worst
+        return max([0.0] + [float((self.barrier.values - rec.u.values).max())
+                            for rec in self.levels])
 
 
 def _residual_probes(kernel: Kernel, trials: int,
@@ -323,12 +354,8 @@ def _level_residual(u: Field, source: np.ndarray, kernel: Kernel,
     probe is linear in the node count.
     """
     grad = apply_operator(u, kernel)
-    worst = 0.0
-    for phi, norm in probes:
-        lhs = float(grad @ phi)
-        rhs = float(source @ phi)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + norm))
-    return worst
+    return max((abs(float(grad @ phi) - float(source @ phi)) / (1.0 + norm)
+                for phi, norm in probes), default=0.0)
 
 
 def _existence_bound(omega: WeightField, alpha: float, kernel: Kernel,
@@ -342,15 +369,11 @@ def _existence_bound(omega: WeightField, alpha: float, kernel: Kernel,
     p = kernel.params.p
     if alpha == 1.0:
         return omega.norm_1
-    if alpha > 1.0:
+    if alpha > 1.0 or embedding is None:
         return None
-    r_min = r_alpha(alpha, kernel.params)
-    weight_norm = norm_r(omega, r_min)
-    s_value = embedding.value if embedding is not None else None
-    if s_value is None:
-        return None
+    weight_norm = norm_r(omega, r_alpha(alpha, kernel.params))
     # [u]^(p-(1-a)) <= |w|_{r_a} S^((1-a)/p), stated for the seminorm itself.
-    rhs = weight_norm * s_value ** ((1.0 - alpha) / p)
+    rhs = weight_norm * embedding.value ** ((1.0 - alpha) / p)
     return rhs ** (p / (p - (1.0 - alpha)))
 
 
@@ -371,51 +394,6 @@ def default_schedule(max_levels: int, base: int = 2):
     return [base**k for k in range(max_levels)]
 
 
-def _polish(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
-            opts: ChainOptions) -> tuple[Field, int, float]:
-    """Anderson-mixed averaged sweeps on the unregularized datum.
-
-    Starting from the converged chain limit (strictly positive), this
-    removes the remaining O(1/n) regularization error.  Each sweep
-    measures delta = (1/2)|T w - w|_inf for the map T with datum
-    omega / w^alpha and keeps the averaged image (w + T w)/2 with the
-    smallest delta.  Stops at the polish tolerance or when delta has not
-    improved for six sweeps (double precision floor).  A solve that fails
-    without an iterate is re-raised naming the polish, the sweep and alpha.
-    """
-    tight = replace(opts.solve, grad_tol=min(opts.solve.grad_tol, 1e-12),
-                    max_iter=max(opts.solve.max_iter, 20000))
-    mixer = _AndersonMixer()
-    w = u
-    best = w
-    best_delta = math.inf
-    stale = 0
-    sweeps = 0
-    for sweeps in range(1, opts.max_polish_sweeps + 1):
-        datum = omega.values / w.values**alpha
-        try:
-            image = solve_nonsingular(datum, kernel, tight,
-                                      x0=_start(datum, kernel, w))
-        except SolverError as err:
-            if err.iterate is None:
-                raise _located(err, f"polish (alpha {alpha:g}), sweep {sweeps}",
-                               sweep=sweeps, alpha=alpha) from err
-            # Solve hit the floating-point floor; its iterate is still the
-            # best available refinement.
-            image = Field(err.iterate, kernel.grid)
-        new = 0.5 * (w + image)
-        delta = (new - w).max_norm()
-        if delta < best_delta:
-            best, best_delta = new, delta
-            stale = 0
-        else:
-            stale += 1
-        if delta <= opts.polish_tol or stale >= 6:
-            break
-        w = w.with_values(mixer.step(w.values, new.values))
-    return best, sweeps, best_delta
-
-
 def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
               schedule=None, opts: ChainOptions | None = None,
               embedding: EmbeddingConstant | None = None,
@@ -423,14 +401,16 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     """Walk the approximation levels and extract the singular limit.
 
     ``schedule`` is an increasing sequence of levels (default: powers of
-    two).  Levels are warm-started from their predecessor and the walk
-    stops once consecutive level solutions differ by at most the chain
-    tolerance in the max norm, then polishes the limit; exhausting the
+    two).  The first level starts from ``init`` (default: the barrier),
+    every later one from its predecessor, and the walk stops once
+    consecutive level solutions differ by at most the chain tolerance in
+    the max norm, then polishes the limit; exhausting the
     schedule yields an unpolished result flagged as non-converged.  For
     alpha <= 1 the a-priori energy ceiling is recorded per level; alpha > 1
     requires a compactly supported weight and records the auxiliary power
     seminorms instead.  A ``SolverError`` of the barrier or of the
-    embedding-constant search is re-raised naming that stage and alpha.
+    embedding-constant search is re-raised naming that stage and alpha;
+    one of a level or of the polish names it, the Newton step and alpha.
     """
     opts = opts or ChainOptions()
     _validate_alpha(omega, alpha, kernel)
@@ -443,10 +423,14 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         raise ValueError("schedule must be strictly increasing")
 
     params = kernel.params
+    x0 = None
+    if params.p == 2.0:
+        # The direct solution of K u = m min(omega, 1); L-BFGS certifies it.
+        x0 = Field(cho_solve(kernel.stiffness_factor, kernel.grid.measure
+                             * np.minimum(omega.values, 1.0),
+                             check_finite=False), kernel.grid)
     try:
-        psi = solve_barrier(omega, kernel, opts.solve,
-                            x0=_start(np.minimum(omega.values, 1.0), kernel,
-                                      None))
+        psi = solve_barrier(omega, kernel, opts.solve, x0=x0)
     except SolverError as err:
         raise _located(err, f"barrier (alpha {alpha:g})", alpha=alpha) from err
     if alpha < 1.0 and embedding is None:
@@ -461,13 +445,11 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     levels: list[LevelRecord] = []
     power_seminorms: list[float] = []
     prev: Field | None = None
-    m_alpha = math.nan
-    barrier: Field | None = None
     converged = False
     final_increment = math.inf
     for n in schedule:
         problem = make_level(omega, n, alpha)
-        start = prev if prev is not None else (init or Field.zero(kernel.grid))
+        start = prev if prev is not None else (init or psi)
         u_n, sweeps = solve_level(problem, kernel, start, opts)
         sn = seminorm_p(u_n, kernel)
         source = kernel.grid.measure * problem.omega_n.values / (
@@ -490,24 +472,20 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
             power_seminorms.append(
                 seminorm_p(Field(u_n.values**exponent, kernel.grid), kernel)
             )
-        if barrier is None:
-            m_alpha = (u_n.values.max() + 1.0) ** (-alpha / (params.p - 1.0))
-            barrier = m_alpha * psi
         if prev is not None:
             final_increment = (u_n - prev).max_norm()
-            if final_increment <= opts.chain_tol:
-                converged = True
-                prev = u_n
-                break
+            converged = final_increment <= opts.chain_tol
         prev = u_n
+        if converged:
+            break
 
-    u_final = prev if prev is not None else levels[-1].u
-    polish_sweeps = 0
-    polish_delta = math.inf
+    m_alpha = (levels[0].max_value + 1.0) ** (-alpha / (params.p - 1.0))
+    u_final, polish_sweeps, polish_delta = prev, 0, math.inf
     if converged:
-        u_final, polish_sweeps, polish_delta = _polish(
-            u_final, omega, alpha, kernel, opts
-        )
+        values, polish_sweeps, polish_delta = _newton(
+            prev.values, omega.values, 0.0, alpha, kernel, opts.polish_tol,
+            opts.solve, f"polish (alpha {alpha:g})")
+        u_final = Field(values, kernel.grid)
 
     sn_final = seminorm_p(u_final, kernel)
     mass = float(kernel.grid.measure
@@ -525,7 +503,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         final_increment=final_increment,
         psi=psi,
         m_alpha=float(m_alpha),
-        barrier=barrier,
+        barrier=m_alpha * psi,
         polish_sweeps=polish_sweeps,
         polish_delta=polish_delta,
         energy_identity_gap=float(gap),
@@ -559,10 +537,8 @@ def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
     probes = _residual_probes(kernel, trials, seed)
     worst = _level_residual(u, source, kernel, probes)
     sn_u = seminorm_p(u, kernel)
-    aux_slack = math.inf
-    for phi, norm in probes:
-        bound = sn_u ** ((p - 1.0) / p) * norm
-        aux_slack = min(aux_slack, bound - abs(float(source @ phi)))
+    aux_slack = min((sn_u ** ((p - 1.0) / p) * norm - abs(float(source @ phi))
+                     for phi, norm in probes), default=math.inf)
     return ResidualReport(max_residual=worst, aux_min_slack=aux_slack,
                           trials=trials)
 

@@ -18,8 +18,8 @@ class SolverError(FssError):
 
     Carries the last iterate and gradient norm so callers can inspect
     how far the solve got.  Inside the approximation chain it also names
-    the chain ``level``, the fixed-point ``sweep`` and ``alpha``; these are
-    None for a stand-alone solve.
+    the chain ``level``, the Newton step ``sweep`` (1-based) and ``alpha``;
+    these are None for a stand-alone solve.
     """
 
     def __init__(self, message, iterate=None, grad_norm=None, iterations=None,
@@ -33,21 +33,16 @@ class SolverError(FssError):
         self.alpha = alpha
 
 
-class StagnationError(FssError):
-    """Raised when a fixed-point sweep exhausts its budget.
+class StagnationError(SolverError):
+    """Raised when a chain solve exhausts its Newton step budget.
 
-    Carries per-sweep difference history for diagnosis, and the chain
-    ``level``, last ``sweep`` and ``alpha`` where it happened.
+    Carries the max-norm of every Newton step in ``history``, besides the
+    ``SolverError`` context of the last step.
     """
 
-    def __init__(self, message, iterate=None, history=None, level=None,
-                 sweep=None, alpha=None):
-        super().__init__(message)
-        self.iterate = iterate
+    def __init__(self, message, history=None, **context):
+        super().__init__(message, **context)
         self.history = history or []
-        self.level = level
-        self.sweep = sweep
-        self.alpha = alpha
 
 
 class ConfigError(FssError):

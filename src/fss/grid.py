@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import FieldMismatchError, GridError
 
@@ -182,10 +182,13 @@ class Kernel:
     it is built on first use: the operators ask for it on their first p = 2
     evaluation, while ``build_kernel`` and the p != 2 paths never do.  Its
     Cholesky factor ``stiffness_factor`` (another M^2 doubles) is built
-    only when the approximation chain asks for it, to start each p = 2
-    solve from the direct solution of K u = rhs.  At p != 2 the pairwise
-    pass runs in row blocks through the two scratch arrays of
-    ``pair_buffers``, built on the first such evaluation.
+    only when the approximation chain asks for it: the p = 2 barrier starts
+    from the direct solution of K u = rhs, and the Newton steps of the
+    chain solve with K + D, D diagonal on the weight's support S, through
+    the factor and the S columns of K^-1 (``inverse_stiffness_columns``,
+    M x |S| doubles per support).  At p != 2 the pairwise pass runs in row
+    blocks through the two scratch arrays of ``pair_buffers``, built on the
+    first such evaluation.
     """
 
     grid: Grid
@@ -195,6 +198,8 @@ class Kernel:
     tail: np.ndarray
     tail_enabled: bool
     boundary_weight: np.ndarray = field(init=False)
+    _inverse_columns: dict = field(init=False, default_factory=dict,
+                                   repr=False, compare=False)
 
     def __post_init__(self):
         bw = self.w_collar.sum(axis=1) + self.grid.measure * self.tail
@@ -216,6 +221,17 @@ class Kernel:
     def stiffness_factor(self) -> tuple[np.ndarray, bool]:
         """Cholesky factor of ``stiffness`` in ``cho_factor`` form, built once."""
         return cho_factor(self.stiffness, check_finite=False)
+
+    def inverse_stiffness_columns(self, columns: np.ndarray) -> np.ndarray:
+        """The ``columns`` of K^-1 as an (M, len(columns)) array, solved
+        with ``stiffness_factor`` once per index set and kept."""
+        key = columns.tobytes()
+        if key not in self._inverse_columns:
+            unit = np.zeros((self.interior_count, columns.size))
+            unit[columns, np.arange(columns.size)] = 1.0
+            self._inverse_columns[key] = cho_solve(
+                self.stiffness_factor, unit, check_finite=False)
+        return self._inverse_columns[key]
 
     @cached_property
     def pair_buffers(self) -> tuple[np.ndarray, np.ndarray]:

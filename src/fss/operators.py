@@ -29,6 +29,8 @@ chain asks for it.  At p != 2 the pass runs over row blocks of about
 ``grid.PAIR_BLOCK_ELEMENTS`` pairs, writing into two scratch arrays that
 the kernel builds on the first such evaluation and then reuses, so an
 evaluation allocates O(M) memory instead of several M x M temporaries.
+The same row blocks assemble the Hessian of (1/p)[u]^p
+(``energy_hessian``) for the chain's Newton solves.
 """
 
 from __future__ import annotations
@@ -79,9 +81,6 @@ class Field:
     @classmethod
     def constant(cls, grid: Grid, c: float) -> "Field":
         return cls(np.full(grid.interior_count, float(c)), grid)
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(values, self.grid)
 
     def max_norm(self) -> float:
         return float(np.abs(self.values).max())
@@ -153,6 +152,18 @@ def _field_on_kernel(u: Field, kernel: Kernel):
     return u.values
 
 
+def _pair_blocks(values: np.ndarray, kernel: Kernel):
+    """The blocked row pass at p != 2: yields (rows, diff) for row blocks of
+    about ``grid.PAIR_BLOCK_ELEMENTS`` pairs, with diff[k, j] = u_i - u_j
+    for i = rows.start + k, written into the kernel's first pair buffer."""
+    diff_buf = kernel.pair_buffers[0]
+    for start in range(0, values.size, diff_buf.shape[0]):
+        stop = min(start + diff_buf.shape[0], values.size)
+        diff = diff_buf[:stop - start]
+        np.subtract(values[start:stop, None], values[None, :], out=diff)
+        yield slice(start, stop), diff
+
+
 def _gradient(values: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Nodal gradient A u of (1/p)[u]^p: the one pairwise pass.
 
@@ -165,18 +176,15 @@ def _gradient(values: np.ndarray, kernel: Kernel) -> np.ndarray:
     if p == 2.0:
         return kernel.stiffness @ values
     w = kernel.w_interior
-    diff_buf, term_buf = kernel.pair_buffers
-    rows = diff_buf.shape[0]
+    term_buf = kernel.pair_buffers[1]
     g = np.empty(values.size)
-    for start in range(0, values.size, rows):
-        stop = min(start + rows, values.size)
-        diff, term = diff_buf[:stop - start], term_buf[:stop - start]
-        np.subtract(values[start:stop, None], values[None, :], out=diff)
+    for rows, diff in _pair_blocks(values, kernel):
+        term = term_buf[:diff.shape[0]]
         np.abs(diff, out=term)
         np.power(term, p - 1.0, out=term)
         np.copysign(term, diff, out=term)
-        np.multiply(w[start:stop], term, out=term)
-        np.sum(term, axis=1, out=g[start:stop])
+        np.multiply(w[rows], term, out=term)
+        np.sum(term, axis=1, out=g[rows])
     g *= 2.0
     g += 2.0 * kernel.boundary_weight * phi_p(values, p)
     return g
@@ -222,6 +230,32 @@ def energy_and_gradient(values: np.ndarray, kernel: Kernel,
         energy -= float(rhs @ values)
         grad = grad - rhs
     return energy, grad
+
+
+def energy_hessian(values: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Hessian of (1/p)[u]^p as a new M x M array (the cached stiffness K
+    itself at p = 2, which callers must not modify):
+
+        H = 2 (p-1) [diag(sum_j c_ij + B_i |u_i|^(p-2)) - (c_ij)],
+        c_ij = w_ij |u_i - u_j|^(p-2),
+
+    assembled through the blocked row pass.  For p < 2 an entry is
+    infinite where two nodes tie or a node vanishes.
+    """
+    p = kernel.params.p
+    if p == 2.0:
+        return kernel.stiffness
+    h = np.empty((values.size, values.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows, diff in _pair_blocks(values, kernel):
+            np.multiply(kernel.w_interior[rows], np.abs(diff) ** (p - 2.0),
+                        out=h[rows])
+        np.fill_diagonal(h, 0.0)
+        diagonal = (h.sum(axis=1)
+                    + kernel.boundary_weight * np.abs(values) ** (p - 2.0))
+    h *= -2.0 * (p - 1.0)
+    h[np.diag_indices_from(h)] = 2.0 * (p - 1.0) * diagonal
+    return h
 
 
 def weighted_qmean(v: Field, omega: WeightField, q: float) -> float:

@@ -102,9 +102,14 @@ def load_solution(path: str) -> SolutionFile:
         )
     if "values" not in payload or "metadata" not in payload:
         raise SolutionFileError("corrupt solution file: missing values/metadata")
-    values = np.asarray(payload["values"], dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise SolutionFileError("corrupt solution file: bad values array")
+    try:
+        values = np.asarray(payload["values"], dtype=float)
+    except (TypeError, ValueError):
+        values = np.empty(0)
+    if (values.ndim != 1 or values.size == 0
+            or not isinstance(payload["metadata"], dict)):
+        raise SolutionFileError("corrupt solution file: values must be a "
+                                "flat list of numbers, metadata an object")
     return SolutionFile(format_version=version, metadata=payload["metadata"],
                         values=values)
 

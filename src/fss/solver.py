@@ -15,19 +15,21 @@ The module also computes discrete embedding constants
 
     S_theta = max_{v != 0} ||v||_theta^p / [v]^p
 
-by normalized multi-start descent on the unit L^theta sphere.
+exactly at theta = 1, from the torsion field, and otherwise as a lower
+bound by normalized multi-start descent on the unit L^theta sphere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import FieldMismatchError, SolverError
 from .grid import Kernel
-from .operators import Field, WeightField, energy_and_gradient, norm_r
+from .operators import (Field, WeightField, energy_and_gradient, norm_r,
+                        seminorm_p)
 
 # Energy comparisons tolerate accumulated rounding of the pairwise sums.
 _DESCENT_SLACK = 1e-13
@@ -202,18 +204,18 @@ def solve_barrier(omega: WeightField, kernel: Kernel,
 
 @dataclass(frozen=True)
 class EmbeddingConstant:
-    """Best discrete constant with ||v||_theta^p <= S * [v]^p."""
+    """Discrete constant with ||v||_theta^p <= S * [v]^p: the best one
+    at theta = 1, a lower bound on it otherwise (see
+    ``embedding_constant``)."""
 
     theta: float
     value: float
     extremizer: Field
     starts: int = 8
-    log_value: float = dc_field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.value <= 0.0:
             raise ValueError("embedding constant must be positive")
-        object.__setattr__(self, "log_value", math.log(self.value))
 
 
 def _normalize_theta(values: np.ndarray, measure: float, theta: float) -> np.ndarray:
@@ -227,11 +229,16 @@ def embedding_constant(theta: float, kernel: Kernel,
                        max_iter: int = 4000) -> EmbeddingConstant:
     """Maximize ||v||_theta^p / [v]^p over nonzero discrete fields.
 
-    Equivalent to minimizing [v]^p on the unit L^theta sphere, done by
-    projected gradient descent with backtracking from ``starts`` seeded
-    initial fields (constant, random nonnegative, bump); the best value
-    across starts is returned.  The quotient is invariant under v -> |v|,
-    so iterates are kept nonnegative.
+    At theta = 1 the maximizer is the torsion field u, the solution of
+    A u = m * 1: for v >= 0, ||v||_1 = <A u, v> <= [u]^(p-1) [v] (Hoelder),
+    so S_1 = ||u||_1^p / [u]^p = ||u||_1^(p-1), from one solve.
+
+    For theta > 1 the value is a lower bound on S_theta: the quotient is
+    maximized by projected gradient descent on the unit L^theta sphere,
+    with backtracking, from ``starts`` seeded initial fields (constant,
+    random nonnegative, bump), and the best value across starts is
+    returned.  The quotient is invariant under v -> |v|, so iterates are
+    kept nonnegative.
 
     ``theta`` must satisfy 1 <= theta <= p_star (finite); the critical
     exponent itself is allowed since every discrete embedding is a finite
@@ -250,6 +257,11 @@ def embedding_constant(theta: float, kernel: Kernel,
     grid = kernel.grid
     n = grid.interior_count
     m = grid.measure
+    if theta == 1.0:
+        torsion = solve_nonsingular(np.ones(n), kernel, opts)
+        value = norm_r(torsion, 1.0) ** params.p / seminorm_p(torsion, kernel)
+        return EmbeddingConstant(theta=1.0, value=float(value),
+                                 extremizer=torsion, starts=1)
     rng = np.random.default_rng(seed)
 
     inits = [np.ones(n)]
@@ -309,7 +321,7 @@ def embedding_for_existence_bound(kernel: Kernel,
     The bound pairs the weight norm at the threshold exponent with the
     embedding at theta = (1 - alpha) * conjugate(r_alpha), which is the
     critical exponent p_star when s*p < N and 1 otherwise, independently
-    of alpha.
+    of alpha.  At theta = 1 the constant is exact.
     """
     params = kernel.params
     theta = params.p_star if params.sp < params.n_dim else 1.0

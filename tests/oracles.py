@@ -1,13 +1,17 @@
 """Independent oracles: bisection for the scalar system, dense linear
-algebra for p = 2, plain double sums for the energy, pairing and
-gradient, and finite differences for gradients.
+algebra for p = 2, plain double sums for the energy, pairing, gradient
+and Hessian, finite differences for gradients, and the frozen-datum map
+T of the approximation chain.
 
-These never call the solver paths they certify.
+These never call the solver paths they certify: T solves with L-BFGS,
+while the chain solves its levels by Newton.
 """
 
 import math
 
 import numpy as np
+
+from fss import solve_nonsingular
 
 
 def bisect(fun, lo: float, hi: float, iters: int = 400) -> float:
@@ -159,3 +163,29 @@ def full_matrix_gradient(kernel, u: np.ndarray, p: float) -> np.ndarray:
     grad = 2.0 * (kernel.w_interior * phi).sum(axis=1)
     grad += 2.0 * kernel.boundary_weight * (np.sign(u) * np.abs(u) ** (p - 1.0))
     return grad
+
+
+def full_matrix_hessian(kernel, u: np.ndarray, p: float) -> np.ndarray:
+    """Hessian of (1/p)[u]^p entry by entry: off the diagonal
+    -2(p-1) w_ij |u_i - u_j|^(p-2), on it
+    2(p-1) (sum_j w_ij |u_i - u_j|^(p-2) + B_i |u_i|^(p-2))."""
+    w, b = kernel.w_interior, kernel.boundary_weight
+    hess = np.zeros((u.size, u.size))
+    for i in range(u.size):
+        for j in range(u.size):
+            if j != i:
+                c = w[i, j] * abs(u[i] - u[j]) ** (p - 2.0)
+                hess[i, j] = -2.0 * (p - 1.0) * c
+                hess[i, i] += 2.0 * (p - 1.0) * c
+        hess[i, i] += 2.0 * (p - 1.0) * b[i] * abs(u[i]) ** (p - 2.0)
+    return hess
+
+
+def fixed_point_step(problem, kernel, w, opts=None):
+    """One application of the frozen-datum map T: the nonsingular solve,
+    started from w, with datum omega_n / (|w| + 1/n)^alpha.  A level
+    solution is the fixed point of T."""
+    datum = problem.omega_n.values / (
+        np.abs(w.values) + problem.shift
+    ) ** problem.alpha
+    return solve_nonsingular(datum, kernel, opts, x0=w)

@@ -13,19 +13,17 @@ from fss import (
     WeightField,
     build_kernel,
     embedding_constant,
-    fixed_point_step,
     linfty_bound_report,
     make_level,
     pairing,
     run_chain,
     seminorm_p,
     solve_level,
-    solve_nonsingular,
     truncate_weight,
     weak_residual,
 )
-from fss import chain as chain_module, solver as solver_module
-from fss.chain import _AndersonMixer
+from fss import chain as chain_module
+from fss.chain import _solve_p2_newton
 
 from conftest import (
     compact_bump_values,
@@ -34,6 +32,7 @@ from conftest import (
 )
 from oracles import (
     dense_p2_matrix,
+    fixed_point_step,
     scalar_level_solution,
     scalar_singular_solution,
 )
@@ -128,6 +127,29 @@ class TestSolveLevel:
                            Field.constant(kernel_1d.grid, 10.0), opts)
         assert (a - b).max_norm() <= 1e-7
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("n,alpha", [(1, 1.0), (1024, 0.5), (2**20, 3.0)])
+    def test_far_starts(self, grid_1d, bump_weight, p, n, alpha):
+        # Starts far below or above the solution take damped steps:
+        # backtracked (p = 3 from 1e-6), and cut short of the boundary
+        # u + 1/n = 0, which a full step crosses at alpha = 3 from 1e-6.
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
+        problem = make_level(bump_weight, n, alpha)
+        ref, _ = solve_level(problem, kernel, Field.constant(grid_1d, 0.1))
+        for c in (1e-6, 1e3):
+            u, _ = solve_level(problem, kernel, Field.constant(grid_1d, c))
+            assert (u - ref).max_norm() <= 1e-9
+
+    def test_tolerance_below_the_floor(self, kernel_1d, bump_weight):
+        # No step reaches 1e-30: the floor rule returns the best iterate.
+        problem = make_level(bump_weight, 8, 1.0)
+        start = Field.zero(kernel_1d.grid)
+        ref, _ = solve_level(problem, kernel_1d, start)
+        u, steps = solve_level(problem, kernel_1d, start,
+                               ChainOptions(fixed_point_tol=1e-30))
+        assert (u - ref).max_norm() <= 1e-12
+        assert steps < chain_module._NEWTON_STEPS
+
     def test_positivity(self, kernel_1d, bump_weight):
         problem = make_level(bump_weight, 2, 0.5)
         u, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
@@ -169,11 +191,11 @@ class TestSolveLevel:
             assert gap <= 1e-7
 
 
-def plain_averaged_level(problem, kernel, init, opts):
+def plain_averaged_level(problem, kernel, init, opts, max_sweeps=500):
     """Reference loop: w <- (w + T w)/2 until the sweep difference is at
     most the fixed-point tolerance."""
     w = init
-    for sweep in range(1, opts.max_fixed_point_sweeps + 1):
+    for sweep in range(1, max_sweeps + 1):
         new = 0.5 * (w + fixed_point_step(problem, kernel, w, opts.solve))
         delta = (new - w).max_norm()
         w = new
@@ -183,58 +205,30 @@ def plain_averaged_level(problem, kernel, init, opts):
 
 
 class TestAndersonLevel:
+    """Newton levels against the plain averaged fixed-point loop of T."""
+
     @pytest.mark.parametrize("n,alpha", [(4, 0.5), (64, 1.0)])
     def test_matches_plain_averaged_loop(self, kernel_1d, bump_weight, n,
                                          alpha):
         opts = ChainOptions()
         problem = make_level(bump_weight, n, alpha)
         start = Field.zero(kernel_1d.grid)
-        mixed, sweeps = solve_level(problem, kernel_1d, start, opts)
+        newton, steps = solve_level(problem, kernel_1d, start, opts)
         plain, plain_sweeps = plain_averaged_level(problem, kernel_1d, start,
                                                    opts)
-        assert (mixed - plain).max_norm() <= 1e-8
-        assert sweeps < plain_sweeps
-
-    def test_mixer_solves_linear_map(self):
-        # For an affine averaged map the secant extrapolation of two
-        # iterates lands on the fixed point of every decoupled node.
-        mixer = _AndersonMixer()
-        fixed = np.array([2.0])
-
-        def averaged(x):
-            return fixed + 0.5 * (x - fixed)
-
-        x0 = np.array([1.0])
-        x1 = mixer.step(x0, averaged(x0))
-        x2 = mixer.step(x1, averaged(x1))
-        assert x2 == pytest.approx(fixed, rel=1e-14)
-
-    def test_mixer_restarts_on_nonpositive_extrapolation(self):
-        # Residuals -0.1 and then -0.095 after a step of -0.1 on both
-        # nodes: the secant extrapolation moves both nodes by -1.805, which
-        # gives -1 on the first node and 3.1 on the second.
-        mixer = _AndersonMixer()
-        mixer.step(np.array([1.0, 5.1]), np.array([0.9, 5.0]))
-        x1 = np.array([0.9, 5.0])
-        g1 = x1 - 0.095
-        out = mixer.step(x1, g1)
-        assert np.array_equal(out, g1)
-        # the history is gone: the next step is the averaged step again
-        g2 = np.array([0.7, 0.8])
-        assert np.array_equal(mixer.step(g1, g2), g2)
+        assert (newton - plain).max_norm() <= 1e-8
+        assert steps < plain_sweeps
 
 
 class TestChainErrors:
-    # At p = 2 every chain solve starts from the direct solution and meets
-    # the gradient tolerance at once, so max_iter = 1 forces an L-BFGS
-    # failure only at p != 2.
+    # Newton failures are forced through the module's step budget.
     def test_solver_error_names_level_sweep_alpha(self, kernel_1d_p3,
-                                                  bump_weight):
-        opts = ChainOptions(solve=SolveOptions(max_iter=1))
+                                                  bump_weight, monkeypatch):
+        monkeypatch.setattr(chain_module, "_NEWTON_STEPS", 1)
         problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
-            solve_level(problem, kernel_1d_p3, Field.zero(kernel_1d_p3.grid),
-                        opts)
+            solve_level(problem, kernel_1d_p3,
+                        Field.constant(kernel_1d_p3.grid, 0.3), ChainOptions())
         exc = err.value
         assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
         assert "level 4" in str(exc) and "sweep 1" in str(exc)
@@ -242,11 +236,13 @@ class TestChainErrors:
         assert exc.iterations == 1
 
     def test_stagnation_error_names_level_sweep_alpha(self, kernel_1d,
-                                                      bump_weight):
-        opts = ChainOptions(max_fixed_point_sweeps=2)
+                                                      bump_weight,
+                                                      monkeypatch):
+        monkeypatch.setattr(chain_module, "_NEWTON_STEPS", 2)
         problem = make_level(bump_weight, 8, 1.0)
         with pytest.raises(StagnationError) as err:
-            solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
+            solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
+                        ChainOptions())
         exc = err.value
         assert (exc.level, exc.sweep, exc.alpha) == (8, 2, 1.0)
         assert len(exc.history) == 2
@@ -262,17 +258,40 @@ class TestChainErrors:
         assert err.value.level is None and err.value.sweep is None
 
     def test_p2_solver_error_names_level_sweep_alpha(self, kernel_1d,
-                                                     bump_weight):
-        # The direct start misses an unreachable gradient tolerance, and
-        # the L-BFGS refinement that follows fails at the rounding floor.
-        opts = ChainOptions(solve=SolveOptions(grad_tol=1e-30))
+                                                     bump_weight, monkeypatch):
+        monkeypatch.setattr(chain_module, "_NEWTON_STEPS", 1)
         problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
-            solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
+            solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
+                        ChainOptions())
         exc = err.value
         assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
         assert "level 4" in str(exc) and "sweep 1" in str(exc)
         assert exc.iterate is not None and exc.grad_norm > 0.0
+
+    def test_hessian_failure_names_level_step_alpha(self, kernel_1d_p15,
+                                                    bump_weight):
+        # At p < 2 tied nodes give c_ij = w_ij 0^(p-2): a non-finite Hessian.
+        problem = make_level(bump_weight, 4, 0.5)
+        with pytest.raises(SolverError) as err:
+            solve_level(problem, kernel_1d_p15,
+                        Field.constant(kernel_1d_p15.grid, 0.3))
+        exc = err.value
+        assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
+        assert str(exc) == ("level 4 (alpha 0.5), sweep 1: Hessian has a "
+                            "non-finite entry")
+        assert exc.iterate is not None and exc.iterations == 1
+
+    def test_indefinite_hessian_names_level_step_alpha(self, kernel_1d_p3,
+                                                       bump_weight):
+        # At p > 2 the Hessian of (1/p)[u]^p vanishes at u = 0, and the
+        # weight's curvature covers only its support.
+        problem = make_level(bump_weight, 4, 0.5)
+        with pytest.raises(SolverError) as err:
+            solve_level(problem, kernel_1d_p3, Field.zero(kernel_1d_p3.grid))
+        exc = err.value
+        assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
+        assert "Hessian is not positive definite" in str(exc)
 
     def test_barrier_error_names_stage_and_alpha(self, kernel_1d_p3,
                                                  bump_weight):
@@ -300,27 +319,27 @@ class TestChainErrors:
 
     def test_polish_error_names_sweep_and_alpha(self, kernel_1d_p3,
                                                 bump_weight, monkeypatch):
-        # A polish solve that fails with an iterate keeps it as its image;
-        # one that fails without an iterate ends the chain naming the polish.
-        solve = chain_module.solve_nonsingular
-        tight = ChainOptions().solve.grad_tol
+        # A budget of one step for the limit only: its first step is of the
+        # order of the chain tolerance, far above the polish tolerance.
+        newton = chain_module._newton
 
-        def fail_in_polish(datum, kernel, opts=None, x0=None):
-            if opts is not None and opts.grad_tol < tight:
-                raise SolverError("no iterate")
-            return solve(datum, kernel, opts, x0=x0)
+        def one_step_polish(u, weight, shift, *args, **kwargs):
+            if shift == 0.0:
+                monkeypatch.setattr(chain_module, "_NEWTON_STEPS", 1)
+            return newton(u, weight, shift, *args, **kwargs)
 
-        monkeypatch.setattr(chain_module, "solve_nonsingular", fail_in_polish)
+        monkeypatch.setattr(chain_module, "_newton", one_step_polish)
         with pytest.raises(SolverError) as err:
             run_chain(bump_weight, 1.0, kernel_1d_p3)
         exc = err.value
-        assert str(exc) == "polish (alpha 1), sweep 1: no iterate"
+        assert str(exc).startswith("polish (alpha 1), sweep 1: ")
         assert (exc.level, exc.sweep, exc.alpha) == (None, 1, 1.0)
 
 
 class TestCholeskyStart:
-    """At p = 2 every chain solve starts from the direct solution by the
-    kernel's cached Cholesky factor, which only the chain builds."""
+    """At p = 2 the barrier starts from the direct solution by the kernel's
+    cached Cholesky factor, and every Newton step solves through it; only
+    the chain builds the factor."""
 
     def test_built_by_run_chain_at_p2(self, grid_1d, bump_weight):
         kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
@@ -334,43 +353,29 @@ class TestCholeskyStart:
         assert "stiffness_factor" not in kernel.__dict__
         assert "stiffness" not in kernel.__dict__
 
-    @pytest.mark.parametrize("n,alpha", [(1, 0.5), (64, 1.0)])
-    def test_step_matches_plain_solve(self, grid_1d, bump_weight, n, alpha):
+
+class TestSupportSolve:
+    """The p = 2 Newton system (K + D) x = g with D diagonal on the
+    weight's support S and g supported on S, solved by Woodbury through
+    the factor of K.  With S = every node, g is arbitrary."""
+
+    @pytest.mark.parametrize("support", ["bump", "every node", "one node"])
+    def test_matches_dense_solve(self, grid_1d, bump_weight, support):
         kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
-        opts = SolveOptions()
-        problem = make_level(bump_weight, n, alpha)
-        w = Field.constant(grid_1d, 0.3)
-        image = fixed_point_step(problem, kernel, w, opts)
-        assert "stiffness_factor" in kernel.__dict__
-        datum = problem.omega_n.values / (w.values + problem.shift) ** alpha
-        plain = solve_nonsingular(datum, kernel, opts, x0=w)
-        # Both gradients K u - m f are at most grad_tol in the max norm.
-        inverse = np.linalg.inv(dense_p2_matrix(kernel))
-        bound = 2.0 * opts.grad_tol * np.abs(inverse).sum(axis=1).max()
-        assert (image - plain).max_norm() <= bound
-
-    def test_every_chain_solve_takes_one_evaluation(self, grid_1d,
-                                                    bump_weight, monkeypatch):
-        counts = {"solves": 0, "evaluations": 0}
-        solve = chain_module.solve_nonsingular
-        evaluate = solver_module.energy_and_gradient
-
-        def counted_solve(*args, **kwargs):
-            counts["solves"] += 1
-            return solve(*args, **kwargs)
-
-        def counted_evaluate(*args, **kwargs):
-            counts["evaluations"] += 1
-            return evaluate(*args, **kwargs)
-
-        monkeypatch.setattr(chain_module, "solve_nonsingular", counted_solve)
-        monkeypatch.setattr(solver_module, "energy_and_gradient",
-                            counted_evaluate)
-        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
-        result = run_chain(bump_weight, 1.0, kernel)
-        assert result.converged and result.polish_sweeps > 0
-        # the barrier goes through solve_barrier, not chain_module's name
-        assert counts["evaluations"] == counts["solves"] + 1
+        m = grid_1d.interior_count
+        nodes = {"bump": np.flatnonzero(bump_weight.values > 0.0),
+                 "every node": np.arange(m),
+                 "one node": np.array([m // 2])}[support]
+        rng = np.random.default_rng(41)
+        diagonal = 10.0 ** rng.uniform(-3.0, 8.0, nodes.size)
+        g = np.zeros(m)
+        g[nodes] = rng.standard_normal(nodes.size)
+        dense = dense_p2_matrix(kernel)
+        dense[nodes, nodes] += diagonal
+        expected = np.linalg.solve(dense, g)
+        root = np.sqrt(diagonal)
+        got = _solve_p2_newton(kernel, nodes, root, g[nodes] / root)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestRunChain:

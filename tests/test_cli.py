@@ -141,6 +141,22 @@ class TestVerifyCommand:
                           "--solution", out["solution"]])
         assert rc == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("values", [{"a": 1}]),
+        ("values", [1, [2, 3]]),
+        ("metadata", [1]),
+    ], ids=["object-values", "ragged-values", "list-metadata"])
+    def test_corrupt_solution_file(self, tmp_path, capsys, key, value):
+        path, out = cli_config(tmp_path)
+        run_command(["solve", "--config", path])
+        sol = json.load(open(out["solution"]))
+        sol[key] = value
+        open(out["solution"], "w").write(json.dumps(sol))
+        rc = run_command(["verify", "--config", path,
+                          "--solution", out["solution"]])
+        assert rc == 1
+        assert "error: corrupt solution file: " in capsys.readouterr().err
+
     def test_hash_mismatch_is_warning_only(self, tmp_path, capsys):
         path, out = cli_config(tmp_path)
         run_command(["solve", "--config", path])

@@ -21,7 +21,7 @@ from fss import (
     weighted_qmean,
 )
 from fss.grid import PAIR_BLOCK_ELEMENTS
-from fss.operators import energy_and_gradient
+from fss.operators import energy_and_gradient, energy_hessian
 
 from conftest import synthetic_unit_kernel
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     double_sum_pairing,
     double_sum_seminorm,
     full_matrix_gradient,
+    full_matrix_hessian,
 )
 
 
@@ -296,6 +297,41 @@ class TestBlockedPass:
         buffers = kernel.pair_buffers
         apply_operator(u, kernel)
         assert kernel.pair_buffers is buffers
+
+
+class TestHessian:
+    """The Hessian of (1/p)[u]^p assembled through the blocked pass."""
+
+    @pytest.mark.parametrize("p", [2.5, 3.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_double_loop(self, grid_1d, dim, p):
+        grid = grid_1d if dim == 1 else build_grid([(0.0, 1.0), (0.0, 1.0)],
+                                                   1.0 / 6, 0.5)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=dim))
+        u = rand_field(grid, np.random.default_rng(6)).values
+        expected = full_matrix_hessian(kernel, u, p)
+        got = energy_hessian(u, kernel)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert "stiffness" not in kernel.__dict__
+
+    def test_is_stiffness_at_p2(self, kernel_1d):
+        u = rand_field(kernel_1d.grid, np.random.default_rng(7)).values
+        hess = energy_hessian(u, kernel_1d)
+        assert np.array_equal(hess, kernel_1d.stiffness)
+        expected = full_matrix_hessian(kernel_1d, u, 2.0)
+        assert np.abs(hess - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_directional_derivative_of_gradient(self, kernel_1d_p3):
+        # H v = (A(u + t v) - A(u - t v)) / (2 t) up to O(t^2)
+        rng = np.random.default_rng(8)
+        u = rand_field(kernel_1d_p3.grid, rng).values
+        v = rand_field(kernel_1d_p3.grid, rng).values
+        t = 1e-5
+        plus = energy_and_gradient(u + t * v, kernel_1d_p3)[1]
+        minus = energy_and_gradient(u - t * v, kernel_1d_p3)[1]
+        hv = energy_hessian(u, kernel_1d_p3) @ v
+        assert np.abs((plus - minus) / (2 * t) - hv).max() \
+            <= 1e-7 * np.abs(hv).max()
 
 
 class TestWeightedQMean:

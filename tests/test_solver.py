@@ -148,14 +148,26 @@ class TestEmbeddingConstant:
                                                  rel=1e-10)
 
     def test_no_random_violation(self, kernel_1d):
-        result = embedding_constant(kernel_1d.params.p, kernel_1d)
-        rng = np.random.default_rng(9)
         p = kernel_1d.params.p
-        for _ in range(1000):
-            v = Field(rng.uniform(-1, 1, kernel_1d.interior_count),
-                      kernel_1d.grid)
-            ratio = norm_r(v, p) ** p / seminorm_p(v, kernel_1d)
-            assert ratio <= result.value * (1.0 + 1e-10)
+        for theta in (p, 1.0):
+            result = embedding_constant(theta, kernel_1d)
+            rng = np.random.default_rng(9)
+            for _ in range(1000):
+                v = Field(rng.uniform(-1, 1, kernel_1d.interior_count),
+                          kernel_1d.grid)
+                ratio = norm_r(v, theta) ** p / seminorm_p(v, kernel_1d)
+                assert ratio <= result.value * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_exact_at_theta_one(self, grid_1d, p):
+        # S_1 = ||u||_1^(p-1) for the torsion field u (A u = m * 1).
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
+        result = embedding_constant(1.0, kernel)
+        torsion = solve_nonsingular(np.ones(grid_1d.interior_count), kernel)
+        assert result.starts == 1
+        assert np.array_equal(result.extremizer.values, torsion.values)
+        assert result.value == pytest.approx(
+            norm_r(torsion, 1.0) ** (p - 1.0), rel=1e-9)
 
     def test_extremizer_attains_value(self, kernel_1d):
         result = embedding_constant(2.0, kernel_1d)
