@@ -30,12 +30,13 @@ its Newton step is at most its tolerance (``fixed_point_tol`` at a level,
 double-precision floor, after three steps that neither shrink the step
 nor promise a measurable energy decrease; it returns its best iterate.
 
-At p = 2, H_p is the stiffness matrix K and D lives only on S, so a step
-uses the kernel's cached Cholesky factor of K and factors only the
-|S| x |S| matrix I + D_S^(1/2) (K^-1)_SS D_S^(1/2) (Woodbury); the S
-columns of K^-1 are solved once per kernel.  Other p assemble H_p and
-factor H_p + D by Cholesky at each step.  For p > 2, H_p vanishes at
-u = 0, so the walk starts from the barrier.
+At p = 2, H_p is the stiffness matrix K and D lives only on S.  When S
+covers at most half the nodes, a step uses the kernel's cached Cholesky
+factor of K and factors only the |S| x |S| matrix
+I + D_S^(1/2) (K^-1)_SS D_S^(1/2) (Woodbury); the S columns of K^-1 are
+solved once per kernel.  A wider support, and every other p, factors
+H_p + D by Cholesky at each step.  For p > 2, H_p vanishes at u = 0, so
+the walk starts from the barrier.
 
 Levels are walked along a geometric schedule with warm starts, the first
 from the barrier psi.  The level solutions increase in n, their energies
@@ -112,6 +113,12 @@ _FLOOR_STEPS = 3
 # Largest fraction of the distance to the boundary u + shift = 0 a step
 # may cover.
 _TO_BOUNDARY = 0.995
+# Largest share of the nodes the weight's support may cover for a p = 2
+# step to go through Woodbury: at half the nodes it factors 1/8 of what
+# the direct step factors and keeps M^2 / 2 doubles of K^-1, while on
+# every node it is the slower one (5.6 against 4.1 ms a step at M = 529,
+# one BLAS thread).
+_WOODBURY_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,8 @@ def _newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
         z = u[support] + shift
         curvature = alpha * mass * z ** (-alpha - 1.0)
         try:
-            if kernel.params.p == 2.0:
+            if (kernel.params.p == 2.0
+                    and support.size <= _WOODBURY_SHARE * u.size):
                 # -grad = P (m w z^-alpha + D u_S) - (K + D) u, and
                 # m w z^-alpha = D z / alpha.
                 root = np.sqrt(curvature)
@@ -252,25 +260,29 @@ def _newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
 
 
 def solve_level(problem: RegularizedProblem, kernel: Kernel, init: Field,
-                opts: ChainOptions | None = None) -> tuple[Field, int]:
+                opts: ChainOptions | None = None) -> tuple[Field, int, float]:
     """Minimize the level energy J_n by damped Newton from ``init``.
 
-    Returns the level solution (strictly positive at every interior node)
-    and the number of Newton steps, the last of which has max-norm at most
-    the fixed-point tolerance.  For p > 2 the Hessian vanishes at u = 0,
-    so start from a field such as the barrier.  Raises a ``SolverError``
-    naming the level, the step (``sweep``) and alpha when a step fails,
-    and its ``StagnationError`` subclass when the step budget runs out.
+    Returns the level solution (strictly positive at every interior node),
+    the number of Newton steps, and the max-norm of the step that produced
+    the solution.  That max-norm is at most the fixed-point tolerance,
+    unless the tolerance lies below the double-precision floor: then the
+    solve returns its best iterate after three steps at the floor, and
+    the max-norm shows how far it got.  For p > 2 the Hessian vanishes at
+    u = 0, so start from a field such as the barrier.  Raises a
+    ``SolverError`` naming the level, the step (``sweep``) and alpha when
+    a step fails, and its ``StagnationError`` subclass when the step
+    budget runs out.
     """
     opts = opts or ChainOptions()
     if init.values.min() < 0.0:
         raise ValueError("initial field must be nonnegative")
-    u, steps, _ = _newton(init.values, problem.omega_n.values, problem.shift,
-                          problem.alpha, kernel, opts.fixed_point_tol,
-                          opts.solve,
-                          f"level {problem.level} (alpha {problem.alpha:g})",
-                          level=problem.level)
-    return Field(u, kernel.grid), steps
+    u, steps, delta = _newton(init.values, problem.omega_n.values,
+                              problem.shift, problem.alpha, kernel,
+                              opts.fixed_point_tol, opts.solve,
+                              f"level {problem.level} (alpha {problem.alpha:g})",
+                              level=problem.level)
+    return Field(u, kernel.grid), steps, delta
 
 
 @dataclass(frozen=True)
@@ -281,6 +293,7 @@ class LevelRecord:
     u: Field
     seminorm: float  # [u_n]^p
     fp_sweeps: int  # Newton steps
+    fp_delta: float  # max-norm of the step that produced u_n
     residual: float
     min_value: float
     max_value: float
@@ -294,6 +307,7 @@ class LevelRecord:
             "min_u": self.min_value,
             "max_u": self.max_value,
             "fp_iters": self.fp_sweeps,
+            "fp_delta": self.fp_delta,
             "residual": self.residual,
         }
 
@@ -324,13 +338,17 @@ class ChainResult:
 
     def monotone_gap(self) -> float:
         """Largest nodewise violation of u_n <= u_{n+1} over stored levels."""
-        return max([0.0] + [float((prev.u.values - cur.u.values).max())
-                            for prev, cur in zip(self.levels, self.levels[1:])])
+        worst = 0.0
+        for prev, cur in zip(self.levels, self.levels[1:]):
+            worst = max(worst, float((prev.u.values - cur.u.values).max()))
+        return worst
 
     def barrier_gap(self) -> float:
         """Largest nodewise violation of m_alpha * psi <= u_n."""
-        return max([0.0] + [float((self.barrier.values - rec.u.values).max())
-                            for rec in self.levels])
+        worst = 0.0
+        for rec in self.levels:
+            worst = max(worst, float((self.barrier.values - rec.u.values).max()))
+        return worst
 
 
 def _residual_probes(kernel: Kernel, trials: int,
@@ -354,8 +372,12 @@ def _level_residual(u: Field, source: np.ndarray, kernel: Kernel,
     probe is linear in the node count.
     """
     grad = apply_operator(u, kernel)
-    return max((abs(float(grad @ phi) - float(source @ phi)) / (1.0 + norm)
-                for phi, norm in probes), default=0.0)
+    worst = 0.0
+    for phi, norm in probes:
+        lhs = float(grad @ phi)
+        rhs = float(source @ phi)
+        worst = max(worst, abs(lhs - rhs) / (1.0 + norm))
+    return worst
 
 
 def _existence_bound(omega: WeightField, alpha: float, kernel: Kernel,
@@ -369,11 +391,15 @@ def _existence_bound(omega: WeightField, alpha: float, kernel: Kernel,
     p = kernel.params.p
     if alpha == 1.0:
         return omega.norm_1
-    if alpha > 1.0 or embedding is None:
+    if alpha > 1.0:
         return None
-    weight_norm = norm_r(omega, r_alpha(alpha, kernel.params))
+    r_min = r_alpha(alpha, kernel.params)
+    weight_norm = norm_r(omega, r_min)
+    s_value = embedding.value if embedding is not None else None
+    if s_value is None:
+        return None
     # [u]^(p-(1-a)) <= |w|_{r_a} S^((1-a)/p), stated for the seminorm itself.
-    rhs = weight_norm * embedding.value ** ((1.0 - alpha) / p)
+    rhs = weight_norm * s_value ** ((1.0 - alpha) / p)
     return rhs ** (p / (p - (1.0 - alpha)))
 
 
@@ -450,7 +476,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     for n in schedule:
         problem = make_level(omega, n, alpha)
         start = prev if prev is not None else (init or psi)
-        u_n, sweeps = solve_level(problem, kernel, start, opts)
+        u_n, sweeps, delta = solve_level(problem, kernel, start, opts)
         sn = seminorm_p(u_n, kernel)
         source = kernel.grid.measure * problem.omega_n.values / (
             u_n.values + problem.shift
@@ -461,6 +487,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
             u=u_n,
             seminorm=sn,
             fp_sweeps=sweeps,
+            fp_delta=delta,
             residual=residual,
             min_value=float(u_n.values.min()),
             max_value=float(u_n.values.max()),
@@ -474,10 +501,11 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
             )
         if prev is not None:
             final_increment = (u_n - prev).max_norm()
-            converged = final_increment <= opts.chain_tol
+            if final_increment <= opts.chain_tol:
+                converged = True
+                prev = u_n
+                break
         prev = u_n
-        if converged:
-            break
 
     m_alpha = (levels[0].max_value + 1.0) ** (-alpha / (params.p - 1.0))
     u_final, polish_sweeps, polish_delta = prev, 0, math.inf
@@ -537,8 +565,10 @@ def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
     probes = _residual_probes(kernel, trials, seed)
     worst = _level_residual(u, source, kernel, probes)
     sn_u = seminorm_p(u, kernel)
-    aux_slack = min((sn_u ** ((p - 1.0) / p) * norm - abs(float(source @ phi))
-                     for phi, norm in probes), default=math.inf)
+    aux_slack = math.inf
+    for phi, norm in probes:
+        bound = sn_u ** ((p - 1.0) / p) * norm
+        aux_slack = min(aux_slack, bound - abs(float(source @ phi)))
     return ResidualReport(max_residual=worst, aux_min_slack=aux_slack,
                           trials=trials)
 

@@ -183,12 +183,12 @@ class Kernel:
     evaluation, while ``build_kernel`` and the p != 2 paths never do.  Its
     Cholesky factor ``stiffness_factor`` (another M^2 doubles) is built
     only when the approximation chain asks for it: the p = 2 barrier starts
-    from the direct solution of K u = rhs, and the Newton steps of the
-    chain solve with K + D, D diagonal on the weight's support S, through
-    the factor and the S columns of K^-1 (``inverse_stiffness_columns``,
-    M x |S| doubles per support).  At p != 2 the pairwise pass runs in row
-    blocks through the two scratch arrays of ``pair_buffers``, built on the
-    first such evaluation.
+    from the direct solution of K u = rhs, and when the weight's support S
+    covers at most half the nodes, the Newton steps of the chain solve
+    with K + D, D diagonal on S, through the factor and the S columns of
+    K^-1 (``inverse_stiffness_columns``, M x |S| doubles per support).
+    At p != 2 the pairwise pass runs in row blocks through the two scratch
+    arrays of ``pair_buffers``, built on the first such evaluation.
     """
 
     grid: Grid

@@ -233,8 +233,8 @@ def energy_and_gradient(values: np.ndarray, kernel: Kernel,
 
 
 def energy_hessian(values: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Hessian of (1/p)[u]^p as a new M x M array (the cached stiffness K
-    itself at p = 2, which callers must not modify):
+    """Hessian of (1/p)[u]^p as a new M x M array (a copy of the stiffness
+    K at p = 2):
 
         H = 2 (p-1) [diag(sum_j c_ij + B_i |u_i|^(p-2)) - (c_ij)],
         c_ij = w_ij |u_i - u_j|^(p-2),
@@ -244,7 +244,7 @@ def energy_hessian(values: np.ndarray, kernel: Kernel) -> np.ndarray:
     """
     p = kernel.params.p
     if p == 2.0:
-        return kernel.stiffness
+        return kernel.stiffness.copy()
     h = np.empty((values.size, values.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows, diff in _pair_blocks(values, kernel):

@@ -22,7 +22,7 @@ from fss import (
     truncate_weight,
     weak_residual,
 )
-from fss import chain as chain_module
+from fss import chain as chain_module, solver as solver_module
 from fss.chain import _solve_p2_newton
 
 from conftest import (
@@ -114,7 +114,7 @@ class TestSolveLevel:
         omega = WeightField(np.array([1.0]), kernel.grid)
         opts = tight_chain_options()
         problem = make_level(omega, 2**20, 1.0)
-        u, _ = solve_level(problem, kernel, Field.zero(kernel.grid), opts)
+        u, _, _ = solve_level(problem, kernel, Field.zero(kernel.grid), opts)
         assert u.values[0] == pytest.approx(0.7071067811865476, rel=1e-5)
         oracle = scalar_level_solution(2.0, 1.0, 1.0, 2**20, 1.0, 2.0)
         assert u.values[0] == pytest.approx(oracle, rel=1e-10)
@@ -122,9 +122,10 @@ class TestSolveLevel:
     def test_init_independence(self, kernel_1d, bump_weight):
         opts = ChainOptions(fixed_point_tol=1e-10)
         problem = make_level(bump_weight, 4, 0.5)
-        a, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
-        b, _ = solve_level(problem, kernel_1d,
-                           Field.constant(kernel_1d.grid, 10.0), opts)
+        a, _, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
+                              opts)
+        b, _, _ = solve_level(problem, kernel_1d,
+                              Field.constant(kernel_1d.grid, 10.0), opts)
         assert (a - b).max_norm() <= 1e-7
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -135,25 +136,29 @@ class TestSolveLevel:
         # u + 1/n = 0, which a full step crosses at alpha = 3 from 1e-6.
         kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
         problem = make_level(bump_weight, n, alpha)
-        ref, _ = solve_level(problem, kernel, Field.constant(grid_1d, 0.1))
+        ref, _, _ = solve_level(problem, kernel, Field.constant(grid_1d, 0.1))
         for c in (1e-6, 1e3):
-            u, _ = solve_level(problem, kernel, Field.constant(grid_1d, c))
+            u, _, _ = solve_level(problem, kernel, Field.constant(grid_1d, c))
             assert (u - ref).max_norm() <= 1e-9
 
     def test_tolerance_below_the_floor(self, kernel_1d, bump_weight):
         # No step reaches 1e-30: the floor rule returns the best iterate.
         problem = make_level(bump_weight, 8, 1.0)
         start = Field.zero(kernel_1d.grid)
-        ref, _ = solve_level(problem, kernel_1d, start)
-        u, steps = solve_level(problem, kernel_1d, start,
-                               ChainOptions(fixed_point_tol=1e-30))
+        ref, _, ref_delta = solve_level(problem, kernel_1d, start)
+        u, steps, delta = solve_level(problem, kernel_1d, start,
+                                      ChainOptions(fixed_point_tol=1e-30))
         assert (u - ref).max_norm() <= 1e-12
         assert steps < chain_module._NEWTON_STEPS
+        # The returned step max-norm shows the miss; the default tolerance
+        # is met.
+        assert 1e-30 < delta <= 1e-12
+        assert ref_delta <= ChainOptions().fixed_point_tol
 
     def test_positivity(self, kernel_1d, bump_weight):
         problem = make_level(bump_weight, 2, 0.5)
-        u, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
-                           ChainOptions())
+        u, _, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
+                              ChainOptions())
         assert u.values.min() > 0.0
 
     def test_energy_minimality_inequality(self, kernel_1d, bump_weight):
@@ -162,7 +167,7 @@ class TestSolveLevel:
         opts = ChainOptions(fixed_point_tol=1e-11)
         n, alpha = 4, 0.5
         problem = make_level(bump_weight, n, alpha)
-        u, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
+        u, _, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
         m = kernel_1d.grid.measure
         rng = np.random.default_rng(31)
         sn_u = seminorm_p(u, kernel_1d)
@@ -180,7 +185,7 @@ class TestSolveLevel:
         opts = ChainOptions(fixed_point_tol=1e-11)
         n, alpha = 8, 0.5
         problem = make_level(bump_weight, n, alpha)
-        u, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
+        u, _, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
         m = kernel_1d.grid.measure
         rng = np.random.default_rng(32)
         source = m * problem.omega_n.values / (u.values + problem.shift) ** alpha
@@ -213,7 +218,7 @@ class TestAndersonLevel:
         opts = ChainOptions()
         problem = make_level(bump_weight, n, alpha)
         start = Field.zero(kernel_1d.grid)
-        newton, steps = solve_level(problem, kernel_1d, start, opts)
+        newton, steps, _ = solve_level(problem, kernel_1d, start, opts)
         plain, plain_sweeps = plain_averaged_level(problem, kernel_1d, start,
                                                    opts)
         assert (newton - plain).max_norm() <= 1e-8
@@ -332,14 +337,16 @@ class TestChainErrors:
         with pytest.raises(SolverError) as err:
             run_chain(bump_weight, 1.0, kernel_1d_p3)
         exc = err.value
-        assert str(exc).startswith("polish (alpha 1), sweep 1: ")
+        assert isinstance(exc, StagnationError) and len(exc.history) == 1
+        assert str(exc).startswith("polish (alpha 1), sweep 1: no convergence "
+                                   "within 1 Newton steps")
         assert (exc.level, exc.sweep, exc.alpha) == (None, 1, 1.0)
 
 
 class TestCholeskyStart:
     """At p = 2 the barrier starts from the direct solution by the kernel's
-    cached Cholesky factor, and every Newton step solves through it; only
-    the chain builds the factor."""
+    cached Cholesky factor, and the Newton steps of a narrow support solve
+    through it; only the chain builds the factor."""
 
     def test_built_by_run_chain_at_p2(self, grid_1d, bump_weight):
         kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
@@ -352,6 +359,51 @@ class TestCholeskyStart:
         run_chain(bump_weight, 1.0, kernel)
         assert "stiffness_factor" not in kernel.__dict__
         assert "stiffness" not in kernel.__dict__
+
+    def test_barrier_takes_one_evaluation(self, grid_1d, bump_weight,
+                                          monkeypatch):
+        # Started from the direct solution, the barrier's L-BFGS solve
+        # certifies it with a single energy evaluation.  At alpha = 1 the
+        # barrier is the chain's only solver-module solve.
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
+        calls = []
+        evaluate = solver_module.energy_and_gradient
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "energy_and_gradient", counted)
+        run_chain(bump_weight, 1.0, kernel)
+        assert len(calls) == 1
+
+
+class TestWideSupport:
+    """At p = 2 a weight positive on more than half the nodes takes the
+    direct Cholesky step of K + D instead of the Woodbury one, and keeps
+    no columns of K^-1."""
+
+    @pytest.mark.parametrize("n,alpha", [(4, 0.5), (64, 1.0)])
+    def test_matches_woodbury_step(self, grid_1d, constant_weight, n, alpha,
+                                   monkeypatch):
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
+        problem = make_level(constant_weight, n, alpha)
+        start = Field.constant(grid_1d, 0.1)
+        direct, _, _ = solve_level(problem, kernel, start)
+        assert kernel._inverse_columns == {}
+        monkeypatch.setattr(chain_module, "_WOODBURY_SHARE", 1.0)
+        woodbury, _, _ = solve_level(problem, kernel, start)
+        assert len(kernel._inverse_columns) == 1
+        assert (direct - woodbury).max_norm() <= 1e-12
+
+    def test_narrow_support_takes_woodbury(self, grid_1d):
+        # Radius 0.2: 6 of the 16 nodes.
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
+        omega = WeightField(compact_bump_values(grid_1d, radius=0.2), grid_1d,
+                            r=3.0)
+        solve_level(make_level(omega, 4, 0.5), kernel,
+                    Field.constant(grid_1d, 0.1))
+        assert len(kernel._inverse_columns) == 1
 
 
 class TestSupportSolve:
@@ -468,7 +520,9 @@ class TestRunChain:
         chain = run_chain(bump_weight, 0.5, kernel_1d, opts=ChainOptions())
         record = chain.levels[0].to_json_record()
         assert set(record) == {"n", "seminorm_p", "min_u", "max_u",
-                               "fp_iters", "residual"}
+                               "fp_iters", "fp_delta", "residual"}
+        assert all(rec.fp_delta <= ChainOptions().fixed_point_tol
+                   for rec in chain.levels)
         assert all(rec.residual <= 1e-7 for rec in chain.levels)
 
 

@@ -35,8 +35,8 @@ class TestSolveCommand:
         assert sol["format_version"] == 1
         assert "lambda" in sol["metadata"]
         diag = json.load(open(out["diagnostics"]))
-        assert {"n", "seminorm_p", "min_u", "max_u", "fp_iters", "residual"} \
-            == set(diag["levels"][0])
+        assert {"n", "seminorm_p", "min_u", "max_u", "fp_iters", "fp_delta",
+                "residual"} == set(diag["levels"][0])
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_metadata_seminorm_is_that_of_stored_values(self, tmp_path,
