@@ -219,7 +219,11 @@ class Kernel:
 
     @cached_property
     def stiffness_factor(self) -> tuple[np.ndarray, bool]:
-        """Cholesky factor of ``stiffness`` in ``cho_factor`` form, built once."""
+        """Cholesky factor of ``stiffness`` in ``cho_factor`` form, built once.
+
+        The chain's p = 2 barrier starts from a solve with it, and its
+        Newton steps on a support of at most half the nodes solve through
+        it (see ``inverse_stiffness_columns``)."""
         return cho_factor(self.stiffness, check_finite=False)
 
     def inverse_stiffness_columns(self, columns: np.ndarray) -> np.ndarray:
