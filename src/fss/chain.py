@@ -60,13 +60,17 @@ from .operators import (
     Field,
     WeightField,
     apply_operator,
+    block_seminorm_p,
     energy_and_gradient,
     energy_hessian,
     norm_r,
     seminorm_p,
 )
-from .sampling import trial_fields
+from .sampling import trial_chunks
 from .solver import (
+    BACKTRACK,
+    MAX_BACKTRACKS,
+    SUFFICIENT_DECREASE,
     EmbeddingConstant,
     SolveOptions,
     embedding_for_existence_bound,
@@ -119,6 +123,9 @@ _TO_BOUNDARY = 0.995
 # every node it is the slower one (5.6 against 4.1 ms a step at M = 529,
 # one BLAS thread).
 _WOODBURY_SHARE = 0.5
+# Seeded test fields of the per-level weak residual.
+_RESIDUAL_TRIALS = 100
+_RESIDUAL_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -127,7 +134,7 @@ class ChainOptions:
 
     ``fixed_point_tol`` bounds the Newton step max-norm at every level and
     ``polish_tol`` at the limit.  ``solve`` sets the barrier and
-    embedding-constant solves and the Newton line search.
+    embedding-constant solves.
     """
 
     solve: SolveOptions = dc_field(default_factory=SolveOptions)
@@ -135,8 +142,6 @@ class ChainOptions:
     chain_tol: float = 1e-7
     max_levels: int = 40
     polish_tol: float = 1e-13
-    residual_trials: int = 100
-    residual_seed: int = 7
 
 
 def _located(err: SolverError, where: str, **context) -> SolverError:
@@ -167,16 +172,16 @@ def _solve_p2_newton(kernel: Kernel, support: np.ndarray, root: np.ndarray,
 
 
 def _newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
-            kernel: Kernel, tol: float, line: SolveOptions, where: str,
+            kernel: Kernel, tol: float, where: str,
             level: int | None = None) -> tuple[np.ndarray, int, float]:
     """Damped Newton on J(u) = (1/p)[u]^p + sum_i m w_i G_alpha(u_i + shift).
 
     Starts from ``u``, which must satisfy u + shift > 0 on the support of
     ``weight``.  Returns the best iterate, the number of Newton steps and
     the max-norm of the step that produced that iterate (see the module
-    docstring for the stop rule).  The line search takes its parameters
-    from ``line``.  Every failure raises a ``SolverError`` whose message
-    starts "``where``, sweep <step>: " and which carries ``level``,
+    docstring for the stop rule).  The line search takes the L-BFGS
+    solver's parameters.  Every failure raises a ``SolverError`` whose
+    message starts "``where``, sweep <step>: " and which carries ``level``,
     ``alpha``, the step as ``sweep`` and ``iterations``, the iterate and
     its gradient max-norm: a non-finite Hessian or step, a Hessian that
     is not positive definite, a step that is not a descent direction, a
@@ -238,12 +243,12 @@ def _newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
         history.append(delta)
         reach = float((-d[support] / z).max())
         t = min(1.0, _TO_BOUNDARY / reach) if reach > 0.0 else 1.0
-        for _ in range(line.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = u + t * d
             ftrial, gtrial, strial = evaluate(trial)
-            if ftrial <= fval + line.sufficient_decrease * t * slope + noise:
+            if ftrial <= fval + SUFFICIENT_DECREASE * t * slope + noise:
                 break
-            t *= line.backtrack
+            t *= BACKTRACK
         else:
             raise fail("line search failed")
         u, fval, grad, size = trial, ftrial, gtrial, strial
@@ -279,7 +284,7 @@ def solve_level(problem: RegularizedProblem, kernel: Kernel, init: Field,
         raise ValueError("initial field must be nonnegative")
     u, steps, delta = _newton(init.values, problem.omega_n.values,
                               problem.shift, problem.alpha, kernel,
-                              opts.fixed_point_tol, opts.solve,
+                              opts.fixed_point_tol,
                               f"level {problem.level} (alpha {problem.alpha:g})",
                               level=problem.level)
     return Field(u, kernel.grid), steps, delta
@@ -352,32 +357,28 @@ class ChainResult:
 
 
 def _residual_probes(kernel: Kernel, trials: int,
-                     seed: int) -> list[tuple[np.ndarray, float]]:
-    """Seeded test fields phi with their energy norms [phi] = ([phi]^p)^(1/p).
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded test fields phi, one per row, and their energy norms
+    [phi] = ([phi]^p)^(1/p), evaluated chunk by chunk.
 
     They depend only on the kernel, so a chain draws them once for all
     levels.
     """
-    p = kernel.params.p
-    return [(phi.values, seminorm_p(phi, kernel) ** (1.0 / p))
-            for phi in trial_fields(kernel.grid, trials, seed)]
+    chunks = list(trial_chunks(kernel.grid, seed, trials))
+    energies = np.concatenate([block_seminorm_p(c, kernel) for c in chunks])
+    return np.concatenate(chunks), energies ** (1.0 / kernel.params.p)
 
 
 def _level_residual(u: Field, source: np.ndarray, kernel: Kernel,
-                    probes: list[tuple[np.ndarray, float]]) -> float:
+                    probes: np.ndarray, norms: np.ndarray) -> float:
     """Weak residual max |<A u, phi> - source . phi| / (1 + [phi]) over the
     probes, for the dual vector ``source`` (cell measures included).
 
     Uses the exact identity pairing(u, v) = grad . v, so the cost per
     probe is linear in the node count.
     """
-    grad = apply_operator(u, kernel)
-    worst = 0.0
-    for phi, norm in probes:
-        lhs = float(grad @ phi)
-        rhs = float(source @ phi)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + norm))
-    return worst
+    gap = probes @ (apply_operator(u, kernel) - source)
+    return float((np.abs(gap) / (1.0 + norms)).max())
 
 
 def _existence_bound(omega: WeightField, alpha: float, kernel: Kernel,
@@ -467,7 +468,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
                            alpha=alpha) from err
     bound = _existence_bound(omega, alpha, kernel, embedding)
 
-    probes = _residual_probes(kernel, opts.residual_trials, opts.residual_seed)
+    probes, norms = _residual_probes(kernel, _RESIDUAL_TRIALS, _RESIDUAL_SEED)
     levels: list[LevelRecord] = []
     power_seminorms: list[float] = []
     prev: Field | None = None
@@ -481,7 +482,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         source = kernel.grid.measure * problem.omega_n.values / (
             u_n.values + problem.shift
         ) ** problem.alpha
-        residual = _level_residual(u_n, source, kernel, probes)
+        residual = _level_residual(u_n, source, kernel, probes, norms)
         levels.append(LevelRecord(
             n=n,
             u=u_n,
@@ -512,7 +513,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     if converged:
         values, polish_sweeps, polish_delta = _newton(
             prev.values, omega.values, 0.0, alpha, kernel, opts.polish_tol,
-            opts.solve, f"polish (alpha {alpha:g})")
+            f"polish (alpha {alpha:g})")
         u_final = Field(values, kernel.grid)
 
     sn_final = seminorm_p(u_final, kernel)
@@ -552,25 +553,23 @@ def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
                   trials: int = 100, seed: int = 0) -> ResidualReport:
     """Certify the weak form of the singular equation against test fields.
 
-    For each trial field v this measures
+    For each of the ``trials`` (at least one) seeded fields v this measures
     |pairing(u, v) - sum m w v / u^alpha| / (1 + [v]), and also the slack
     of the duality estimate |sum m w v / u^alpha| <= [u]^(p-1) [v].
     Requires u strictly positive at every interior node.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if u.values.min() <= 0.0:
         raise FssError("not an interior-positive field")
-    m = kernel.grid.measure
     p = kernel.params.p
-    source = m * omega.values / u.values**alpha
-    probes = _residual_probes(kernel, trials, seed)
-    worst = _level_residual(u, source, kernel, probes)
-    sn_u = seminorm_p(u, kernel)
-    aux_slack = math.inf
-    for phi, norm in probes:
-        bound = sn_u ** ((p - 1.0) / p) * norm
-        aux_slack = min(aux_slack, bound - abs(float(source @ phi)))
-    return ResidualReport(max_residual=worst, aux_min_slack=aux_slack,
-                          trials=trials)
+    source = kernel.grid.measure * omega.values / u.values**alpha
+    probes, norms = _residual_probes(kernel, trials, seed)
+    bound = seminorm_p(u, kernel) ** ((p - 1.0) / p) * norms
+    return ResidualReport(
+        max_residual=_level_residual(u, source, kernel, probes, norms),
+        aux_min_slack=float((bound - np.abs(probes @ source)).min()),
+        trials=trials)
 
 
 @dataclass(frozen=True)

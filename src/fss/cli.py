@@ -171,6 +171,12 @@ def _cmd_verify(args) -> int:
     cfg = load_config(args.config)
     trials = args.trials if args.trials is not None else cfg.trials
     seed = args.seed if args.seed is not None else cfg.seed
+    if trials < 1:
+        raise ConfigError(f"must be a positive integer, got {trials}",
+                          "--trials")
+    if seed < 0:
+        raise ConfigError(f"must be a nonnegative integer, got {seed}",
+                          "--seed")
     stored = load_solution(args.solution)
     grid, params, kernel = build_geometry(cfg)
     omega = build_weight(cfg, grid)

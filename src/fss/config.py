@@ -72,6 +72,11 @@ _PROBLEM_KEYS = ("alpha", "alpha_grid", "n_schedule", "max_levels",
                  "tolerances")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate a JSON config; every violation names its field."""
     try:
@@ -185,8 +190,7 @@ def load_config(path: str) -> RunConfig:
         schedule = tuple(schedule)
 
     max_levels = problem_block.get("max_levels", 40)
-    if (not isinstance(max_levels, int) or isinstance(max_levels, bool)
-            or max_levels < 1):
+    if not _is_int(max_levels) or max_levels < 1:
         raise ConfigError("max_levels must be an integer >= 1",
                           "problem.max_levels")
 
@@ -212,19 +216,19 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(verif_block, dict):
         raise ConfigError("expected object", "verification")
     trials = verif_block.get("trials", 1000)
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError("trials must be a positive integer",
                           "verification.trials")
     seed = verif_block.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer",
                           "verification.seed")
     env_seed = os.environ.get("FSS_SEED")
     if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigError("FSS_SEED must be an integer", "env.FSS_SEED")
+        if not env_seed.isdecimal():
+            raise ConfigError("FSS_SEED must be a nonnegative integer",
+                              "env.FSS_SEED")
+        seed = int(env_seed)
 
     output = raw.get("output", {})
     if not isinstance(output, dict):

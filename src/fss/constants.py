@@ -21,6 +21,7 @@ scale factors are assembled in log space.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -29,9 +30,13 @@ import numpy as np
 from .chain import ChainOptions, ChainResult, run_chain, weak_residual
 from .exceptions import FssError
 from .grid import Kernel, r_alpha
-from .operators import Field, WeightField, log_functional, seminorm_p
-from .sampling import trial_field
+from .operators import (Field, WeightField, block_seminorm_p, log_functional,
+                        seminorm_p)
+from .sampling import trial_chunks
 from .solver import EmbeddingConstant, embedding_for_existence_bound
+
+# Seed of the weak residual of the limit equation in the mu estimate.
+_MU_RESIDUAL_SEED = 11
 
 
 @dataclass(frozen=True)
@@ -57,9 +62,12 @@ class SingularSolution:
     chain: ChainResult | None = None
 
 
-def _weighted_power_mass(u: Field, omega: WeightField, alpha: float) -> float:
-    m = u.grid.measure
-    return float(m * (omega.values * np.abs(u.values) ** (1.0 - alpha)).sum())
+def _weighted_power_mass(values: np.ndarray, omega: WeightField,
+                         alpha: float) -> np.ndarray:
+    """sum_i m w_i |v_i|^(1-alpha) along the last axis of ``values``: one
+    field's mass, or one per row of a block."""
+    return omega.grid.measure * (
+        omega.values * np.abs(values) ** (1.0 - alpha)).sum(axis=-1)
 
 
 def lambda_alpha(chain: ChainResult) -> SingularSolution:
@@ -89,7 +97,7 @@ def solution_from_field(u: Field, omega: WeightField, kernel: Kernel,
                        "use estimate_mu_direct")
     p = kernel.params.p
     sn = seminorm_p(u, kernel)
-    mass = _weighted_power_mass(u, omega, alpha)
+    mass = float(_weighted_power_mass(u.values, omega, alpha))
     log_normalizer = -math.log(mass) / (1.0 - alpha)
     # exp leaves the double range near +-709; fail with advice instead of
     # surfacing a bare overflow
@@ -163,56 +171,51 @@ def verify_sobolev(solution: SingularSolution, trials: int = 1000,
     kernel, omega = solution.kernel, solution.omega
     p = kernel.params.p
     log_c = math.log(constant) if constant is not None else solution.log_lam
-    c_val = math.exp(log_c)
 
-    def slack(v: Field) -> tuple[float, float]:
-        sn = seminorm_p(v, kernel)
-        mass = _weighted_power_mass(v, omega, alpha)
-        if mass == 0.0:
-            return sn, sn
-        term = math.exp(log_c + p / (1.0 - alpha) * math.log(mass))
-        s = sn - term
-        return s, sn
+    def term(block: np.ndarray) -> np.ndarray:
+        mass = _weighted_power_mass(block, omega, alpha)
+        return np.exp(log_c + p / (1.0 - alpha) * _log_or_minus_inf(mass))
 
-    return _certify(slack, c_val, kernel.grid, solution.extremal, trials,
+    return _certify(term, math.exp(log_c), kernel, solution.extremal, trials,
                     seed, extremal_scales, extra_fields)
 
 
-def _certify(slack, constant: float, grid, extremal: Field, trials: int,
-             seed: int, extremal_scales, extra_fields) -> CertificationReport:
-    """Summarize ``slack`` (returning slack and [v]^p) over the seeded trial
-    fields, then ``extra_fields``, then the nonzero multiples of the
-    extremal."""
+def _log_or_minus_inf(x: np.ndarray) -> np.ndarray:
+    """Nodewise log x, with -inf where x is zero (and no warning)."""
+    return np.log(x, out=np.full(x.shape, -math.inf), where=x > 0.0)
 
-    def candidates():
-        for index in range(trials):
-            yield trial_field(grid, seed, index), False
-        for v in extra_fields:
-            yield v, False
-        for k in extremal_scales:
-            v = k * extremal
-            if np.any(v.values != 0.0):
-                yield v, True
 
-    min_slack = math.inf
-    min_rel = math.inf
-    violations = 0
-    extremal_max_rel = 0.0
-    for v, is_extremal in candidates():
-        s, sn = slack(v)
-        rel = s / sn if sn > 0.0 else 0.0
-        min_slack = min(min_slack, s)
-        min_rel = min(min_rel, rel)
-        if rel < -1e-8:
-            violations += 1
-        if is_extremal:
-            extremal_max_rel = max(extremal_max_rel, abs(s) / sn)
+def _certify(term, constant: float, kernel: Kernel, extremal: Field,
+             trials: int, seed: int, extremal_scales,
+             extra_fields) -> CertificationReport:
+    """Summarize the slack [v]^p - term(v) over the seeded trial fields,
+    then ``extra_fields``, then the nonzero multiples of the extremal.
+
+    ``term`` maps a block of fields, one per row, to the array of its
+    right-hand sides.  The trials are drawn and evaluated in the chunks of
+    ``sampling.trial_chunks``; the extra fields and the multiples form one
+    last block.
+    """
+    multiples = np.multiply.outer(extremal_scales, extremal.values)
+    multiples = multiples[multiples.any(axis=1)]
+    tail = np.array([v.values for v in extra_fields] + list(multiples))
+    energy, rhs = [], []
+    for block in itertools.chain(trial_chunks(kernel.grid, seed, trials),
+                                 [tail.reshape(-1, extremal.values.size)]):
+        energy.append(block_seminorm_p(block, kernel))
+        rhs.append(term(block))
+    energy = np.concatenate(energy)
+    slack = energy - np.concatenate(rhs)
+    rel = np.divide(slack, energy, out=np.zeros_like(slack),
+                    where=energy > 0.0)
+    at_extremal = slice(slack.size - len(multiples), slack.size)
     return CertificationReport(
         trials=trials,
-        min_slack=float(min_slack),
-        min_slack_rel=float(min_rel),
-        violations=violations,
-        extremal_max_rel=float(extremal_max_rel),
+        min_slack=float(slack.min(initial=math.inf)),
+        min_slack_rel=float(rel.min(initial=math.inf)),
+        violations=int((rel < -1e-8).sum()),
+        extremal_max_rel=float((np.abs(slack[at_extremal])
+                                / energy[at_extremal]).max(initial=0.0)),
         constant=float(constant),
     )
 
@@ -349,9 +352,7 @@ class MuEstimate:
 
 def estimate_mu_direct(omega: WeightField, kernel: Kernel,
                        opts: ChainOptions | None = None,
-                       chain: ChainResult | None = None,
-                       residual_trials: int = 100,
-                       residual_seed: int = 11) -> MuEstimate:
+                       chain: ChainResult | None = None) -> MuEstimate:
     """Best log-inequality constant from the alpha = 1 singular solution.
 
     The operator is p-homogeneous, so rescaling the alpha = 1 solution
@@ -368,15 +369,12 @@ def estimate_mu_direct(omega: WeightField, kernel: Kernel,
         raise FssError("estimate_mu_direct needs an alpha = 1 chain")
     if not chain.converged:
         raise FssError("alpha = 1 chain did not converge")
-    est = mu_from_field(chain.u_alpha, omega, kernel,
-                        residual_trials=residual_trials,
-                        residual_seed=residual_seed)
+    est = mu_from_field(chain.u_alpha, omega, kernel)
     return replace(est, chain=chain)
 
 
-def mu_from_field(u_star: Field, omega: WeightField, kernel: Kernel,
-                  residual_trials: int = 100,
-                  residual_seed: int = 11) -> MuEstimate:
+def mu_from_field(u_star: Field, omega: WeightField,
+                  kernel: Kernel) -> MuEstimate:
     """Log-inequality constant from an alpha = 1 solution field directly."""
     log_int = log_functional(u_star, omega)
     if math.isinf(log_int):
@@ -387,7 +385,7 @@ def mu_from_field(u_star: Field, omega: WeightField, kernel: Kernel,
     mu = seminorm_p(v, kernel)
     log_mean = log_functional(v, omega)
     res = weak_residual(v, _scaled_weight(omega, mu / omega.norm_1), 1.0,
-                        kernel, trials=residual_trials, seed=residual_seed)
+                        kernel, seed=_MU_RESIDUAL_SEED)
     return MuEstimate(
         mu_direct=float(mu),
         extremal=v,
@@ -458,17 +456,15 @@ def verify_log_sobolev(estimate: MuEstimate, trials: int = 1000,
     p = kernel.params.p
     mu = constant if constant is not None else estimate.mu_direct
     log_mu = math.log(mu)
+    active = omega.values > 0.0
 
-    def slack(v: Field) -> tuple[float, float]:
-        sn = seminorm_p(v, kernel)
-        li = log_functional(v, omega)
-        if math.isinf(li):
-            return sn, sn
-        term = math.exp(log_mu + p / omega.norm_1 * li)
-        return sn - term, sn
+    def term(block: np.ndarray) -> np.ndarray:
+        logs = _log_or_minus_inf(np.abs(block[:, active]))
+        li = kernel.grid.measure * (omega.values[active] * logs).sum(axis=1)
+        return np.exp(log_mu + p / omega.norm_1 * li)
 
-    return _certify(slack, mu, kernel.grid, estimate.extremal, trials,
-                    seed, extremal_scales, extra_fields)
+    return _certify(term, mu, kernel, estimate.extremal, trials, seed,
+                    extremal_scales, extra_fields)
 
 
 @dataclass(frozen=True)

@@ -167,26 +167,31 @@ def _pair_blocks(values: np.ndarray, kernel: Kernel):
 def _gradient(values: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Nodal gradient A u of (1/p)[u]^p: the one pairwise pass.
 
+    ``values`` is one field or an (M, k) block with one field per column.
     A u_i = 2 sum_j w_ij phi_p(u_i - u_j) + 2 B_i phi_p(u_i), which at
-    p = 2 is one matvec against the cached stiffness matrix.  Other p sum
-    the pair terms in row blocks through the kernel's two reused
-    ``pair_buffers``, so no M x M temporary is allocated per call.
+    p = 2 is one matvec (one GEMM for a block) against the cached
+    stiffness matrix.  Other p sum the pair terms of each field in row
+    blocks through the kernel's two reused ``pair_buffers``, so no M x M
+    temporary is allocated per call, and store each field's gradient in a
+    contiguous column.
     """
     p = kernel.params.p
     if p == 2.0:
         return kernel.stiffness @ values
     w = kernel.w_interior
     term_buf = kernel.pair_buffers[1]
-    g = np.empty(values.size)
-    for rows, diff in _pair_blocks(values, kernel):
-        term = term_buf[:diff.shape[0]]
-        np.abs(diff, out=term)
-        np.power(term, p - 1.0, out=term)
-        np.copysign(term, diff, out=term)
-        np.multiply(w[rows], term, out=term)
-        np.sum(term, axis=1, out=g[rows])
-    g *= 2.0
-    g += 2.0 * kernel.boundary_weight * phi_p(values, p)
+    g = np.empty(values.shape, order="F")
+    n = values.shape[0]
+    for u, out in zip(values.reshape(n, -1).T, g.reshape(n, -1).T):
+        for rows, diff in _pair_blocks(u, kernel):
+            term = term_buf[:diff.shape[0]]
+            np.abs(diff, out=term)
+            np.power(term, p - 1.0, out=term)
+            np.copysign(term, diff, out=term)
+            np.multiply(w[rows], term, out=term)
+            np.sum(term, axis=1, out=out[rows])
+        out *= 2.0
+        out += 2.0 * kernel.boundary_weight * phi_p(u, p)
     return g
 
 
@@ -214,6 +219,19 @@ def apply_operator(u: Field, kernel: Kernel) -> np.ndarray:
     for every field v.
     """
     return _gradient(_field_on_kernel(u, kernel), kernel)
+
+
+def block_gradient(block: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """A v for each row v of the (k, M) ``block``, as the rows of a new
+    (k, M) array; row by row equal to ``apply_operator`` (bitwise at
+    p != 2, to rounding at p = 2, where the block is one GEMM)."""
+    return _gradient(block.T, kernel).T
+
+
+def block_seminorm_p(block: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """[v]^p = <A v, v> for each row v of the (k, M) ``block``; row by
+    row equal to ``seminorm_p`` (bitwise at p != 2)."""
+    return np.vecdot(block, block_gradient(block, kernel))
 
 
 def energy_and_gradient(values: np.ndarray, kernel: Kernel,

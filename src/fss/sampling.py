@@ -1,21 +1,27 @@
-"""Deterministic random test fields for residual checks and certification.
+"""Deterministic random test fields for residual checks, certification and
+the lemma checkers, drawn as blocks with one field per row.
 
-Each trial draws from its own generator seeded by (seed, index), so trials
-are reproducible independently of evaluation order.  Nine out of ten
-trials are rough fields (independent uniform values in [-1, 1] per node);
-every tenth is a smooth bump profile with random center, width, and
-amplitude, covering extremal-like candidates as well.
+Trial ``index`` draws from its own generator seeded by (seed, index), so
+every trial is reproducible independently of the block it lands in and of
+evaluation order.  Nine out of ten trials are rough fields (independent
+uniform values in [-1, 1] per node); every tenth is a smooth bump profile
+with random center, width, and amplitude, covering extremal-like
+candidates as well.
+
+The checks draw and evaluate their trials in chunks (``trial_chunks``) of
+at most ``grid.PAIR_BLOCK_ELEMENTS`` values, one row per field, so their
+scratch memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid
-from .operators import Field
+from .grid import PAIR_BLOCK_ELEMENTS, Grid
 
 
-def trial_field(grid: Grid, seed: int, index: int) -> Field:
+def trial_field(grid: Grid, seed: int, index: int) -> np.ndarray:
+    """Nodal values of trial ``index`` of the sequence for ``seed``."""
     rng = np.random.default_rng([int(seed), int(index)])
     if index % 10 == 9:
         lo = np.array([b[0] for b in grid.box])
@@ -29,9 +35,23 @@ def trial_field(grid: Grid, seed: int, index: int) -> Field:
             values = rng.uniform(-1.0, 1.0, grid.interior_count)
     else:
         values = rng.uniform(-1.0, 1.0, grid.interior_count)
-    return Field(values, grid)
+    return values
 
 
-def trial_fields(grid: Grid, trials: int, seed: int):
-    for index in range(trials):
-        yield trial_field(grid, seed, index)
+def trial_block(grid: Grid, seed: int, start: int, count: int) -> np.ndarray:
+    """Trials ``start`` to ``start + count - 1`` as a (count, M) array."""
+    block = np.empty((count, grid.interior_count))
+    for row in range(count):
+        block[row] = trial_field(grid, seed, start + row)
+    return block
+
+
+def trial_chunks(grid: Grid, seed: int, count: int, group: int = 1):
+    """The first ``count * group`` trials as consecutive blocks (one field
+    per row) of whole groups of ``group`` trials, each block holding at
+    most ``PAIR_BLOCK_ELEMENTS`` values, or one group when a group alone
+    holds more."""
+    step = max(1, PAIR_BLOCK_ELEMENTS // (group * grid.interior_count))
+    for first in range(0, count, step):
+        yield trial_block(grid, seed, group * first,
+                          group * min(step, count - first))

@@ -33,18 +33,25 @@ from .operators import (Field, WeightField, energy_and_gradient, norm_r,
 
 # Energy comparisons tolerate accumulated rounding of the pairwise sums.
 _DESCENT_SLACK = 1e-13
+# Armijo line search, shared with the chain's Newton steps: the step
+# shrink factor, the sufficient-decrease fraction of the predicted
+# decrease, and the number of shrinks before the search fails.
+BACKTRACK = 0.5
+SUFFICIENT_DECREASE = 1e-4
+MAX_BACKTRACKS = 60
+# Curvature pairs kept by L-BFGS.
+_LBFGS_MEMORY = 8
+# Starts and iterations per start of the theta > 1 embedding search.
+_EMBEDDING_STARTS = 8
+_EMBEDDING_ITERATIONS = 4000
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and line-search parameters for the energy descent."""
+    """Gradient tolerance and iteration budget of the energy descent."""
 
     grad_tol: float = 1e-10
     max_iter: int = 10000
-    backtrack: float = 0.5
-    sufficient_decrease: float = 1e-4
-    lbfgs_memory: int = 8
-    max_backtracks: int = 60
 
     def __post_init__(self):
         if self.grad_tol <= 0.0:
@@ -101,13 +108,13 @@ def _minimize(kernel: Kernel, rhs: np.ndarray | None, x0: np.ndarray,
         # test carries the corresponding epsilon allowance so the iteration
         # can keep refining down to the floating-point floor.
         noise = 8.0 * np.finfo(float).eps * (1.0 + abs(fval))
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = u + t * d
             ftrial, gtrial = energy_and_gradient(trial, kernel, rhs)
-            if ftrial <= fval + opts.sufficient_decrease * t * slope + noise:
+            if ftrial <= fval + SUFFICIENT_DECREASE * t * slope + noise:
                 accepted = True
                 break
-            t *= opts.backtrack
+            t *= BACKTRACK
         if not accepted:
             # Backtracked to machine precision with the gradient still above
             # tolerance: the requested accuracy is not reachable in doubles.
@@ -141,7 +148,7 @@ def _minimize(kernel: Kernel, rhs: np.ndarray | None, x0: np.ndarray,
         if sy > 1e-14 * float(np.linalg.norm(s) * np.linalg.norm(y)):
             s_hist.append(s)
             y_hist.append(y)
-            if len(s_hist) > opts.lbfgs_memory:
+            if len(s_hist) > _LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         u, fval, grad, step = trial, ftrial, gtrial, t
@@ -225,8 +232,7 @@ def _normalize_theta(values: np.ndarray, measure: float, theta: float) -> np.nda
 
 def embedding_constant(theta: float, kernel: Kernel,
                        opts: SolveOptions | None = None,
-                       starts: int = 8, seed: int = 0,
-                       max_iter: int = 4000) -> EmbeddingConstant:
+                       seed: int = 0) -> EmbeddingConstant:
     """Maximize ||v||_theta^p / [v]^p over nonzero discrete fields.
 
     At theta = 1 the maximizer is the torsion field u, the solution of
@@ -235,20 +241,20 @@ def embedding_constant(theta: float, kernel: Kernel,
 
     For theta > 1 the value is a lower bound on S_theta: the quotient is
     maximized by projected gradient descent on the unit L^theta sphere,
-    with backtracking, from ``starts`` seeded initial fields (constant,
-    random nonnegative, bump), and the best value across starts is
-    returned.  The quotient is invariant under v -> |v|, so iterates are
-    kept nonnegative.
+    with backtracking, from eight seeded initial fields (constant, bump,
+    random nonnegative), and the best value across starts is returned.
+    The quotient is invariant under v -> |v|, so iterates are kept
+    nonnegative.
 
     ``theta`` must satisfy 1 <= theta <= p_star (finite); the critical
     exponent itself is allowed since every discrete embedding is a finite
     maximum.
     """
     params = kernel.params
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if theta < 1.0:
         raise ValueError(f"theta must be at least 1, got {theta}")
-    if math.isinf(theta):
-        raise ValueError("theta must be finite")
     if params.p_star < math.inf and theta > params.p_star + 1e-12:
         raise ValueError(
             f"theta {theta} exceeds the critical exponent {params.p_star}"
@@ -269,22 +275,21 @@ def embedding_constant(theta: float, kernel: Kernel,
     width = 0.25 * max(hi - lo for lo, hi in grid.box)
     d2 = ((grid.interior - center) ** 2).sum(axis=1)
     inits.append(np.exp(-d2 / (2.0 * width**2)))
-    while len(inits) < max(starts, 1):
+    while len(inits) < _EMBEDDING_STARTS:
         inits.append(np.abs(rng.standard_normal(n)) + 1e-3)
 
     best_val = math.inf
     best_field = None
-    shrink = opts.backtrack
-    for v0 in inits[:max(starts, 1)]:
+    for v0 in inits:
         v = _normalize_theta(np.abs(v0), m, theta)
         fval, grad = energy_and_gradient(v, kernel, None)
         t = 1.0
-        for _ in range(max_iter):
+        for _ in range(_EMBEDDING_ITERATIONS):
             moved = False
             while t > 1e-22:
                 shifted = np.abs(v - t * grad)
                 if not shifted.any():
-                    t *= shrink
+                    t *= BACKTRACK
                     continue
                 trial = _normalize_theta(shifted, m, theta)
                 ftrial, gtrial = energy_and_gradient(trial, kernel, None)
@@ -293,7 +298,7 @@ def embedding_constant(theta: float, kernel: Kernel,
                     moved = True
                     t *= 2.0
                     break
-                t *= shrink
+                t *= BACKTRACK
             if not moved:
                 break
         if fval < best_val:
@@ -309,7 +314,7 @@ def embedding_constant(theta: float, kernel: Kernel,
         theta=float(theta),
         value=float(value),
         extremizer=field,
-        starts=max(starts, 1),
+        starts=_EMBEDDING_STARTS,
     )
 
 

@@ -1,17 +1,20 @@
 """Independent oracles: bisection for the scalar system, dense linear
 algebra for p = 2, plain double sums for the energy, pairing, gradient
-and Hessian, finite differences for gradients, and the frozen-datum map
-T of the approximation chain.
+and Hessian, finite differences for gradients, the frozen-datum map T of
+the approximation chain, and the one-field-at-a-time trial draw and
+certification loop.
 
 These never call the solver paths they certify: T solves with L-BFGS,
-while the chain solves its levels by Newton.
+while the chain solves its levels by Newton, and the certification loop
+evaluates each trial field on its own, while the package evaluates them
+in blocks.
 """
 
 import math
 
 import numpy as np
 
-from fss import solve_nonsingular
+from fss import Field, solve_nonsingular
 
 
 def bisect(fun, lo: float, hi: float, iters: int = 400) -> float:
@@ -189,3 +192,57 @@ def fixed_point_step(problem, kernel, w, opts=None):
         np.abs(w.values) + problem.shift
     ) ** problem.alpha
     return solve_nonsingular(datum, kernel, opts, x0=w)
+
+
+def trial_field(grid, seed: int, index: int) -> Field:
+    """Trial ``index`` for ``seed`` drawn on its own: the reference for the
+    package's block draw."""
+    rng = np.random.default_rng([int(seed), int(index)])
+    if index % 10 == 9:
+        lo = np.array([b[0] for b in grid.box])
+        hi = np.array([b[1] for b in grid.box])
+        center = lo + rng.uniform(0.2, 0.8, size=grid.n_dim) * (hi - lo)
+        width = rng.uniform(0.1, 0.5) * float((hi - lo).max())
+        amplitude = rng.uniform(-2.0, 2.0)
+        d2 = ((grid.interior - center) ** 2).sum(axis=1)
+        values = amplitude * np.exp(-d2 / (2.0 * width**2))
+        if np.all(values == 0.0):
+            values = rng.uniform(-1.0, 1.0, grid.interior_count)
+    else:
+        values = rng.uniform(-1.0, 1.0, grid.interior_count)
+    return Field(values, grid)
+
+
+def certify_per_field(slack, grid, extremal, trials: int, seed: int,
+                      extremal_scales, extra_fields) -> dict:
+    """The certification loop one field at a time: ``slack(v)`` returns
+    the slack and [v]^p of one field, over the seeded trials, then
+    ``extra_fields``, then the nonzero multiples of the extremal.  Returns
+    the fields of a ``CertificationReport`` but the constant."""
+
+    def candidates():
+        for index in range(trials):
+            yield trial_field(grid, seed, index), False
+        for v in extra_fields:
+            yield v, False
+        for k in extremal_scales:
+            v = k * extremal
+            if np.any(v.values != 0.0):
+                yield v, True
+
+    min_slack = math.inf
+    min_rel = math.inf
+    violations = 0
+    extremal_max_rel = 0.0
+    for v, is_extremal in candidates():
+        s, sn = slack(v)
+        rel = s / sn if sn > 0.0 else 0.0
+        min_slack = min(min_slack, s)
+        min_rel = min(min_rel, rel)
+        if rel < -1e-8:
+            violations += 1
+        if is_extremal:
+            extremal_max_rel = max(extremal_max_rel, abs(s) / sn)
+    return {"trials": trials, "min_slack": min_slack,
+            "min_slack_rel": min_rel, "violations": violations,
+            "extremal_max_rel": extremal_max_rel}

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fss import (
     ChainOptions,
     Field,
+    apply_operator,
     FracParams,
     FssError,
     SolveOptions,
@@ -33,6 +34,7 @@ from conftest import (
 from oracles import (
     dense_p2_matrix,
     fixed_point_step,
+    trial_field,
     scalar_level_solution,
     scalar_singular_solution,
 )
@@ -553,6 +555,34 @@ class TestWeakResidual:
         with pytest.raises(FssError, match="interior-positive"):
             weak_residual(Field.zero(kernel_1d.grid), bump_weight, 0.5,
                           kernel_1d)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_checking_nothing(self, kernel_1d, bump_weight, trials):
+        with pytest.raises(ValueError, match="trials"):
+            weak_residual(Field.constant(kernel_1d.grid, 1.0), bump_weight,
+                          0.5, kernel_1d, trials=trials)
+
+    @pytest.mark.parametrize("fixture", ["kernel_1d", "kernel_1d_p3"])
+    def test_matches_per_field_loop(self, fixture, request, bump_weight):
+        # The probes are evaluated as one block; the reference takes them
+        # one field at a time.  Both sides agree to rounding.
+        kernel = request.getfixturevalue(fixture)
+        p = kernel.params.p
+        u = Field(np.linspace(0.2, 1.0, kernel.interior_count), kernel.grid)
+        source = kernel.grid.measure * bump_weight.values / u.values**0.5
+        grad = apply_operator(u, kernel)
+        residuals, slacks = [], []
+        for index in range(100):
+            phi = trial_field(kernel.grid, 6, index)
+            norm = seminorm_p(phi, kernel) ** (1.0 / p)
+            residuals.append(abs(float(grad @ phi.values)
+                                 - float(source @ phi.values)) / (1.0 + norm))
+            slacks.append(seminorm_p(u, kernel) ** ((p - 1.0) / p) * norm
+                          - abs(float(source @ phi.values)))
+        report = weak_residual(u, bump_weight, 0.5, kernel, trials=100, seed=6)
+        scale = np.abs(grad).sum() + np.abs(source).sum()
+        assert abs(report.max_residual - max(residuals)) <= 1e-14 * scale
+        assert abs(report.aux_min_slack - min(slacks)) <= 1e-14 * scale
 
 
 class TestLinftyBound:

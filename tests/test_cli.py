@@ -7,7 +7,7 @@ from fss.cli import run_command
 from test_config_io import write_config
 
 
-def cli_config(tmp_path, **problem):
+def cli_config(tmp_path, p=2.0, **problem):
     out = {
         "solution": str(tmp_path / "sol.json"),
         "diagnostics": str(tmp_path / "diag.json"),
@@ -17,6 +17,7 @@ def cli_config(tmp_path, **problem):
     overrides = {
         "grid": {"box": [[0.0, 1.0]], "h": 1.0 / 17, "collar_width": 0.5,
                  "tail_enabled": True},
+        "params": {"s": 0.5, "p": p},
         "weight": {"kind": "compact-bump", "radius": 0.3, "r": 3.0},
         "problem": {"alpha": 0.5,
                     "alpha_grid": [0.9, 0.95, 0.99],
@@ -95,8 +96,9 @@ class TestSingleNodeOracle:
 
 
 class TestVerifyCommand:
-    def test_verify_roundtrip(self, tmp_path):
-        path, out = cli_config(tmp_path)
+    @pytest.mark.parametrize("p,alpha", [(2.0, 0.5), (2.0, 1.0), (3.0, 0.5)])
+    def test_verify_roundtrip(self, tmp_path, p, alpha):
+        path, out = cli_config(tmp_path, p=p, alpha=alpha)
         assert run_command(["solve", "--config", path]) == 0
         report_path = str(tmp_path / "report.json")
         rc = run_command(["verify", "--config", path,
@@ -106,6 +108,21 @@ class TestVerifyCommand:
         report = json.load(open(report_path))
         assert report["passed"] is True
         assert report["violations"] == 0
+        assert report["trials"] == 150
+        assert ("lambda" in report) == (alpha < 1.0)
+        assert ("mu" in report) == (alpha == 1.0)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--trials", "-5"), ("--trials", "0"), ("--seed", "-3"),
+    ])
+    def test_rejects_checking_nothing(self, tmp_path, capsys, flag, value):
+        path, out = cli_config(tmp_path)
+        run_command(["solve", "--config", path])
+        capsys.readouterr()
+        rc = run_command(["verify", "--config", path,
+                          "--solution", out["solution"], flag, value])
+        assert rc == 1
+        assert f"error: {flag}: must be a " in capsys.readouterr().err
 
     def test_verify_seeded_determinism(self, tmp_path):
         path, out = cli_config(tmp_path)
@@ -206,6 +223,14 @@ class TestPropsAndConstant:
         assert rc == 0
         assert json.load(open(out))["value"] > 0.0
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_constant_rejects_non_finite_theta(self, tmp_path, capsys,
+                                               theta):
+        path, _ = cli_config(tmp_path)
+        rc = run_command(["constant", "--config", path, "--theta", theta])
+        assert rc == 1
+        assert "error: theta must be finite" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self):
@@ -231,3 +256,15 @@ class TestExitCodes:
                             "--solution", out["solution"],
                             "--report", report]) == 0
         assert json.load(open(report))["seed"] == 9
+
+    @pytest.mark.parametrize("command", ["verify", "props", "constant"])
+    def test_negative_seed_env_is_usage_error(self, tmp_path, monkeypatch,
+                                              capsys, command):
+        path, out = cli_config(tmp_path)
+        run_command(["solve", "--config", path])
+        monkeypatch.setenv("FSS_SEED", "-1")
+        capsys.readouterr()
+        extra = {"verify": ["--solution", out["solution"]],
+                 "props": [], "constant": ["--theta", "2"]}[command]
+        assert run_command([command, "--config", path] + extra) == 1
+        assert "env.FSS_SEED" in capsys.readouterr().err

@@ -107,6 +107,23 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path))
         assert cfg.seed == 7
 
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5"])
+    def test_rejects_bad_seed_env(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("FSS_SEED", value)
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path))
+        assert err.value.field == "env.FSS_SEED"
+
+    @pytest.mark.parametrize("key,value", [
+        ("trials", True), ("trials", 0), ("trials", -5), ("trials", 2.5),
+        ("seed", False), ("seed", -3), ("seed", "7"),
+    ])
+    def test_rejects_bad_verification(self, tmp_path, key, value):
+        path = write_config(tmp_path, {"verification": {key: value}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.field == f"verification.{key}"
+
     def test_hash_stability(self, tmp_path):
         a = load_config(write_config(tmp_path))
         b = load_config(write_config(tmp_path, name="other.json"))

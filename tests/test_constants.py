@@ -13,6 +13,7 @@ from fss import (
     estimate_mu,
     estimate_mu_direct,
     lambda_alpha,
+    log_functional,
     run_chain,
     seminorm_p,
     solution_from_field,
@@ -22,7 +23,13 @@ from fss import (
 )
 
 from conftest import synthetic_unit_kernel, tight_chain_options
-from oracles import scalar_lambda, scalar_mu, scalar_singular_solution
+from oracles import (
+    certify_per_field,
+    scalar_lambda,
+    scalar_mu,
+    scalar_singular_solution,
+)
+from test_sampling import record_chunks
 
 ALPHA_GRID = (0.90, 0.925, 0.95, 0.975, 0.99)
 
@@ -315,6 +322,116 @@ class TestVerifyLogSobolev:
         report = verify_log_sobolev(bump_mu, trials=10, seed=42,
                                     constant=bump_mu.mu_direct * 1.001)
         assert report.violations > 0
+
+
+def sobolev_slack(solution, constant):
+    """The per-field slack of the power-mean inequality: slack and [v]^p."""
+    kernel, omega, alpha = solution.kernel, solution.omega, solution.alpha
+    p = kernel.params.p
+
+    def slack(v):
+        sn = seminorm_p(v, kernel)
+        mass = float(kernel.grid.measure * (
+            omega.values * np.abs(v.values) ** (1.0 - alpha)).sum())
+        if mass == 0.0:
+            return sn, sn
+        return sn - math.exp(math.log(constant)
+                             + p / (1.0 - alpha) * math.log(mass)), sn
+
+    return slack
+
+
+def log_sobolev_slack(estimate, constant):
+    """The per-field slack of the exponential-log inequality."""
+    kernel, omega = estimate.kernel, estimate.omega
+    p = kernel.params.p
+
+    def slack(v):
+        sn = seminorm_p(v, kernel)
+        li = log_functional(v, omega)
+        if math.isinf(li):
+            return sn, sn
+        return sn - math.exp(math.log(constant) + p / omega.norm_1 * li), sn
+
+    return slack
+
+
+class TestBlockCertification:
+    """The certifications evaluate their candidates in blocks; the loop one
+    field at a time (``oracles.certify_per_field``) is the reference.  The
+    slacks agree to rounding (1e-13 of the largest [v]^p), the counts
+    exactly."""
+
+    @pytest.fixture
+    def extra_fields(self, kernel_1d, bump_weight):
+        grid = kernel_1d.grid
+        off_support = np.where(bump_weight.values > 0.0, 0.0, 1.0)
+        zero_at_peak = np.ones(grid.interior_count)
+        zero_at_peak[np.argmax(bump_weight.values)] = 0.0
+        return (Field(off_support, grid), Field(zero_at_peak, grid),
+                Field.zero(grid), Field.constant(grid, -0.7))
+
+    CASES = {
+        "trials": dict(trials=300, seed=42),
+        "inflated": dict(trials=50, seed=3, factor=1.001),
+        "extra-fields": dict(trials=20, seed=5, extra=True),
+        "no-multiples": dict(trials=0, seed=0, extra=True,
+                             extremal_scales=()),
+        "nothing": dict(trials=0, seed=0, extremal_scales=()),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("inequality", ["power-mean", "log"])
+    def test_matches_per_field_loop(self, bump_solution_05, bump_mu,
+                                    extra_fields, inequality, case):
+        spec = dict(self.CASES[case])
+        factor = spec.pop("factor", 1.0)
+        if spec.pop("extra", False):
+            spec["extra_fields"] = extra_fields
+        if inequality == "power-mean":
+            subject, verify = bump_solution_05, verify_sobolev
+            constant = factor * bump_solution_05.lam
+            slack = sobolev_slack(bump_solution_05, constant)
+        else:
+            subject, verify = bump_mu, verify_log_sobolev
+            constant = factor * bump_mu.mu_direct
+            slack = log_sobolev_slack(bump_mu, constant)
+        energies = [0.0]
+
+        def recorded(v):
+            s, sn = slack(v)
+            energies.append(sn)
+            return s, sn
+
+        expected = certify_per_field(
+            recorded, subject.kernel.grid, subject.extremal, spec["trials"],
+            spec["seed"], spec.get("extremal_scales", (-2.0, 0.5, 1.0)),
+            spec.get("extra_fields", ()))
+        report = verify(subject, constant=constant, **spec)
+        tol = 1e-13 * max(energies)
+        assert report.trials == expected["trials"]
+        assert report.violations == expected["violations"]
+        assert report.constant == pytest.approx(constant, rel=1e-15)
+        for key in ("min_slack", "min_slack_rel", "extremal_max_rel"):
+            if math.isinf(expected[key]):
+                assert getattr(report, key) == expected[key]
+            else:
+                assert abs(getattr(report, key) - expected[key]) <= tol
+
+    @pytest.mark.parametrize("inequality", ["power-mean", "log"])
+    def test_chunks_within_bound(self, bump_solution_05, bump_mu,
+                                 monkeypatch, inequality):
+        subject, verify = ((bump_solution_05, verify_sobolev)
+                           if inequality == "power-mean"
+                           else (bump_mu, verify_log_sobolev))
+        whole = verify(subject, trials=100, seed=42)
+        bound = 7 * subject.kernel.interior_count
+        sizes = record_chunks(monkeypatch, bound)
+        chunked = verify(subject, trials=100, seed=42)
+        assert len(sizes) == 15 and max(sizes) <= bound
+        assert chunked.violations == whole.violations
+        assert chunked.min_slack_rel == pytest.approx(whole.min_slack_rel,
+                                                      abs=1e-13)
 
 
 class TestExtremalPowerMeans:

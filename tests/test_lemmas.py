@@ -13,8 +13,12 @@ from fss import (
     embedding_constant,
     level_set_sizes,
     norm_r,
+    pairing,
     run_chain,
+    seminorm_p,
 )
+
+from oracles import trial_field
 
 
 class TestVectorInequalities:
@@ -74,6 +78,34 @@ class TestStrongMonotonicity:
         a = check_strong_monotonicity(kernel_1d_p3, trials=100, seed=4)
         b = check_strong_monotonicity(kernel_1d_p3, trials=100, seed=4)
         assert a.to_json_record() == b.to_json_record()
+
+    @pytest.mark.parametrize("fixture",
+                             ["kernel_1d_p15", "kernel_1d", "kernel_1d_p3"])
+    def test_matches_per_pair_loop(self, fixture, request):
+        # The pairs are evaluated in blocks; the reference takes one pair
+        # at a time.  Bitwise equal at p != 2; at p = 2 every ratio is 1
+        # to rounding, so only the constant is compared.
+        kernel = request.getfixturevalue(fixture)
+        p = kernel.params.p
+        ratios = []
+        for t in range(50):
+            v1 = trial_field(kernel.grid, 4, 2 * t)
+            v2 = trial_field(kernel.grid, 4, 2 * t + 1)
+            d = v1 - v2
+            den = seminorm_p(d, kernel)
+            if p < 2.0:
+                den = den ** (2.0 / p) / (seminorm_p(v1, kernel)
+                                          + seminorm_p(v2, kernel)) ** (
+                    (2.0 - p) / p)
+            ratios.append((pairing(v1, d, kernel) - pairing(v2, d, kernel))
+                          / den)
+        report = check_strong_monotonicity(kernel, trials=50, seed=4)
+        if p == 2.0:
+            assert report.constants["C"] == pytest.approx(min(ratios),
+                                                          abs=1e-13)
+        else:
+            assert report.constants["C"] == min(ratios)
+            assert report.witness["trial"] == int(np.argmin(ratios))
 
 
 class TestQIdentity:

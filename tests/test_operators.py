@@ -21,7 +21,13 @@ from fss import (
     weighted_qmean,
 )
 from fss.grid import PAIR_BLOCK_ELEMENTS
-from fss.operators import energy_and_gradient, energy_hessian
+from fss.operators import (
+    block_gradient,
+    block_seminorm_p,
+    energy_and_gradient,
+    energy_hessian,
+)
+from fss.sampling import trial_block
 
 from conftest import synthetic_unit_kernel
 from oracles import (
@@ -297,6 +303,43 @@ class TestBlockedPass:
         buffers = kernel.pair_buffers
         apply_operator(u, kernel)
         assert kernel.pair_buffers is buffers
+
+
+class TestBlockEvaluation:
+    """[v]^p and A v of a block of fields, one per row, against the one-field
+    entry points: bitwise at p != 2, to rounding at p = 2 (one GEMM)."""
+
+    # M = 255 runs each field in two blocks of 128 rows, the last partial.
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("box,h,collar", [
+        ([(0.0, 1.0)], 1.0 / 17, 0.5),
+        ([(0.0, 1.0)], 1.0 / 256, 0.5),
+        ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12, 0.25),
+    ], ids=["1d-M16", "1d-M255", "2d-M121"])
+    def test_rows_match_single_fields(self, box, h, collar, p):
+        grid = build_grid(box, h, collar)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=len(box)))
+        block = trial_block(grid, 8, 0, 12)
+        grads = block_gradient(block, kernel)
+        energies = block_seminorm_p(block, kernel)
+        expected_grads = np.array([apply_operator(Field(v, grid), kernel)
+                                   for v in block])
+        expected = np.array([seminorm_p(Field(v, grid), kernel)
+                             for v in block])
+        if p == 2.0:
+            scale = np.abs(expected_grads).max(axis=1, keepdims=True)
+            assert np.all(np.abs(grads - expected_grads) <= 1e-13 * scale)
+            assert np.all(np.abs(energies - expected) <= 1e-13 * expected)
+        else:
+            assert np.array_equal(grads, expected_grads)
+            assert np.array_equal(energies, expected)
+
+    @pytest.mark.parametrize("fixture", ["kernel_1d", "kernel_1d_p3"])
+    def test_empty_block(self, fixture, request):
+        kernel = request.getfixturevalue(fixture)
+        block = np.empty((0, kernel.interior_count))
+        assert block_gradient(block, kernel).shape == block.shape
+        assert block_seminorm_p(block, kernel).shape == (0,)
 
 
 class TestHessian:

@@ -1,0 +1,107 @@
+"""The block draw of trial fields, its chunks, and the checks built on them."""
+
+import numpy as np
+import pytest
+
+from fss import (
+    Field,
+    WeightField,
+    build_grid,
+    check_q_identity,
+    check_strong_monotonicity,
+    weak_residual,
+)
+from fss import sampling
+from fss.grid import PAIR_BLOCK_ELEMENTS
+from fss.sampling import trial_block, trial_chunks
+
+from oracles import trial_field
+
+
+@pytest.fixture(scope="module")
+def grid_2d():
+    """529 interior nodes: 61 trial rows per chunk."""
+    return build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 24, 0.25)
+
+
+class TestTrialBlock:
+    @pytest.mark.parametrize("start,count", [(0, 1), (0, 30), (9, 1),
+                                             (7, 13), (19, 22)])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rows_equal_reference_draw(self, grid_1d, grid_2d, dim, start,
+                                       count):
+        grid = grid_1d if dim == 1 else grid_2d
+        expected = np.array([trial_field(grid, 5, index).values
+                             for index in range(start, start + count)])
+        assert np.array_equal(trial_block(grid, 5, start, count), expected)
+
+    def test_empty(self, grid_1d):
+        assert trial_block(grid_1d, 0, 4, 0).shape == (0, 16)
+
+
+class TestTrialChunks:
+    @pytest.mark.parametrize("count,group", [(1000, 1), (300, 2), (61, 1),
+                                             (7, 2), (0, 1)])
+    def test_chunks_split_the_block(self, grid_2d, count, group):
+        chunks = list(trial_chunks(grid_2d, 3, count, group))
+        assert all(c.size <= PAIR_BLOCK_ELEMENTS for c in chunks)
+        assert all(c.shape[0] % group == 0 for c in chunks)
+        joined = np.concatenate([np.empty((0, grid_2d.interior_count))]
+                                + chunks)
+        assert np.array_equal(joined,
+                              trial_block(grid_2d, 3, 0, count * group))
+
+    def test_group_larger_than_bound_is_one_chunk(self, grid_1d, monkeypatch):
+        monkeypatch.setattr(sampling, "PAIR_BLOCK_ELEMENTS", 20)
+        chunks = list(trial_chunks(grid_1d, 3, 4, 2))
+        assert [c.shape for c in chunks] == [(2, 16)] * 4
+
+
+def record_chunks(monkeypatch, elements):
+    """Cap the chunks at ``elements`` values and record every drawn chunk's
+    size."""
+    monkeypatch.setattr(sampling, "PAIR_BLOCK_ELEMENTS", elements)
+    sizes = []
+    draw = sampling.trial_block
+
+    def recorded(grid, seed, start, count):
+        block = draw(grid, seed, start, count)
+        sizes.append(block.size)
+        return block
+
+    monkeypatch.setattr(sampling, "trial_block", recorded)
+    return sizes
+
+
+def _residual(kernel):
+    grid = kernel.grid
+    u = Field(np.linspace(0.5, 1.5, grid.interior_count), grid)
+    omega = WeightField(np.linspace(0.0, 1.0, grid.interior_count), grid)
+    return weak_residual(u, omega, 0.5, kernel, trials=100, seed=4)
+
+
+CHECKS = {
+    "strong-monotonicity": lambda kernel: check_strong_monotonicity(
+        kernel, trials=100, seed=4).to_json_record(),
+    "q-identity": lambda kernel: check_q_identity(
+        3.0, trials=5, seed=4, kernel=kernel,
+        field_trials=100).to_json_record(),
+    "weak-residual": _residual,
+}
+
+
+class TestChunkedChecks:
+    """Every randomized check draws its trials in chunks within the bound,
+    and its report does not depend on the chunk size (bitwise at p != 2).
+    The certifications are covered in test_constants.py."""
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_chunk_size_is_invisible(self, kernel_1d_p3, monkeypatch, name,
+                                     rows):
+        whole = CHECKS[name](kernel_1d_p3)
+        bound = rows * 2 * kernel_1d_p3.interior_count
+        sizes = record_chunks(monkeypatch, bound)
+        assert CHECKS[name](kernel_1d_p3) == whole
+        assert len(sizes) > 1
+        assert max(sizes) <= bound

@@ -191,6 +191,9 @@ class TestEmbeddingConstant:
             embedding_constant(kernel.params.p_star + 1.0, kernel)
         with pytest.raises(ValueError):
             embedding_constant(math.inf, kernel)
+        # NaN fails every comparison, so it must be caught before them
+        with pytest.raises(ValueError, match="finite"):
+            embedding_constant(math.nan, kernel)
         # the critical exponent itself is a finite discrete maximum
         result = embedding_constant(kernel.params.p_star, kernel)
         assert result.value > 0.0
