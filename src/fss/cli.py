@@ -205,20 +205,17 @@ def _cmd_verify(args) -> int:
         sol = solution_from_field(u, omega, kernel, alpha)
         cert = verify_sobolev(sol, trials=trials, seed=seed)
         report["lambda"] = sol.lam
-        report["min_slack_rel"] = cert.min_slack_rel
-        report["extremal_max_rel"] = cert.extremal_max_rel
-        report["violations"] = cert.violations
-        ok = ok and cert.violations == 0 and cert.extremal_max_rel <= 1e-8
     elif alpha == 1.0:
         est = mu_from_field(u, omega, kernel)
         cert = verify_log_sobolev(est, trials=trials, seed=seed)
         report["mu"] = est.mu_direct
         report["log_mean_residual"] = est.log_mean_residual
+        ok = ok and abs(est.log_mean_residual) <= 1e-8
+    if alpha <= 1.0:
         report["min_slack_rel"] = cert.min_slack_rel
         report["extremal_max_rel"] = cert.extremal_max_rel
         report["violations"] = cert.violations
-        ok = (ok and cert.violations == 0 and cert.extremal_max_rel <= 1e-8
-              and abs(est.log_mean_residual) <= 1e-8)
+        ok = ok and cert.violations == 0 and cert.extremal_max_rel <= 1e-8
     report["passed"] = bool(ok)
     _emit(report, args.report)
     return 0 if ok else CHECK_FAILED

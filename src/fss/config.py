@@ -2,7 +2,8 @@
 
 Configs are JSON files with five blocks (grid, params, weight, problem,
 verification) plus optional output paths.  Validation reports the dotted
-path of each offending field.  Weight kinds:
+path of each offending field; unknown keys, and numbers that are not
+finite JSON numbers, are errors.  Weight kinds:
 
     constant       flat positive level across the domain
     gaussian-bump  Gaussian profile, positive everywhere
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,6 @@ class RunConfig:
     box: tuple
     h: float
     collar_width: float
-    tail_enabled: bool
     s: float
     p: float
     weight_kind: str
@@ -55,26 +56,75 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _need(block: dict, key: str, path: str, kind=None):
+def _need(block: dict, path: str, kind=None):
+    """The required entry at dotted ``path`` within ``block``, of type
+    ``kind`` when given; ``float`` asks for a finite number."""
+    key = path.rpartition(".")[2]
     if key not in block:
-        raise ConfigError("missing required field", f"{path}.{key}")
+        raise ConfigError("missing required field", path)
     value = block[key]
+    if kind is float:
+        return _finite(value, path)
     if kind is not None and not isinstance(value, kind):
         raise ConfigError(
-            f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}",
-            f"{path}.{key}",
-        )
+            f"expected {kind.__name__}, got {type(value).__name__}", path)
     return value
 
 
-_NUMBER = (int, float)
-_PROBLEM_KEYS = ("alpha", "alpha_grid", "n_schedule", "max_levels",
-                 "tolerances")
+# The keys each block accepts.  A weight key that only another weight kind
+# reads is accepted and ignored.
+_KEYS = {
+    "": {"grid", "params", "weight", "problem", "verification", "output"},
+    "grid": {"box", "h", "collar_width", "tail_enabled"},
+    "params": {"s", "p"},
+    "weight": {"kind", "r", "value", "center", "sigma", "radius",
+               "amplitude", "path"},
+    "problem": {"alpha", "alpha_grid", "n_schedule", "max_levels",
+                "tolerances"},
+    "problem.tolerances": {"grad", "fixed_point", "chain", "polish"},
+    "verification": {"trials", "seed"},
+    "output": {"solution", "diagnostics", "sweep_csv", "mu_report"},
+}
+_LARGEST = sys.float_info.max
+
+
+def _known_keys(block: dict, path: str) -> dict:
+    """``block``, the object at dotted ``path``, once every key of it is
+    known to ``_KEYS[path]``; the first unknown key is reported."""
+    if not block.keys() <= _KEYS[path]:
+        key = next(k for k in block if k not in _KEYS[path])
+        raise ConfigError(f"unknown key '{key}'", f"{path}.{key}".lstrip("."))
+    return block
+
+
+def _block(parent: dict, path: str) -> dict:
+    """The optional object at dotted ``path`` (empty when absent)."""
+    block = parent.get(path.rpartition(".")[2], {})
+    if not isinstance(block, dict):
+        raise ConfigError("expected object", path)
+    return _known_keys(block, path)
+
+
+def _finite(value, path: str) -> float:
+    """A finite JSON number as a float.  Booleans, strings, NaN and the
+    infinities (which Python's json reads) are errors."""
+    if type(value) not in (int, float) or not abs(value) <= _LARGEST:
+        raise ConfigError(f"expected a finite number, got {value!r}", path)
+    return float(value)
 
 
 def _is_int(value) -> bool:
     """A JSON integer; true and false are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(block: dict, path: str, default: int, least: int) -> int:
+    """The optional integer at dotted ``path`` within ``block``, at least
+    ``least``."""
+    value = block.get(path.rpartition(".")[2], default)
+    if not _is_int(value) or value < least:
+        raise ConfigError(f"must be an integer >= {least}, got {value!r}", path)
+    return value
 
 
 def load_config(path: str) -> RunConfig:
@@ -92,64 +142,70 @@ def load_config(path: str) -> RunConfig:
         )
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys(raw, "")
 
-    grid_block = _need(raw, "grid", "", dict)
-    box_raw = _need(grid_block, "box", "grid", list)
+    grid_block = _known_keys(_need(raw, "grid", dict), "grid")
+    box_raw = _need(grid_block, "grid.box", list)
     if len(box_raw) not in (1, 2):
         raise ConfigError("box must list 1 or 2 axes", "grid.box")
     box = []
     for i, axis in enumerate(box_raw):
-        if (not isinstance(axis, list) or len(axis) != 2
-                or not all(isinstance(v, _NUMBER) for v in axis)):
+        if not isinstance(axis, list) or len(axis) != 2:
             raise ConfigError("each axis must be [lo, hi]", f"grid.box[{i}]")
-        if axis[1] <= axis[0]:
+        lo, hi = (_finite(v, f"grid.box[{i}]") for v in axis)
+        if hi <= lo:
             raise ConfigError("axis must satisfy lo < hi", f"grid.box[{i}]")
-        box.append((float(axis[0]), float(axis[1])))
-    h = _need(grid_block, "h", "grid", _NUMBER)
+        box.append((lo, hi))
+    h = _need(grid_block, "grid.h", float)
     if h <= 0:
         raise ConfigError("spacing must be positive", "grid.h")
-    collar = _need(grid_block, "collar_width", "grid", _NUMBER)
+    collar = _need(grid_block, "grid.collar_width", float)
     if collar < h:
         raise ConfigError("collar width must be at least one cell",
                           "grid.collar_width")
-    tail = bool(grid_block.get("tail_enabled", True))
+    if grid_block.get("tail_enabled", True) is not True:
+        raise ConfigError("the exterior tail is always on; only true is "
+                          "accepted", "grid.tail_enabled")
 
-    params_block = _need(raw, "params", "", dict)
-    s = _need(params_block, "s", "params", _NUMBER)
+    params_block = _known_keys(_need(raw, "params", dict), "params")
+    s = _need(params_block, "params.s", float)
     if not (0.0 < s < 1.0):
         raise ConfigError("s must lie in (0, 1)", "params.s")
-    p = _need(params_block, "p", "params", _NUMBER)
+    p = _need(params_block, "params.p", float)
     if not (p > 1.0):
         raise ConfigError("p must exceed 1", "params.p")
-    frac = FracParams(s=float(s), p=float(p), n_dim=len(box))
+    frac = FracParams(s=s, p=p, n_dim=len(box))
 
-    weight_block = _need(raw, "weight", "", dict)
-    kind = _need(weight_block, "kind", "weight", str)
+    weight_block = _known_keys(_need(raw, "weight", dict), "weight")
+    kind = _need(weight_block, "weight.kind", str)
     if kind not in ("constant", "gaussian-bump", "compact-bump", "file"):
         raise ConfigError(f"unknown weight kind '{kind}'", "weight.kind")
-    w_r = float(weight_block.get("r", 1.0))
+    w_r = _finite(weight_block.get("r", 1.0), "weight.r")
     if w_r < 1.0:
         raise ConfigError("integrability exponent r must be >= 1", "weight.r")
     weight_params = {k: v for k, v in weight_block.items()
                      if k not in ("kind", "r")}
-    if kind == "constant":
-        value = weight_params.get("value", 1.0)
-        if not isinstance(value, _NUMBER) or value <= 0:
-            raise ConfigError("constant weight needs value > 0", "weight.value")
+    for key in ("value", "sigma", "radius", "amplitude"):
+        if key in weight_params:
+            _finite(weight_params[key], f"weight.{key}")
+    center = weight_params.get("center")
+    if center is not None:
+        if not isinstance(center, list) or len(center) != len(box):
+            raise ConfigError("center must have one entry per axis",
+                              "weight.center")
+        for i, v in enumerate(center):
+            _finite(v, f"weight.center[{i}]")
+    if kind == "constant" and weight_params.get("value", 1.0) <= 0:
+        raise ConfigError("constant weight needs value > 0", "weight.value")
     if kind == "file" and "path" not in weight_params:
         raise ConfigError("file weight needs a path", "weight.path")
 
-    problem_block = raw.get("problem", {})
-    if not isinstance(problem_block, dict):
-        raise ConfigError("expected object", "problem")
-    for key in problem_block:
-        if key not in _PROBLEM_KEYS:
-            raise ConfigError(f"unknown problem key '{key}'", f"problem.{key}")
+    problem_block = _block(raw, "problem")
     alpha = problem_block.get("alpha")
     if alpha is not None:
-        if not isinstance(alpha, _NUMBER) or alpha <= 0:
+        alpha = _finite(alpha, "problem.alpha")
+        if alpha <= 0:
             raise ConfigError("alpha must be a positive number", "problem.alpha")
-        alpha = float(alpha)
         if alpha > 1.0 and kind in ("constant", "gaussian-bump"):
             raise ConfigError(
                 "alpha > 1 requires a compactly supported weight "
@@ -159,10 +215,10 @@ def load_config(path: str) -> RunConfig:
             )
     alpha_grid = problem_block.get("alpha_grid")
     if alpha_grid is not None:
-        if (not isinstance(alpha_grid, list) or len(alpha_grid) == 0
-                or not all(isinstance(a, _NUMBER) for a in alpha_grid)):
+        if not isinstance(alpha_grid, list) or len(alpha_grid) == 0:
             raise ConfigError("alpha_grid must be a nonempty list of numbers",
                               "problem.alpha_grid")
+        alpha_grid = tuple(_finite(a, "problem.alpha_grid") for a in alpha_grid)
         if any(not (0.0 < a < 1.0) for a in alpha_grid):
             raise ConfigError("alpha_grid entries must lie in (0, 1)",
                               "problem.alpha_grid")
@@ -170,18 +226,17 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("alpha_grid must be strictly increasing",
                               "problem.alpha_grid")
         for a in alpha_grid:
-            needed = r_alpha(float(a), frac)
+            needed = r_alpha(a, frac)
             if w_r < needed - 1e-12:
                 raise ConfigError(
                     f"weight.r = {w_r} is below the threshold "
                     f"r_alpha = {needed:.6g} at alpha = {a}",
                     "problem.alpha_grid",
                 )
-        alpha_grid = tuple(float(a) for a in alpha_grid)
     schedule = problem_block.get("n_schedule")
     if schedule is not None:
         if (not isinstance(schedule, list) or len(schedule) == 0
-                or not all(isinstance(n, int) and n >= 1 for n in schedule)):
+                or not all(_is_int(n) and n >= 1 for n in schedule)):
             raise ConfigError("n_schedule must be a list of integers >= 1",
                               "problem.n_schedule")
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -189,40 +244,26 @@ def load_config(path: str) -> RunConfig:
                               "problem.n_schedule")
         schedule = tuple(schedule)
 
-    max_levels = problem_block.get("max_levels", 40)
-    if not _is_int(max_levels) or max_levels < 1:
-        raise ConfigError("max_levels must be an integer >= 1",
-                          "problem.max_levels")
+    max_levels = _integer(problem_block, "problem.max_levels", 40, 1)
 
-    tol_block = problem_block.get("tolerances", {})
-    if not isinstance(tol_block, dict):
-        raise ConfigError("expected object", "problem.tolerances")
+    tol_block = _block(problem_block, "problem.tolerances")
+    tol = {"grad": 1e-10, "fixed_point": 1e-9, "chain": 1e-7, "polish": 1e-13}
     for key, val in tol_block.items():
-        if key not in ("grad", "fixed_point", "chain", "polish"):
-            raise ConfigError(f"unknown tolerance '{key}'", "problem.tolerances")
-        if not isinstance(val, _NUMBER) or val <= 0:
+        tol[key] = _finite(val, f"problem.tolerances.{key}")
+        if tol[key] <= 0:
             raise ConfigError("tolerance must be positive",
                               f"problem.tolerances.{key}")
-    solve_opts = SolveOptions(grad_tol=float(tol_block.get("grad", 1e-10)))
     chain_opts = ChainOptions(
-        solve=solve_opts,
-        fixed_point_tol=float(tol_block.get("fixed_point", 1e-9)),
-        chain_tol=float(tol_block.get("chain", 1e-7)),
-        polish_tol=float(tol_block.get("polish", 1e-13)),
+        solve=SolveOptions(grad_tol=tol["grad"]),
+        fixed_point_tol=tol["fixed_point"],
+        chain_tol=tol["chain"],
+        polish_tol=tol["polish"],
         max_levels=max_levels,
     )
 
-    verif_block = raw.get("verification", {})
-    if not isinstance(verif_block, dict):
-        raise ConfigError("expected object", "verification")
-    trials = verif_block.get("trials", 1000)
-    if not _is_int(trials) or trials < 1:
-        raise ConfigError("trials must be a positive integer",
-                          "verification.trials")
-    seed = verif_block.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer",
-                          "verification.seed")
+    verif_block = _block(raw, "verification")
+    trials = _integer(verif_block, "verification.trials", 1000, 1)
+    seed = _integer(verif_block, "verification.seed", 0, 0)
     env_seed = os.environ.get("FSS_SEED")
     if env_seed is not None:
         if not env_seed.isdecimal():
@@ -230,18 +271,15 @@ def load_config(path: str) -> RunConfig:
                               "env.FSS_SEED")
         seed = int(env_seed)
 
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("expected object", "output")
+    output = _block(raw, "output")
 
     return RunConfig(
         raw=raw,
         box=tuple(box),
-        h=float(h),
-        collar_width=float(collar),
-        tail_enabled=tail,
-        s=float(s),
-        p=float(p),
+        h=h,
+        collar_width=collar,
+        s=s,
+        p=p,
         weight_kind=kind,
         weight_r=w_r,
         weight_params=weight_params,
@@ -258,7 +296,7 @@ def load_config(path: str) -> RunConfig:
 def build_geometry(cfg: RunConfig) -> tuple[Grid, FracParams, Kernel]:
     grid = build_grid(cfg.box, cfg.h, cfg.collar_width)
     params = FracParams(s=cfg.s, p=cfg.p, n_dim=grid.n_dim)
-    kernel = build_kernel(grid, params, cfg.tail_enabled)
+    kernel = build_kernel(grid, params)
     return grid, params, kernel
 
 
@@ -267,11 +305,9 @@ def build_weight(cfg: RunConfig, grid: Grid) -> WeightField:
     x = grid.interior
     lo = np.array([b[0] for b in grid.box])
     hi = np.array([b[1] for b in grid.box])
-    center = cfg.weight_params.get("center")
-    center = (np.asarray(center, dtype=float) if center is not None
-              else 0.5 * (lo + hi))
-    if center.shape != (grid.n_dim,):
-        raise ConfigError("center must have one entry per axis", "weight.center")
+    center = np.asarray(cfg.weight_params.get("center", 0.5 * (lo + hi)),
+                        dtype=float)
+    amp = float(cfg.weight_params.get("amplitude", 1.0))
     extent = float((hi - lo).min())
 
     kind = cfg.weight_kind
@@ -282,14 +318,12 @@ def build_weight(cfg: RunConfig, grid: Grid) -> WeightField:
         sigma = float(cfg.weight_params.get("sigma", 0.15 * extent))
         if sigma <= 0:
             raise ConfigError("sigma must be positive", "weight.sigma")
-        amp = float(cfg.weight_params.get("amplitude", 1.0))
         d2 = ((x - center) ** 2).sum(axis=1)
         values = amp * np.exp(-d2 / (2.0 * sigma**2))
     elif kind == "compact-bump":
         radius = float(cfg.weight_params.get("radius", 0.25 * extent))
         if radius <= 0:
             raise ConfigError("radius must be positive", "weight.radius")
-        amp = float(cfg.weight_params.get("amplitude", 1.0))
         t2 = ((x - center) ** 2).sum(axis=1) / radius**2
         values = np.zeros(grid.interior_count)
         inside = t2 < 1.0

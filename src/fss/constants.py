@@ -196,6 +196,8 @@ def _certify(term, constant: float, kernel: Kernel, extremal: Field,
     ``sampling.trial_chunks``; the extra fields and the multiples form one
     last block.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     multiples = np.multiply.outer(extremal_scales, extremal.values)
     multiples = multiples[multiples.any(axis=1)]
     tail = np.array([v.values for v in extra_fields] + list(multiples))

@@ -4,7 +4,7 @@ The domain is an interval or axis-aligned rectangle, discretized with a
 uniform Cartesian lattice of spacing ``h``.  The complement of the domain
 is represented by an explicit *collar* of lattice nodes, of prescribed
 width, on which every field is pinned to zero.  Kernel mass beyond the
-collar box can be accounted for by an analytic tail term.
+collar box is accounted for by an analytic tail term.
 
 Nodes are enumerated lexicographically by coordinates, so two builds with
 identical inputs produce bitwise-identical grids.
@@ -25,7 +25,8 @@ from .exceptions import FieldMismatchError, GridError
 # (two endpoints), sigma[2]=2*pi (circle circumference).
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}
 
-# Elements per row block of the p != 2 pairwise pass (256 KB of doubles).
+# Elements per row block of the collar row sums and of the p != 2 pairwise
+# pass (256 KB of doubles).
 PAIR_BLOCK_ELEMENTS = 2**15
 
 
@@ -91,16 +92,12 @@ class Grid:
         """Measure of the discretized domain (interior cells only)."""
         return self.interior_count * self.measure
 
-    def boundary_distance(self) -> np.ndarray:
-        """Distance from each interior node to the domain box boundary."""
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        return np.minimum(self.interior - lo, hi - self.interior).min(axis=1)
-
-    def collar_box_distance(self) -> np.ndarray:
-        """Distance from each interior node to the collar box boundary."""
-        lo = np.array([b[0] - self.collar_width for b in self.box])
-        hi = np.array([b[1] + self.collar_width for b in self.box])
+    def boundary_distance(self, outset: float = 0.0) -> np.ndarray:
+        """Distance from each interior node to the boundary of the domain
+        box grown by ``outset`` on every side (the collar box at
+        ``outset = collar_width``)."""
+        lo = np.array([b[0] - outset for b in self.box])
+        hi = np.array([b[1] + outset for b in self.box])
         return np.minimum(self.interior - lo, hi - self.interior).min(axis=1)
 
 
@@ -165,16 +162,11 @@ class Kernel:
 
     ``w_interior[i, j] = m_i * m_j / |x_i - x_j|**(N + s*p)`` for distinct
     interior nodes (zero diagonal; the quadrature never touches the
-    singular self-pair).  ``w_collar[i, j]`` couples interior node i to
-    collar node j with the same formula.  ``tail[i]`` is the closed-form
-    integral of the kernel over the exterior of the collar box, bounded
-    through the inscribed ball of radius ``R_i`` around node i:
-
-        tail_i = sigma_{N-1} * R_i**(-s*p) / (s*p)
-
-    ``boundary_weight[i] = sum_j w_collar[i, j] + m * tail[i]`` is the total
-    coupling of node i to the zero exterior; it is the only quantity the
-    energy needs from the collar, since collar values vanish.
+    singular self-pair).  ``boundary_weight[i]`` is the total coupling of
+    node i to the zero exterior: the same pair weights summed over the
+    collar nodes, plus ``m`` times the kernel's integral beyond the collar
+    box (``_exterior_tail``).  It is the only quantity the energy needs
+    from the exterior, since every field vanishes there.
 
     At p = 2 the energy is the quadratic form [u]^2 = u^T K u with the
     ``stiffness`` matrix K = 2 (diag(row sums of w_interior) - w_interior
@@ -194,16 +186,9 @@ class Kernel:
     grid: Grid
     params: FracParams
     w_interior: np.ndarray
-    w_collar: np.ndarray
-    tail: np.ndarray
-    tail_enabled: bool
-    boundary_weight: np.ndarray = field(init=False)
+    boundary_weight: np.ndarray
     _inverse_columns: dict = field(init=False, default_factory=dict,
                                    repr=False, compare=False)
-
-    def __post_init__(self):
-        bw = self.w_collar.sum(axis=1) + self.grid.measure * self.tail
-        object.__setattr__(self, "boundary_weight", bw)
 
     @property
     def interior_count(self) -> int:
@@ -270,12 +255,23 @@ def _pair_weights(x: np.ndarray, y: np.ndarray, measure: float, exponent: float,
     return w
 
 
-def build_kernel(grid: Grid, params: FracParams, tail_enabled: bool = True) -> Kernel:
-    """Assemble the symmetric pair-weight tables for a grid.
+def _exterior_tail(grid: Grid, params: FracParams) -> np.ndarray:
+    """Integral of the kernel over the exterior of the collar box, per
+    interior node, bounded through the inscribed ball of radius R_i:
 
-    The exponent is N + s*p.  With ``tail_enabled`` the analytic exterior
-    correction is added per interior node; otherwise the tail is zero and
-    the exterior beyond the collar box is ignored.
+        tail_i = sigma_{N-1} * R_i**(-s*p) / (s*p)
+    """
+    radius = grid.boundary_distance(grid.collar_width)
+    sigma = _SPHERE_SURFACE[grid.n_dim]
+    return sigma * radius ** (-params.sp) / params.sp
+
+
+def build_kernel(grid: Grid, params: FracParams) -> Kernel:
+    """Assemble the interior pair weights and the exterior row sums.
+
+    The exponent is N + s*p.  The collar pair weights are formed in row
+    blocks of about ``PAIR_BLOCK_ELEMENTS`` and summed at once, so no
+    M x C array is ever held.
     """
     if params.n_dim != grid.n_dim:
         raise FieldMismatchError(
@@ -284,20 +280,17 @@ def build_kernel(grid: Grid, params: FracParams, tail_enabled: bool = True) -> K
     exponent = grid.n_dim + params.sp
     m = grid.measure
     w_int = _pair_weights(grid.interior, grid.interior, m, exponent, same_set=True)
-    w_col = _pair_weights(grid.interior, grid.collar, m, exponent, same_set=False)
-    if tail_enabled:
-        radius = grid.collar_box_distance()
-        sigma = _SPHERE_SURFACE[grid.n_dim]
-        tail = sigma * radius ** (-params.sp) / params.sp
-    else:
-        tail = np.zeros(grid.interior_count)
+    rows = max(1, PAIR_BLOCK_ELEMENTS // grid.collar.shape[0])
+    collar_sums = np.empty(grid.interior_count)
+    for first in range(0, grid.interior_count, rows):
+        collar_sums[first:first + rows] = _pair_weights(
+            grid.interior[first:first + rows], grid.collar, m, exponent,
+            same_set=False).sum(axis=1)
     return Kernel(
         grid=grid,
         params=params,
         w_interior=w_int,
-        w_collar=w_col,
-        tail=tail,
-        tail_enabled=bool(tail_enabled),
+        boundary_weight=collar_sums + m * _exterior_tail(grid, params),
     )
 
 

@@ -21,17 +21,17 @@ def grid_1d() -> Grid:
 
 @pytest.fixture(scope="session")
 def kernel_1d(grid_1d) -> Kernel:
-    return build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1), True)
+    return build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
 
 
 @pytest.fixture(scope="session")
 def kernel_1d_p3(grid_1d) -> Kernel:
-    return build_kernel(grid_1d, FracParams(s=0.5, p=3.0, n_dim=1), True)
+    return build_kernel(grid_1d, FracParams(s=0.5, p=3.0, n_dim=1))
 
 
 @pytest.fixture(scope="session")
 def kernel_1d_p15(grid_1d) -> Kernel:
-    return build_kernel(grid_1d, FracParams(s=0.5, p=1.5, n_dim=1), True)
+    return build_kernel(grid_1d, FracParams(s=0.5, p=1.5, n_dim=1))
 
 
 def compact_bump_values(grid: Grid, center=None, radius=0.3, amplitude=1.0):
@@ -56,11 +56,11 @@ def constant_weight(grid_1d) -> WeightField:
     return WeightField(np.ones(grid_1d.interior_count), grid_1d, r=3.0)
 
 
-def single_node_kernel(s: float, p: float, tail: bool = True) -> Kernel:
+def single_node_kernel(s: float, p: float) -> Kernel:
     """Real one-interior-node kernel: domain (0, 1), h = 0.5, collar 1."""
     grid = build_grid([(0.0, 1.0)], 0.5, 1.0)
     assert grid.interior_count == 1
-    return build_kernel(grid, FracParams(s=s, p=p, n_dim=1), tail)
+    return build_kernel(grid, FracParams(s=s, p=p, n_dim=1))
 
 
 def synthetic_unit_kernel(p: float, pair_weight: float = 1.0) -> Kernel:
@@ -69,16 +69,11 @@ def synthetic_unit_kernel(p: float, pair_weight: float = 1.0) -> Kernel:
     2 * pair_weight * |u|^p).  Matches the worked closed-form examples."""
     grid = build_grid([(0.0, 2.0)], 1.0, 1.0)
     assert grid.interior_count == 1 and grid.measure == 1.0
-    n_col = grid.collar.shape[0]
-    w_col = np.zeros((1, n_col))
-    w_col[0, 0] = pair_weight
     return Kernel(
         grid=grid,
         params=FracParams(s=0.5, p=p, n_dim=1),
         w_interior=np.zeros((1, 1)),
-        w_collar=w_col,
-        tail=np.zeros(1),
-        tail_enabled=False,
+        boundary_weight=np.array([pair_weight]),
     )
 
 

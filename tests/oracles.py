@@ -1,13 +1,14 @@
 """Independent oracles: bisection for the scalar system, dense linear
 algebra for p = 2, plain double sums for the energy, pairing, gradient
 and Hessian, finite differences for gradients, the frozen-datum map T of
-the approximation chain, and the one-field-at-a-time trial draw and
-certification loop.
+the approximation chain, the one-field-at-a-time trial draw and
+certification loop, and the one-trial-at-a-time vector inequality check.
 
 These never call the solver paths they certify: T solves with L-BFGS,
 while the chain solves its levels by Newton, and the certification loop
 evaluates each trial field on its own, while the package evaluates them
-in blocks.
+in blocks; the vector check draws and evaluates one pair at a time, while
+the package takes all pairs of one dimension at once.
 """
 
 import math
@@ -246,3 +247,56 @@ def certify_per_field(slack, grid, extremal, trials: int, seed: int,
     return {"trials": trials, "min_slack": min_slack,
             "min_slack_rel": min_rel, "violations": violations,
             "extremal_max_rel": extremal_max_rel}
+
+
+def _vector_phi(x: np.ndarray, p: float) -> np.ndarray:
+    norm = np.linalg.norm(x)
+    if norm == 0.0:
+        return np.zeros_like(x)
+    return norm ** (p - 2.0) * x
+
+
+def vector_inequalities_per_trial(p: float, trials: int, seed: int) -> dict:
+    """The vector power inequality check one trial at a time: the JSON
+    record of ``check_vector_inequalities``."""
+    rng = np.random.default_rng(seed)
+    up_ratios = []
+    low_ratios = []
+    up_witness = low_witness = None
+    for t in range(trials):
+        dim = 1 + t % 3
+        x = rng.standard_normal(dim)
+        y = rng.standard_normal(dim)
+        if np.linalg.norm(x) == 0.0 or np.linalg.norm(y) == 0.0:
+            continue
+        d = x - y
+        nd = np.linalg.norm(d)
+        if nd == 0.0:
+            continue
+        diff = _vector_phi(x, p) - _vector_phi(y, p)
+        nsum = np.linalg.norm(x) + np.linalg.norm(y)
+        if p < 2.0:
+            up_core = nd ** (p - 1.0)
+            low_core = nd**2 / nsum ** (2.0 - p)
+        else:
+            up_core = nsum ** (p - 2.0) * nd
+            low_core = nd**p
+        r_up = np.linalg.norm(diff) / up_core
+        r_low = float(diff @ d) / low_core
+        if not up_ratios or r_up > max(up_ratios):
+            up_witness = {"X": x.tolist(), "Y": y.tolist(), "ratio": float(r_up)}
+        if not low_ratios or r_low < min(low_ratios):
+            low_witness = {"X": x.tolist(), "Y": y.tolist(), "ratio": float(r_low)}
+        up_ratios.append(float(r_up))
+        low_ratios.append(float(r_low))
+    c_upper = max(up_ratios)
+    c_lower = min(low_ratios)
+    worst = min(10.0 * float(np.median(up_ratios)) - c_upper, c_lower)
+    return {
+        "lemma": "vector-power-inequalities",
+        "trials": trials,
+        "worst_slack": float(worst),
+        "witness": {"upper": up_witness, "lower": low_witness},
+        "constants": {"c_p": float(c_upper), "C_p": float(c_lower)},
+        "passed": worst >= -1e-12,
+    }

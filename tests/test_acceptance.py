@@ -75,7 +75,7 @@ def acc_grid():
 
 @pytest.fixture(scope="module")
 def acc_kernel(acc_grid):
-    return build_kernel(acc_grid, FracParams(s=0.5, p=2.0, n_dim=1), True)
+    return build_kernel(acc_grid, FracParams(s=0.5, p=2.0, n_dim=1))
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ def chain_10(acc_kernel, acc_bump):
 @pytest.fixture(scope="module")
 def kernel_2d():
     grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 11, 0.25)
-    return build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2), True)
+    return build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2))
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +153,7 @@ def test_criterion_02_linear_oracle(report):
     for nodes in (16, 32, 64):
         grid = build_grid([(0.0, 1.0)], 1.0 / (nodes + 1), 0.5)
         assert grid.interior_count == nodes
-        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1), True)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1))
         f = np.abs(rng.standard_normal(nodes)) + 0.1
         direct = np.linalg.solve(dense_p2_matrix(kernel), grid.measure * f)
         u = solve_nonsingular(f, kernel, SolveOptions(grad_tol=1e-11))
@@ -238,8 +238,7 @@ def test_criterion_08_lemma_suites(report, chain_05, acc_kernel, acc_bump,
     for p in (1.5, 2.0, 3.0):
         vec = check_vector_inequalities(p, trials=1000, seed=42)
         assert vec.passed, p
-        kernel_p = build_kernel(acc_grid, FracParams(s=0.5, p=p, n_dim=1),
-                                True)
+        kernel_p = build_kernel(acc_grid, FracParams(s=0.5, p=p, n_dim=1))
         mono = check_strong_monotonicity(kernel_p, trials=1000, seed=42)
         assert mono.passed, p
         qid = check_q_identity(p, trials=1000, seed=42, kernel=kernel_p,
@@ -313,7 +312,7 @@ def test_criterion_10_gradient_correctness(report, acc_grid):
     the pairing identity (1e-10 relative) on random fields."""
     rng = np.random.default_rng(10)
     for p in (1.5, 2.0, 3.0):
-        kernel = build_kernel(acc_grid, FracParams(s=0.5, p=p, n_dim=1), True)
+        kernel = build_kernel(acc_grid, FracParams(s=0.5, p=p, n_dim=1))
         for _ in range(10):
             u = Field(rng.uniform(-1, 1, acc_grid.interior_count), acc_grid)
             v = Field(rng.uniform(-1, 1, acc_grid.interior_count), acc_grid)

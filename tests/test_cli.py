@@ -48,7 +48,7 @@ class TestSolveCommand:
         assert run_command(["solve", "--config", path]) == 0
         sol = json.load(open(out["solution"]))
         grid = build_grid([(0.0, 1.0)], 1.0 / 17, 0.5)
-        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1), True)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1))
         stored = seminorm_p(Field(sol["values"], grid), kernel)
         assert sol["metadata"]["seminorm_p"] == stored
 
@@ -88,7 +88,7 @@ class TestSingleNodeOracle:
         from oracles import scalar_lambda, scalar_singular_solution
 
         grid = build_grid([(0.0, 1.0)], 0.5, 1.0)
-        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1), True)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1))
         k2 = 2.0 * kernel.boundary_weight[0]
         u = scalar_singular_solution(k2, grid.measure, 1.0, 0.5, 2.0)
         lam = scalar_lambda(k2, u, 0.5, 2.0)
@@ -242,6 +242,25 @@ class TestExitCodes:
     def test_config_error(self, tmp_path):
         path = write_config(tmp_path, {"params": {"s": 2.0}})
         assert run_command(["solve", "--config", path]) == 1
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"problem": {"tolerances": {"fixed_point": float("nan")}}},
+         "problem.tolerances.fixed_point"),
+        ({"problem": {"tolerances": {"grad": float("nan")}}},
+         "problem.tolerances.grad"),
+        ({"weight": {"r": float("nan")}}, "weight.r"),
+        ({"weight": {"r": "abc"}}, "weight.r"),
+        ({"grid": {"h": float("nan")}}, "grid.h"),
+        ({"weight": {"centre": [0.2]}}, "weight.centre"),
+        ({"grid": {"collar": 0.1}}, "grid.collar"),
+        ({"grid": {"tail_enabled": "false"}}, "grid.tail_enabled"),
+        ({"grid": {"tail_enabled": 0}}, "grid.tail_enabled"),
+    ])
+    def test_invalid_field_is_usage_error(self, tmp_path, capsys, overrides,
+                                          field):
+        path = write_config(tmp_path, overrides)
+        assert run_command(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
     def test_missing_config_file(self, tmp_path):
         assert run_command(["solve", "--config",

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from fss import (
     write_sweep_csv,
 )
 from fss.solution_io import SWEEP_CSV_HEADER, grid_shape_of
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -123,6 +127,114 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert err.value.field == f"verification.{key}"
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("problem", "tolerances", {"fixed_point": float("nan")}),
+        ("problem", "tolerances", {"grad": float("nan")}),
+        ("problem", "tolerances", {"chain": float("inf")}),
+        ("problem", "alpha", float("nan")),
+        ("problem", "alpha_grid", [0.5, float("nan")]),
+        ("grid", "h", float("nan")),
+        ("grid", "collar_width", float("inf")),
+        ("params", "s", float("nan")),
+        ("params", "p", "3"),
+        ("weight", "r", float("nan")),
+        ("weight", "r", "abc"),
+        ("weight", "r", True),
+        ("weight", "value", float("-inf")),
+        ("weight", "sigma", float("nan")),
+        ("weight", "radius", "0.3"),
+        ("weight", "amplitude", False),
+    ])
+    def test_rejects_non_finite_or_non_numeric(self, tmp_path, block, key,
+                                               value):
+        path = write_config(tmp_path, {block: {key: value}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        field = f"{block}.{key}"
+        if isinstance(value, dict):
+            field += "." + next(iter(value))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("axis", [[0.0, float("nan")],
+                                      [float("-inf"), 1.0], [0.0, True]])
+    def test_rejects_bad_box_entry(self, tmp_path, axis):
+        path = write_config(tmp_path, {"grid": {"box": [axis]}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.field == "grid.box[0]"
+
+    @pytest.mark.parametrize("center,field", [
+        ([float("nan")], "weight.center[0]"),
+        (["0.5"], "weight.center[0]"),
+        ([True], "weight.center[0]"),
+        ([0.5, 0.5], "weight.center"),
+        (0.5, "weight.center"),
+    ])
+    def test_rejects_bad_center(self, tmp_path, center, field):
+        path = write_config(tmp_path, {"weight": {
+            "kind": "compact-bump", "radius": 0.25, "center": center}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.field == field
+
+    def test_non_finite_json_literals(self, tmp_path):
+        # Python's json reads NaN and Infinity; the config does not.
+        path = tmp_path / "config.json"
+        text = open(write_config(tmp_path)).read()
+        path.write_text(text.replace('"r": 3.0', '"r": NaN'))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert err.value.field == "weight.r"
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"extra": {}}, "extra"),
+        ({"grid": {"collar": 0.1}}, "grid.collar"),
+        ({"params": {"q": 2.0}}, "params.q"),
+        ({"weight": {"centre": [0.2]}}, "weight.centre"),
+        ({"problem": {"tolerances": {"gard": 1e-8}}}, "problem.tolerances.gard"),
+        ({"verification": {"trial": 10}}, "verification.trial"),
+        ({"output": {"solutions": "x.json"}}, "output.solutions"),
+    ])
+    def test_rejects_unknown_key(self, tmp_path, overrides, field):
+        path = write_config(tmp_path, overrides)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.field == field
+
+    def test_accepts_key_of_another_weight_kind(self, tmp_path):
+        # The base config's constant-weight "value" stays beside the bump.
+        path = write_config(tmp_path, {
+            "weight": {"kind": "compact-bump", "radius": 0.25}})
+        cfg = load_config(path)
+        assert cfg.weight_params["value"] == 1.0
+
+    def test_tail_enabled_true_loads(self, tmp_path):
+        cfg = load_config(write_config(tmp_path,
+                                       {"grid": {"tail_enabled": True}}))
+        assert cfg.h == 0.125
+
+    @pytest.mark.parametrize("value", [False, "false", 0, 1, None])
+    def test_rejects_tail_enabled_other_than_true(self, tmp_path, value):
+        path = write_config(tmp_path, {"grid": {"tail_enabled": value}})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.field == "grid.tail_enabled"
+
+    @pytest.mark.parametrize("name", ["solve_1d", "solve_2d", "sweep_1d"])
+    def test_shipped_configs_load(self, name):
+        load_config(str(REPO / "configs" / f"{name}.json"))
+
+    def test_benchmark_configs_load(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "workloads", REPO / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                workloads.make_config(name, 1, str(tmp_path))))
+            load_config(str(path))
 
     def test_hash_stability(self, tmp_path):
         a = load_config(write_config(tmp_path))

@@ -419,6 +419,15 @@ class TestBlockCertification:
                 assert abs(getattr(report, key) - expected[key]) <= tol
 
     @pytest.mark.parametrize("inequality", ["power-mean", "log"])
+    def test_rejects_negative_trials(self, bump_solution_05, bump_mu,
+                                     inequality):
+        subject, verify = ((bump_solution_05, verify_sobolev)
+                           if inequality == "power-mean"
+                           else (bump_mu, verify_log_sobolev))
+        with pytest.raises(ValueError, match="trials"):
+            verify(subject, trials=-3, seed=0)
+
+    @pytest.mark.parametrize("inequality", ["power-mean", "log"])
     def test_chunks_within_bound(self, bump_solution_05, bump_mu,
                                  monkeypatch, inequality):
         subject, verify = ((bump_solution_05, verify_sobolev)

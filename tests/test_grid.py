@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fss.grid
 from fss import (
     FracParams,
     GridError,
@@ -10,6 +12,7 @@ from fss import (
     build_kernel,
     r_alpha,
 )
+from fss.grid import _exterior_tail
 
 from oracles import full_matrix_pair_weights
 
@@ -93,7 +96,7 @@ class TestBuildKernel:
         # h = 0.25, s = 0.5, p = 2 in 1D: exponent N + s p = 2, so the
         # adjacent-pair weight is 0.25^2 / 0.25^2 = 1.
         grid = build_grid([(0.0, 1.0)], 0.25, 1.0)
-        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1), False)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1))
         assert kernel.w_interior[0, 1] == pytest.approx(1.0, rel=1e-14)
 
     def test_symmetry_and_positivity(self, kernel_1d):
@@ -102,7 +105,7 @@ class TestBuildKernel:
         off_diag = w[~np.eye(w.shape[0], dtype=bool)]
         assert np.all(off_diag > 0.0) and np.all(np.isfinite(off_diag))
         assert np.all(w.diagonal() == 0.0)
-        assert np.all(kernel_1d.w_collar > 0.0)
+        assert np.all(kernel_1d.boundary_weight > 0.0)
 
     def test_tail_value(self):
         # The node 0.5 of (0, 1) with collar 0.5 sits at distance R = 1
@@ -110,28 +113,23 @@ class TestBuildKernel:
         # 2 * R^(-sp) / sp equals 2 (the integral 2 int_1^inf r^-2 dr).
         grid = build_grid([(0.0, 1.0)], 0.5, 0.5)
         params = FracParams(s=0.5, p=2.0, n_dim=1)
-        kernel = build_kernel(grid, params, True)
-        assert grid.collar_box_distance()[0] == pytest.approx(1.0)
-        assert kernel.tail[0] == pytest.approx(2.0, rel=1e-14)
+        assert grid.boundary_distance(grid.collar_width)[0] == pytest.approx(1.0)
+        assert _exterior_tail(grid, params)[0] == pytest.approx(2.0, rel=1e-14)
 
     def test_tail_2d(self):
         grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 0.5, 0.5)
         params = FracParams(s=0.5, p=2.0, n_dim=2)
-        kernel = build_kernel(grid, params, True)
         # sigma_1 * R^(-sp) / sp with R = 1, sp = 1
-        assert kernel.tail[0] == pytest.approx(2.0 * math.pi, rel=1e-14)
-
-    def test_tail_disabled(self, grid_1d):
-        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1), False)
-        assert np.all(kernel.tail == 0.0)
+        assert _exterior_tail(grid, params)[0] == pytest.approx(
+            2.0 * math.pi, rel=1e-14)
 
     def test_scaling_law(self):
         # Coordinates scaled by c multiply every pair weight by c^(N - sp).
         params = FracParams(s=0.4, p=2.5, n_dim=1)
-        base = build_kernel(build_grid([(0.0, 1.0)], 0.125, 0.5), params, False)
+        base = build_kernel(build_grid([(0.0, 1.0)], 0.125, 0.5), params)
         c = 3.0
         scaled = build_kernel(
-            build_grid([(0.0, c)], c * 0.125, c * 0.5), params, False
+            build_grid([(0.0, c)], c * 0.125, c * 0.5), params
         )
         ratio = scaled.w_interior[0, 1] / base.w_interior[0, 1]
         assert ratio == pytest.approx(c ** (1.0 - params.sp), rel=1e-12)
@@ -139,11 +137,11 @@ class TestBuildKernel:
     def test_scaling_law_2d(self):
         params = FracParams(s=0.5, p=2.0, n_dim=2)
         base = build_kernel(
-            build_grid([(0.0, 1.0), (0.0, 1.0)], 0.25, 0.5), params, False
+            build_grid([(0.0, 1.0), (0.0, 1.0)], 0.25, 0.5), params
         )
         c = 2.0
         scaled = build_kernel(
-            build_grid([(0.0, c), (0.0, c)], c * 0.25, c * 0.5), params, False
+            build_grid([(0.0, c), (0.0, c)], c * 0.25, c * 0.5), params
         )
         rng = np.random.default_rng(0)
         n = base.interior_count
@@ -155,22 +153,61 @@ class TestBuildKernel:
             assert ratio == pytest.approx(c ** (2.0 - params.sp), rel=1e-12)
 
 
+_PAIR_CASES = pytest.mark.parametrize("box,h,collar", [
+    ([(0.0, 1.0)], 1.0 / 17, 0.5),
+    ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12, 0.25),
+    ([(0.0, 1.0), (0.0, 2.0)], 1.0 / 7, 0.5),
+], ids=["1d", "2d", "2d-rect"])
+
+
 class TestPairWeights:
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("box,h,collar", [
-        ([(0.0, 1.0)], 1.0 / 17, 0.5),
-        ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12, 0.25),
-        ([(0.0, 1.0), (0.0, 2.0)], 1.0 / 7, 0.5),
-    ], ids=["1d", "2d", "2d-rect"])
-    def test_bitwise_equal_to_full_difference_array(self, box, h, collar, p):
+    @staticmethod
+    def assert_equal_to_full_difference_array(box, h, collar, p):
         grid = build_grid(box, h, collar)
-        kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=len(box)))
-        exponent = grid.n_dim + kernel.params.sp
+        params = FracParams(s=0.5, p=p, n_dim=len(box))
+        kernel = build_kernel(grid, params)
+        exponent = grid.n_dim + params.sp
         m = grid.measure
         assert np.array_equal(kernel.w_interior, full_matrix_pair_weights(
             grid.interior, grid.interior, m, exponent, True))
-        assert np.array_equal(kernel.w_collar, full_matrix_pair_weights(
-            grid.interior, grid.collar, m, exponent, False))
+        collar_sums = full_matrix_pair_weights(
+            grid.interior, grid.collar, m, exponent, False).sum(axis=1)
+        assert np.array_equal(kernel.boundary_weight,
+                              collar_sums + m * _exterior_tail(grid, params))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @_PAIR_CASES
+    def test_bitwise_equal_to_full_difference_array(self, box, h, collar, p):
+        self.assert_equal_to_full_difference_array(box, h, collar, p)
+
+    @pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "ragged"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @_PAIR_CASES
+    def test_row_blocks(self, box, h, collar, p, rows, monkeypatch):
+        # The collar row sums are built in row blocks; blocks of one row,
+        # and of five rows (which divide none of these M), give the row
+        # sums of the whole M x C array too.
+        grid = build_grid(box, h, collar)
+        assert grid.interior_count % 5 != 0
+        monkeypatch.setattr(fss.grid, "PAIR_BLOCK_ELEMENTS",
+                            rows * grid.collar.shape[0])
+        self.assert_equal_to_full_difference_array(box, h, collar, p)
+
+    def test_no_interior_by_collar_array(self):
+        # The build holds the M x M table and one M x M scratch array,
+        # 16 M^2 bytes, which is below the bound because C > M here; an
+        # M x C array beside the M x M table breaks it.
+        grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 24, 0.25)
+        m, c = grid.interior_count, grid.collar.shape[0]
+        assert c > m
+        params = FracParams(s=0.5, p=2.0, n_dim=2)
+        tracemalloc.start()
+        try:
+            build_kernel(grid, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m * m + 8 * m * c
 
 
 class TestRAlpha:

@@ -18,7 +18,7 @@ from fss import (
     seminorm_p,
 )
 
-from oracles import trial_field
+from oracles import trial_field, vector_inequalities_per_trial
 
 
 class TestVectorInequalities:
@@ -52,6 +52,41 @@ class TestVectorInequalities:
         a = check_vector_inequalities(1.5, trials=300, seed=9)
         b = check_vector_inequalities(1.5, trials=300, seed=9)
         assert a.to_json_record() == b.to_json_record()
+
+    @pytest.mark.parametrize("trials", [1, 2, 5, 1000])
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("p", [1.5, 1.7, 2.0, 2.5, 3.0])
+    def test_matches_per_trial_loop(self, p, seed, trials):
+        # All trials of one dimension are evaluated at once; the loop one
+        # trial at a time is the reference, witnesses included, bitwise.
+        report = check_vector_inequalities(p, trials=trials, seed=seed)
+        assert report.to_json_record() == vector_inequalities_per_trial(
+            p, trials, seed)
+
+
+class TestTrialCounts:
+    """A checker that draws nothing checks nothing, so counts below one
+    are refused with the argument named."""
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_vector_inequalities(self, trials):
+        with pytest.raises(ValueError, match="^trials must be at least 1"):
+            check_vector_inequalities(2.0, trials=trials)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_strong_monotonicity(self, kernel_1d, trials):
+        with pytest.raises(ValueError, match="^trials must be at least 1"):
+            check_strong_monotonicity(kernel_1d, trials=trials)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"trials": 0}, "trials"),
+        ({"trials": -3}, "trials"),
+        ({"field_trials": 0}, "field_trials"),
+        ({"field_trials": -1}, "field_trials"),
+    ])
+    def test_q_identity(self, kernel_1d, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            check_q_identity(2.0, kernel=kernel_1d, **kwargs)
 
 
 class TestStrongMonotonicity:

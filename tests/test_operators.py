@@ -60,12 +60,10 @@ class TestSeminorm:
         # One interior node with value 1: the energy is twice the total
         # exterior coupling.
         grid = build_grid([(0.0, 1.0)], 0.5, 1.0)
-        from fss import FracParams, build_kernel
-
-        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1), False)
-        total = kernel.w_collar.sum()
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1))
         u = Field(np.array([1.0]), grid)
-        assert seminorm_p(u, kernel) == pytest.approx(2.0 * total, rel=1e-14)
+        assert seminorm_p(u, kernel) == pytest.approx(
+            2.0 * kernel.boundary_weight[0], rel=1e-14)
 
     @given(k=st.floats(-8.0, 8.0, allow_nan=False))
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -191,10 +189,10 @@ class TestDoubleSumOracle:
     @pytest.mark.parametrize("kind", ["1d", "2d", "synthetic"])
     def test_entry_points_match_double_sum(self, kind, p, grid_1d):
         if kind == "1d":
-            kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1), True)
+            kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
         elif kind == "2d":
             grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 6, 0.5)
-            kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=2), True)
+            kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=2))
         else:
             kernel = synthetic_unit_kernel(p=p, pair_weight=1.7)
         rng = np.random.default_rng(71)
@@ -228,20 +226,20 @@ class TestP2FastPath:
             return kernel_1d
         if request.param == "2d":
             grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 6, 0.5)
-            return build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2), True)
+            return build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2))
         return synthetic_unit_kernel(p=2.0, pair_weight=1.7)
 
     def test_stiffness_is_dense_oracle(self, kernel):
         assert np.array_equal(kernel.stiffness, dense_p2_matrix(kernel))
 
     def test_stiffness_built_on_first_use(self, grid_1d):
-        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1), True)
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
         assert "stiffness" not in kernel.__dict__
         seminorm_p(Field.constant(grid_1d, 1.0), kernel)
         assert "stiffness" in kernel.__dict__
 
     def test_never_built_for_other_p(self, grid_1d):
-        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=3.0, n_dim=1), True)
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=3.0, n_dim=1))
         u = solve_nonsingular(np.ones(grid_1d.interior_count), kernel)
         seminorm_p(u, kernel)
         pairing(u, u, kernel)
@@ -249,7 +247,7 @@ class TestP2FastPath:
         assert "stiffness" not in kernel.__dict__
 
     def test_factor_not_built_by_operators_or_solver(self, grid_1d):
-        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1), True)
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
         assert "stiffness_factor" not in kernel.__dict__
         u = solve_nonsingular(np.ones(grid_1d.interior_count), kernel)
         seminorm_p(u, kernel)

@@ -42,7 +42,7 @@ class TestSolveNonsingular:
 
     def test_dense_linear_oracle(self):
         grid = build_grid([(0.0, 1.0)], 1.0 / 33, 0.5)
-        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1), True)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1))
         rng = np.random.default_rng(0)
         f = np.abs(rng.standard_normal(grid.interior_count))
         direct = np.linalg.solve(dense_p2_matrix(kernel), grid.measure * f)
@@ -184,7 +184,7 @@ class TestEmbeddingConstant:
 
     def test_theta_validation(self):
         grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 0.2, 0.4)
-        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2), True)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2))
         with pytest.raises(ValueError):
             embedding_constant(0.5, kernel)
         with pytest.raises(ValueError):
