@@ -369,15 +369,16 @@ def _residual_probes(kernel: Kernel, trials: int,
     return np.concatenate(chunks), energies ** (1.0 / kernel.params.p)
 
 
-def _level_residual(u: Field, source: np.ndarray, kernel: Kernel,
-                    probes: np.ndarray, norms: np.ndarray) -> float:
+def _level_residual(au: np.ndarray, source: np.ndarray, probes: np.ndarray,
+                    norms: np.ndarray) -> float:
     """Weak residual max |<A u, phi> - source . phi| / (1 + [phi]) over the
-    probes, for the dual vector ``source`` (cell measures included).
+    probes, from the dual vectors ``au`` = A u and ``source`` (cell
+    measures included).
 
-    Uses the exact identity pairing(u, v) = grad . v, so the cost per
+    Uses the exact identity pairing(u, v) = (A u) . v, so the cost per
     probe is linear in the node count.
     """
-    gap = probes @ (apply_operator(u, kernel) - source)
+    gap = probes @ (au - source)
     return float((np.abs(gap) / (1.0 + norms)).max())
 
 
@@ -435,9 +436,9 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     schedule yields an unpolished result flagged as non-converged.  For
     alpha <= 1 the a-priori energy ceiling is recorded per level; alpha > 1
     requires a compactly supported weight and records the auxiliary power
-    seminorms instead.  A ``SolverError`` of the barrier or of the
-    embedding-constant search is re-raised naming that stage and alpha;
-    one of a level or of the polish names it, the Newton step and alpha.
+    seminorms instead.  A ``SolverError`` of the barrier is re-raised
+    naming that stage and alpha; one of a level or of the polish names
+    it, the Newton step and alpha.
     """
     opts = opts or ChainOptions()
     _validate_alpha(omega, alpha, kernel)
@@ -461,11 +462,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     except SolverError as err:
         raise _located(err, f"barrier (alpha {alpha:g})", alpha=alpha) from err
     if alpha < 1.0 and embedding is None:
-        try:
-            embedding = embedding_for_existence_bound(kernel, opts.solve)
-        except SolverError as err:
-            raise _located(err, f"embedding constant (alpha {alpha:g})",
-                           alpha=alpha) from err
+        embedding = embedding_for_existence_bound(kernel, opts.solve)
     bound = _existence_bound(omega, alpha, kernel, embedding)
 
     probes, norms = _residual_probes(kernel, _RESIDUAL_TRIALS, _RESIDUAL_SEED)
@@ -478,11 +475,13 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         problem = make_level(omega, n, alpha)
         start = prev if prev is not None else (init or psi)
         u_n, sweeps, delta = solve_level(problem, kernel, start, opts)
-        sn = seminorm_p(u_n, kernel)
+        # One pairwise pass: [u_n]^p = <A u_n, u_n> and the residual.
+        au = apply_operator(u_n, kernel)
+        sn = float(u_n.values @ au)
         source = kernel.grid.measure * problem.omega_n.values / (
             u_n.values + problem.shift
         ) ** problem.alpha
-        residual = _level_residual(u_n, source, kernel, probes, norms)
+        residual = _level_residual(au, source, probes, norms)
         levels.append(LevelRecord(
             n=n,
             u=u_n,
@@ -567,7 +566,8 @@ def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
     probes, norms = _residual_probes(kernel, trials, seed)
     bound = seminorm_p(u, kernel) ** ((p - 1.0) / p) * norms
     return ResidualReport(
-        max_residual=_level_residual(u, source, kernel, probes, norms),
+        max_residual=_level_residual(apply_operator(u, kernel), source,
+                                     probes, norms),
         aux_min_slack=float((bound - np.abs(probes @ source)).min()),
         trials=trials)
 

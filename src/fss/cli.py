@@ -266,11 +266,11 @@ def _cmd_constant(args) -> int:
     cfg = load_config(args.config)
     grid, params, kernel = build_geometry(cfg)
     result = embedding_constant(args.theta, kernel,
-                                opts=cfg.chain_options.solve, seed=cfg.seed)
+                                opts=cfg.chain_options.solve)
     _emit({
         "theta": result.theta,
         "value": result.value,
-        "starts": result.starts,
+        "exact": result.exact,
     }, args.out)
     return 0
 

@@ -113,6 +113,13 @@ def _finite(value, path: str) -> float:
     return float(value)
 
 
+def _text(value, path: str):
+    """Check that ``value`` is a JSON string, as a file path must be
+    (``open`` would take an integer for a file descriptor)."""
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a string, got {value!r}", path)
+
+
 def _is_int(value) -> bool:
     """A JSON integer; true and false are not integers here."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -199,6 +206,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("constant weight needs value > 0", "weight.value")
     if kind == "file" and "path" not in weight_params:
         raise ConfigError("file weight needs a path", "weight.path")
+    if "path" in weight_params:
+        _text(weight_params["path"], "weight.path")
 
     problem_block = _block(raw, "problem")
     alpha = problem_block.get("alpha")
@@ -272,6 +281,8 @@ def load_config(path: str) -> RunConfig:
         seed = int(env_seed)
 
     output = _block(raw, "output")
+    for key, value in output.items():
+        _text(value, f"output.{key}")
 
     return RunConfig(
         raw=raw,
@@ -335,7 +346,11 @@ def build_weight(cfg: RunConfig, grid: Grid) -> WeightField:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read weight file: {err}", "weight.path")
-        values = np.asarray(payload.get("values"), dtype=float)
+        values = payload.get("values") if isinstance(payload, dict) else None
+        if not isinstance(values, list):
+            raise ConfigError('weight file must hold {"values": [...]}',
+                              "weight.path")
+        values = np.array([_finite(v, "weight.path") for v in values])
         if values.shape != (grid.interior_count,):
             raise ConfigError(
                 f"weight file has {values.shape} values for "

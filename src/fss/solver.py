@@ -15,8 +15,9 @@ The module also computes discrete embedding constants
 
     S_theta = max_{v != 0} ||v||_theta^p / [v]^p
 
-exactly at theta = 1, from the torsion field, and otherwise as a lower
-bound by normalized multi-start descent on the unit L^theta sphere.
+by the nonlinear inverse power iteration, one solve per step: exactly
+for theta <= p (to the iteration's tolerance; at theta = 1 from one
+solve), and as a lower bound for theta > p.
 """
 
 from __future__ import annotations
@@ -41,23 +42,23 @@ SUFFICIENT_DECREASE = 1e-4
 MAX_BACKTRACKS = 60
 # Curvature pairs kept by L-BFGS.
 _LBFGS_MEMORY = 8
-# Starts and iterations per start of the theta > 1 embedding search.
-_EMBEDDING_STARTS = 8
-_EMBEDDING_ITERATIONS = 4000
+# Iterations of one energy descent.
+_MAX_ITERATIONS = 10000
+# Steps of the inverse power iteration for S_theta, and the relative rise
+# of its quotient at or below which the iteration stops.
+_POWER_STEPS = 200
+_POWER_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Gradient tolerance and iteration budget of the energy descent."""
+    """Gradient tolerance of the energy descent."""
 
     grad_tol: float = 1e-10
-    max_iter: int = 10000
 
     def __post_init__(self):
         if self.grad_tol <= 0.0:
             raise ValueError("gradient tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max iterations must be at least 1")
 
 
 def _lbfgs_direction(grad, s_hist, y_hist):
@@ -90,7 +91,7 @@ def _minimize(kernel: Kernel, rhs: np.ndarray | None, x0: np.ndarray,
     best_fval = fval
     best_gnorm = math.inf
     stale = 0
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_ITERATIONS):
         gnorm = float(np.abs(grad).max(initial=0.0))
         if gnorm <= opts.grad_tol:
             return u
@@ -156,11 +157,11 @@ def _minimize(kernel: Kernel, rhs: np.ndarray | None, x0: np.ndarray,
     if gnorm <= opts.grad_tol:
         return u
     raise SolverError(
-        f"no convergence within {opts.max_iter} iterations "
+        f"no convergence within {_MAX_ITERATIONS} iterations "
         f"(gradient max-norm {gnorm:.3e})",
         iterate=u,
         grad_norm=gnorm,
-        iterations=opts.max_iter,
+        iterations=_MAX_ITERATIONS,
     )
 
 
@@ -211,40 +212,43 @@ def solve_barrier(omega: WeightField, kernel: Kernel,
 
 @dataclass(frozen=True)
 class EmbeddingConstant:
-    """Discrete constant with ||v||_theta^p <= S * [v]^p: the best one
-    at theta = 1, a lower bound on it otherwise (see
-    ``embedding_constant``)."""
+    """Discrete constant with ||v||_theta^p <= S * [v]^p, attained at
+    ``extremizer``.  ``exact`` marks the best constant (theta <= p, to the
+    tolerance of ``embedding_constant``); otherwise it is a lower bound."""
 
     theta: float
     value: float
     extremizer: Field
-    starts: int = 8
+    exact: bool = False
 
     def __post_init__(self):
         if self.value <= 0.0:
             raise ValueError("embedding constant must be positive")
 
 
-def _normalize_theta(values: np.ndarray, measure: float, theta: float) -> np.ndarray:
-    nrm = (measure * (np.abs(values) ** theta).sum()) ** (1.0 / theta)
-    return values / nrm
-
-
 def embedding_constant(theta: float, kernel: Kernel,
-                       opts: SolveOptions | None = None,
-                       seed: int = 0) -> EmbeddingConstant:
+                       opts: SolveOptions | None = None) -> EmbeddingConstant:
     """Maximize ||v||_theta^p / [v]^p over nonzero discrete fields.
 
-    At theta = 1 the maximizer is the torsion field u, the solution of
-    A u = m * 1: for v >= 0, ||v||_1 = <A u, v> <= [u]^(p-1) [v] (Hoelder),
-    so S_1 = ||u||_1^p / [u]^p = ||u||_1^(p-1), from one solve.
+    Nonlinear inverse power iteration from v = 1: each step solves
+    A u = m |v|^(theta-1) (``solve_nonsingular``) and sets
+    v = u / ||u||_theta.  The quotient of u never decreases along the way
+    (Hein & Buehler, NIPS 2010); the iteration stops once it rises by at
+    most a relative 1e-12, or once the datum repeats.  For theta < p it converges to the
+    unique positive maximizer, and at theta = p to the first
+    eigenfunction (Biezuner, Ercole & Martins, J. Funct. Anal. 257,
+    2009), so the result is ``exact`` there unless the step budget runs
+    out or a solve stalls short of its tolerance (its last iterate is
+    used: the quotient of any field is a lower bound).
 
-    For theta > 1 the value is a lower bound on S_theta: the quotient is
-    maximized by projected gradient descent on the unit L^theta sphere,
-    with backtracking, from eight seeded initial fields (constant, bump,
-    random nonnegative), and the best value across starts is returned.
-    The quotient is invariant under v -> |v|, so iterates are kept
-    nonnegative.
+    At theta = 1 the datum is always 1, so the one solve gives the
+    torsion field u, and S_1 = ||u||_1^p / [u]^p = ||u||_1^(p-1): for
+    v >= 0, ||v||_1 = <A u, v> <= [u]^(p-1) [v] (Hoelder).
+
+    For theta > p there is no global method; the value returned is the
+    larger of the iteration's and the best one-node field's,
+    m^(p/theta) / [e_i]^p with [e_i]^p = 2 (sum_j w_ij + B_i), and it is
+    a lower bound on S_theta.
 
     ``theta`` must satisfy 1 <= theta <= p_star (finite); the critical
     exponent itself is allowed since every discrete embedding is a finite
@@ -259,68 +263,40 @@ def embedding_constant(theta: float, kernel: Kernel,
         raise ValueError(
             f"theta {theta} exceeds the critical exponent {params.p_star}"
         )
-    opts = opts or SolveOptions()
+    p = params.p
     grid = kernel.grid
-    n = grid.interior_count
-    m = grid.measure
-    if theta == 1.0:
-        torsion = solve_nonsingular(np.ones(n), kernel, opts)
-        value = norm_r(torsion, 1.0) ** params.p / seminorm_p(torsion, kernel)
-        return EmbeddingConstant(theta=1.0, value=float(value),
-                                 extremizer=torsion, starts=1)
-    rng = np.random.default_rng(seed)
-
-    inits = [np.ones(n)]
-    center = grid.interior.mean(axis=0)
-    width = 0.25 * max(hi - lo for lo, hi in grid.box)
-    d2 = ((grid.interior - center) ** 2).sum(axis=1)
-    inits.append(np.exp(-d2 / (2.0 * width**2)))
-    while len(inits) < _EMBEDDING_STARTS:
-        inits.append(np.abs(rng.standard_normal(n)) + 1e-3)
-
-    best_val = math.inf
-    best_field = None
-    for v0 in inits:
-        v = _normalize_theta(np.abs(v0), m, theta)
-        fval, grad = energy_and_gradient(v, kernel, None)
-        t = 1.0
-        for _ in range(_EMBEDDING_ITERATIONS):
-            moved = False
-            while t > 1e-22:
-                shifted = np.abs(v - t * grad)
-                if not shifted.any():
-                    t *= BACKTRACK
-                    continue
-                trial = _normalize_theta(shifted, m, theta)
-                ftrial, gtrial = energy_and_gradient(trial, kernel, None)
-                if ftrial < fval * (1.0 - 1e-15):
-                    v, fval, grad = trial, ftrial, gtrial
-                    moved = True
-                    t *= 2.0
-                    break
-                t *= BACKTRACK
-            if not moved:
-                break
-        if fval < best_val:
-            best_val = fval
-            best_field = v
-    if best_field is None or not math.isfinite(best_val) or best_val <= 0.0:
-        raise SolverError("embedding constant search did not converge")
-    # fval tracked (1/p)[v]^p; rescale to the plain p-th power.
-    energy_p = best_val * params.p
-    field = Field(best_field, grid)
-    value = norm_r(field, theta) ** params.p / energy_p
-    return EmbeddingConstant(
-        theta=float(theta),
-        value=float(value),
-        extremizer=field,
-        starts=_EMBEDDING_STARTS,
-    )
+    datum = np.ones(grid.interior_count)
+    value, field, exact = 0.0, None, theta <= p
+    for _ in range(_POWER_STEPS):
+        try:
+            u = solve_nonsingular(datum, kernel, opts)
+        except SolverError as err:
+            # L-BFGS stalls on flat fields at p < 2 (torsion at p = 1.5);
+            # the quotient of its last iterate is still a lower bound.
+            u, exact = Field(err.iterate, grid), False
+        quotient = norm_r(u, theta) ** p / seminorm_p(u, kernel)
+        rising = quotient > value * (1.0 + _POWER_RTOL)
+        if quotient > value:
+            value, field = quotient, u
+        nxt = np.abs(u.values / norm_r(u, theta)) ** (theta - 1.0)
+        if not rising or np.array_equal(nxt, datum):
+            break
+        datum = nxt
+    else:
+        exact = False
+    one_node = grid.measure ** (p / theta) / (
+        2.0 * (kernel.w_interior.sum(axis=1) + kernel.boundary_weight))
+    node = int(one_node.argmax())
+    if one_node[node] > value:
+        value = one_node[node]
+        field = Field(np.eye(1, grid.interior_count, node)[0], grid)
+    return EmbeddingConstant(theta=float(theta), value=float(value),
+                             extremizer=field, exact=exact)
 
 
 def embedding_for_existence_bound(kernel: Kernel,
-                                  opts: SolveOptions | None = None,
-                                  seed: int = 0) -> EmbeddingConstant:
+                                  opts: SolveOptions | None = None
+                                  ) -> EmbeddingConstant:
     """Embedding constant at the exponent used by the a-priori energy bound.
 
     The bound pairs the weight norm at the threshold exponent with the
@@ -330,4 +306,4 @@ def embedding_for_existence_bound(kernel: Kernel,
     """
     params = kernel.params
     theta = params.p_star if params.sp < params.n_dim else 1.0
-    return embedding_constant(theta, kernel, opts, seed=seed)
+    return embedding_constant(theta, kernel, opts)

@@ -256,12 +256,13 @@ class TestChainErrors:
         assert "level 8" in str(exc)
 
     def test_standalone_solver_error_has_no_chain_context(self, kernel_1d_p3,
-                                                          bump_weight):
+                                                          bump_weight,
+                                                          monkeypatch):
+        monkeypatch.setattr(solver_module, "_MAX_ITERATIONS", 1)
         problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
             fixed_point_step(problem, kernel_1d_p3,
-                             Field.zero(kernel_1d_p3.grid),
-                             SolveOptions(max_iter=1))
+                             Field.zero(kernel_1d_p3.grid))
         assert err.value.level is None and err.value.sweep is None
 
     def test_p2_solver_error_names_level_sweep_alpha(self, kernel_1d,
@@ -301,28 +302,14 @@ class TestChainErrors:
         assert "Hessian is not positive definite" in str(exc)
 
     def test_barrier_error_names_stage_and_alpha(self, kernel_1d_p3,
-                                                 bump_weight):
-        opts = ChainOptions(solve=SolveOptions(max_iter=1))
+                                                 bump_weight, monkeypatch):
+        monkeypatch.setattr(solver_module, "_MAX_ITERATIONS", 1)
         with pytest.raises(SolverError) as err:
-            run_chain(bump_weight, 0.5, kernel_1d_p3, opts=opts)
+            run_chain(bump_weight, 0.5, kernel_1d_p3)
         exc = err.value
         assert str(exc).startswith("barrier (alpha 0.5): ")
         assert exc.alpha == 0.5 and exc.level is None and exc.sweep is None
         assert exc.iterate is not None and exc.iterations == 1
-
-    def test_embedding_error_names_stage_and_alpha(self, kernel_1d_p3,
-                                                   bump_weight, monkeypatch):
-        def fail(kernel, opts=None, seed=0):
-            raise SolverError("embedding constant search did not converge")
-
-        monkeypatch.setattr(chain_module, "embedding_for_existence_bound",
-                            fail)
-        with pytest.raises(SolverError) as err:
-            run_chain(bump_weight, 0.5, kernel_1d_p3)
-        exc = err.value
-        assert str(exc) == ("embedding constant (alpha 0.5): embedding "
-                            "constant search did not converge")
-        assert exc.alpha == 0.5 and exc.level is None and exc.sweep is None
 
     def test_polish_error_names_sweep_and_alpha(self, kernel_1d_p3,
                                                 bump_weight, monkeypatch):

@@ -255,12 +255,22 @@ class TestExitCodes:
         ({"grid": {"collar": 0.1}}, "grid.collar"),
         ({"grid": {"tail_enabled": "false"}}, "grid.tail_enabled"),
         ({"grid": {"tail_enabled": 0}}, "grid.tail_enabled"),
+        ({"output": {"solution": 7}}, "output.solution"),
+        ({"weight": {"kind": "file", "path": 5}}, "weight.path"),
     ])
     def test_invalid_field_is_usage_error(self, tmp_path, capsys, overrides,
                                           field):
         path = write_config(tmp_path, overrides)
         assert run_command(["solve", "--config", path]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    def test_weight_file_list_is_usage_error(self, tmp_path, capsys):
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps([1.0] * 7))
+        path = write_config(tmp_path, {
+            "weight": {"kind": "file", "path": str(wpath)}})
+        assert run_command(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: weight.path: ")
 
     def test_missing_config_file(self, tmp_path):
         assert run_command(["solve", "--config",

@@ -202,6 +202,18 @@ class TestLoadConfig:
             load_config(path)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("overrides,field", [
+        ({"output": {"solution": 7}}, "output.solution"),
+        ({"output": {"mu_report": None}}, "output.mu_report"),
+        ({"weight": {"kind": "file", "path": 5}}, "weight.path"),
+        ({"weight": {"kind": "file", "path": ["w.json"]}}, "weight.path"),
+    ])
+    def test_rejects_non_string_path(self, tmp_path, overrides, field):
+        path = write_config(tmp_path, overrides)
+        with pytest.raises(ConfigError, match="expected a string") as err:
+            load_config(path)
+        assert err.value.field == field
+
     def test_accepts_key_of_another_weight_kind(self, tmp_path):
         # The base config's constant-weight "value" stays beside the bump.
         path = write_config(tmp_path, {
@@ -281,6 +293,26 @@ class TestBuildWeight:
         grid, _, _ = build_geometry(cfg)
         omega = build_weight(cfg, grid)
         assert np.array_equal(omega.values, values)
+
+    @pytest.mark.parametrize("payload", [
+        [0.5] * 7,
+        {"values": 3.0},
+        {"vals": [0.5] * 7},
+        {"values": [0.5] * 6 + ["x"]},
+        {"values": [0.5] * 6 + [None]},
+        "values",
+    ])
+    def test_file_weight_not_a_values_object(self, tmp_path, payload):
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps(payload))
+        path = write_config(tmp_path, {
+            "weight": {"kind": "file", "path": str(wpath), "r": 2.0},
+        })
+        cfg = load_config(path)
+        grid, _, _ = build_geometry(cfg)
+        with pytest.raises(ConfigError) as err:
+            build_weight(cfg, grid)
+        assert err.value.field == "weight.path"
 
     def test_file_weight_length_mismatch(self, tmp_path):
         wpath = tmp_path / "w.json"

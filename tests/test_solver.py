@@ -21,8 +21,30 @@ from fss import (
     solve_nonsingular,
 )
 
+from fss import solver as solver_module
+from fss.operators import block_seminorm_p
+
 from conftest import single_node_kernel, synthetic_unit_kernel
 from oracles import dense_p2_matrix
+
+
+def _kernel_2d():
+    # the unit square at h = 1/11: 100 interior nodes, p = 2, p_star = 4
+    grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 11, 0.4)
+    return build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2))
+
+
+def _record_solves(monkeypatch):
+    """The list of fields ``embedding_constant`` gets from
+    ``solve_nonsingular``, in call order."""
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(solve_nonsingular(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(solver_module, "solve_nonsingular", recording)
+    return solves
 
 
 class TestSolveNonsingular:
@@ -98,12 +120,13 @@ class TestSolveNonsingular:
         residual = apply_operator(u, kernel_1d) - kernel_1d.grid.measure * f
         assert np.abs(residual).max() <= opts.grad_tol
 
-    def test_nonconvergence_error_carries_state(self, kernel_1d):
+    def test_nonconvergence_error_carries_state(self, kernel_1d,
+                                                monkeypatch):
+        monkeypatch.setattr(solver_module, "_MAX_ITERATIONS", 2)
         rng = np.random.default_rng(7)
         f = np.abs(rng.standard_normal(kernel_1d.interior_count))
         with pytest.raises(SolverError) as err:
-            solve_nonsingular(f, kernel_1d, SolveOptions(grad_tol=1e-10,
-                                                         max_iter=2))
+            solve_nonsingular(f, kernel_1d, SolveOptions(grad_tol=1e-10))
         assert err.value.iterate is not None
         assert err.value.grad_norm is not None
 
@@ -158,13 +181,64 @@ class TestEmbeddingConstant:
                 ratio = norm_r(v, theta) ** p / seminorm_p(v, kernel_1d)
                 assert ratio <= result.value * (1.0 + 1e-10)
 
+    @pytest.mark.parametrize("theta", [1.0, 2.0, 3.0, 4.0])
+    def test_no_one_node_violation(self, kernel_1d, kernel_1d_p3, theta):
+        # [e_i]^p from the pairwise pass, not the closed form the solver uses
+        for kernel in (kernel_1d, kernel_1d_p3, _kernel_2d()):
+            p = kernel.params.p
+            m = kernel.grid.measure
+            result = embedding_constant(theta, kernel)
+            energies = block_seminorm_p(np.eye(kernel.interior_count), kernel)
+            ratios = m ** (p / theta) / energies
+            assert ratios.max() <= result.value * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_p2_theta2_is_first_eigenvalue(self, kernel_1d, dim):
+        # ||v||_2^2 = m |v|^2 and [v]^2 = v.K v, so S_2 = m / lambda_min(K).
+        kernel = kernel_1d if dim == 1 else _kernel_2d()
+        result = embedding_constant(2.0, kernel)
+        exact = kernel.grid.measure / np.linalg.eigvalsh(kernel.stiffness)[0]
+        assert result.exact
+        assert result.value == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("theta", [1.5, 2.0, 3.0, 4.0])
+    def test_quotient_nondecreasing(self, kernel_1d_p3, theta, monkeypatch):
+        solves = _record_solves(monkeypatch)
+        p = kernel_1d_p3.params.p
+        result = embedding_constant(theta, kernel_1d_p3)
+        quotients = [norm_r(u, theta) ** p / seminorm_p(u, kernel_1d_p3)
+                     for u in solves]
+        assert len(quotients) > 2
+        for a, b in zip(quotients, quotients[1:]):
+            assert b >= a * (1.0 - 1e-12)
+        assert result.value == max(quotients)
+        assert result.exact == (theta <= p)
+
+    @pytest.mark.parametrize("theta", [1.0, 1.2, 1.5])
+    def test_stalled_solves_give_lower_bound(self, kernel_1d_p15, theta):
+        # L-BFGS stalls above the gradient tolerance on these data at
+        # p = 1.5: the result is the quotient of its last iterate.
+        result = embedding_constant(theta, kernel_1d_p15)
+        attained = norm_r(result.extremizer, theta) ** 1.5 \
+            / seminorm_p(result.extremizer, kernel_1d_p15)
+        assert not result.exact
+        assert attained == result.value
+
+    def test_lower_bound_above_p(self, kernel_1d):
+        for theta in (2.5, 4.0):
+            assert not embedding_constant(theta, kernel_1d).exact
+        assert not embedding_constant(3.5, _kernel_2d()).exact
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_exact_at_theta_one(self, grid_1d, p):
-        # S_1 = ||u||_1^(p-1) for the torsion field u (A u = m * 1).
+    def test_exact_at_theta_one(self, grid_1d, p, monkeypatch):
+        # S_1 = ||u||_1^(p-1) for the torsion field u (A u = m * 1),
+        # from that one solve.
+        solves = _record_solves(monkeypatch)
         kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
         result = embedding_constant(1.0, kernel)
+        assert len(solves) == 1
         torsion = solve_nonsingular(np.ones(grid_1d.interior_count), kernel)
-        assert result.starts == 1
+        assert result.exact
         assert np.array_equal(result.extremizer.values, torsion.values)
         assert result.value == pytest.approx(
             norm_r(torsion, 1.0) ** (p - 1.0), rel=1e-9)
@@ -199,8 +273,8 @@ class TestEmbeddingConstant:
         assert result.value > 0.0
 
     def test_multistart_determinism(self, kernel_1d):
-        a = embedding_constant(2.0, kernel_1d, seed=3)
-        b = embedding_constant(2.0, kernel_1d, seed=3)
+        a = embedding_constant(2.0, kernel_1d)
+        b = embedding_constant(2.0, kernel_1d)
         assert a.value == b.value
 
     def test_rejects_nonpositive_value(self, kernel_1d):
