@@ -186,6 +186,10 @@ def _cmd_verify(args) -> int:
         )
     if stored.metadata.get("config_hash") not in (None, cfg.config_hash()):
         sys.stderr.write("warning: config hash differs from the stored one\n")
+    if stored.values.size != grid.interior_count:
+        raise SolutionFileError(
+            f"corrupt solution file: {stored.values.size} values for "
+            f"{grid.interior_count} interior nodes")
     alpha = stored.metadata.get("alpha")
     if alpha is None:
         raise SolutionFileError("solution file lacks alpha metadata")

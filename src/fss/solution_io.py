@@ -102,14 +102,19 @@ def load_solution(path: str) -> SolutionFile:
         )
     if "values" not in payload or "metadata" not in payload:
         raise SolutionFileError("corrupt solution file: missing values/metadata")
+    values = payload["values"]
+    # Only JSON numbers: numpy would also parse "0.5", "nan" and true.
+    numbers = (isinstance(values, list) and values
+               and all(type(v) in (int, float) for v in values))
     try:
-        values = np.asarray(payload["values"], dtype=float)
-    except (TypeError, ValueError):
+        values = np.array(values if numbers else [], dtype=float)
+    except OverflowError:  # an integer beyond the float range
         values = np.empty(0)
-    if (values.ndim != 1 or values.size == 0
+    if (values.size == 0 or not np.isfinite(values).all()
             or not isinstance(payload["metadata"], dict)):
         raise SolutionFileError("corrupt solution file: values must be a "
-                                "flat list of numbers, metadata an object")
+                                "flat list of finite numbers, metadata an "
+                                "object")
     return SolutionFile(format_version=version, metadata=payload["metadata"],
                         values=values)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -162,11 +163,20 @@ class TestVerifyCommand:
         ("values", [{"a": 1}]),
         ("values", [1, [2, 3]]),
         ("metadata", [1]),
-    ], ids=["object-values", "ragged-values", "list-metadata"])
+        ("values", lambda v: [str(x) for x in v]),
+        ("values", lambda v: v[:1] + [True] + v[2:]),
+        ("values", lambda v: v[:-1]),
+        ("values", lambda v: v[:1] + [math.nan] + v[2:]),
+    ], ids=["object-values", "ragged-values", "list-metadata",
+            "string-values", "bool-value", "short-values", "nan-value"])
     def test_corrupt_solution_file(self, tmp_path, capsys, key, value):
+        # A callable maps the stored values to their corrupt form; the
+        # metadata stays intact.
         path, out = cli_config(tmp_path)
         run_command(["solve", "--config", path])
         sol = json.load(open(out["solution"]))
+        if callable(value):
+            value = value(sol[key])
         sol[key] = value
         open(out["solution"], "w").write(json.dumps(sol))
         rc = run_command(["verify", "--config", path,

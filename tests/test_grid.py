@@ -153,18 +153,25 @@ class TestBuildKernel:
             assert ratio == pytest.approx(c ** (2.0 - params.sp), rel=1e-12)
 
 
-_PAIR_CASES = pytest.mark.parametrize("box,h,collar", [
-    ([(0.0, 1.0)], 1.0 / 17, 0.5),
-    ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12, 0.25),
-    ([(0.0, 1.0), (0.0, 2.0)], 1.0 / 7, 0.5),
-], ids=["1d", "2d", "2d-rect"])
+# In every 2D case some lattice offset gives several distinct float
+# differences |x_i - y_j|.  The last three cases are the h = 1/24 unit
+# square, a box off the origin, and s = 0.35 (a non-integer exponent at
+# every p).
+_PAIR_CASES = pytest.mark.parametrize("box,h,collar,s", [
+    ([(0.0, 1.0)], 1.0 / 17, 0.5, 0.5),
+    ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12, 0.25, 0.5),
+    ([(0.0, 1.0), (0.0, 2.0)], 1.0 / 7, 0.5, 0.5),
+    ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 24, 0.25, 0.5),
+    ([(-0.3, 0.7), (0.1, 1.9)], 1.0 / 13, 0.4, 0.5),
+    ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 9, 0.3, 0.35),
+], ids=["1d", "2d", "2d-rect", "2d-h24", "2d-offset", "2d-s035"])
 
 
 class TestPairWeights:
     @staticmethod
-    def assert_equal_to_full_difference_array(box, h, collar, p):
+    def assert_equal_to_full_difference_array(box, h, collar, p, s):
         grid = build_grid(box, h, collar)
-        params = FracParams(s=0.5, p=p, n_dim=len(box))
+        params = FracParams(s=s, p=p, n_dim=len(box))
         kernel = build_kernel(grid, params)
         exponent = grid.n_dim + params.sp
         m = grid.measure
@@ -177,26 +184,37 @@ class TestPairWeights:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @_PAIR_CASES
-    def test_bitwise_equal_to_full_difference_array(self, box, h, collar, p):
-        self.assert_equal_to_full_difference_array(box, h, collar, p)
+    def test_bitwise_equal_to_full_difference_array(self, box, h, collar, s, p):
+        self.assert_equal_to_full_difference_array(box, h, collar, p, s)
 
     @pytest.mark.parametrize("rows", [1, 5], ids=["one-row", "ragged"])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @_PAIR_CASES
-    def test_row_blocks(self, box, h, collar, p, rows, monkeypatch):
-        # The collar row sums are built in row blocks; blocks of one row,
-        # and of five rows (which divide none of these M), give the row
-        # sums of the whole M x C array too.
+    def test_row_blocks(self, box, h, collar, s, p, rows, monkeypatch):
+        # The 1D collar row sums are built in row blocks; blocks of one
+        # row, and of five rows (which divide none of these M), give the
+        # row sums of the whole M x C array too.  The 2D build gathers
+        # whole lattice lines and does not depend on the block size.
         grid = build_grid(box, h, collar)
         assert grid.interior_count % 5 != 0
         monkeypatch.setattr(fss.grid, "PAIR_BLOCK_ELEMENTS",
                             rows * grid.collar.shape[0])
-        self.assert_equal_to_full_difference_array(box, h, collar, p)
+        self.assert_equal_to_full_difference_array(box, h, collar, p, s)
+
+    @_PAIR_CASES
+    def test_rebuild_is_bitwise_equal(self, box, h, collar, s):
+        params = FracParams(s=s, p=2.0, n_dim=len(box))
+        first, second = (build_kernel(build_grid(box, h, collar), params)
+                         for _ in range(2))
+        assert first.w_interior.tobytes() == second.w_interior.tobytes()
+        assert (first.boundary_weight.tobytes()
+                == second.boundary_weight.tobytes())
 
     def test_no_interior_by_collar_array(self):
-        # The build holds the M x M table and one M x M scratch array,
-        # 16 M^2 bytes, which is below the bound because C > M here; an
-        # M x C array beside the M x M table breaks it.
+        # The build holds the M x M table plus per-line gathers, index
+        # tables and the class table, all far below 4 M C bytes; an M x M
+        # scratch array or half an M x C array beside the M x M table
+        # breaks the bound.
         grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 24, 0.25)
         m, c = grid.interior_count, grid.collar.shape[0]
         assert c > m
@@ -207,7 +225,7 @@ class TestPairWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * m * m + 8 * m * c
+        assert peak < 8 * m * m + 4 * m * c
 
 
 class TestRAlpha:

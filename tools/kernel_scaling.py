@@ -1,0 +1,108 @@
+"""Time the 2D kernel build and its memory peak as the lattice is refined.
+
+For each spacing h in 1/12, 1/24, 1/48, 1/64 and 1/96 on the unit square
+(collar 1/4, s = 1/2, p = 2), a fresh Python process builds the kernel
+for at least two seconds (three builds at least) and reports the median
+``build_kernel`` wall time, the ``tracemalloc`` peak of one more build,
+and the process's peak RSS.  The BLAS thread counts are pinned to 1.  At
+h = 1/96 (M = 9025) the interior table alone is 650 MB.
+
+Usage, from the root of a checkout:
+
+    python3 tools/kernel_scaling.py [[NAME=]PACKAGE_DIR ...]
+
+PACKAGE_DIR defaults to src/fss.  With several package directories the
+points are run in turn, one package after the other at each h, so that a
+drift in machine speed falls on all of them alike.  Prints one JSON
+document, keyed by NAME (the directory when no name is given).  Standard
+library and numpy only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+SPACINGS = (12, 24, 48, 64, 96)  # h = 1/n
+COLLAR = 0.25
+S, P = 0.5, 2.0
+MIN_BUILDS = 3
+MAX_BUILDS = 100
+SECONDS = 2.0
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def measure(package: Path, n: int) -> dict:
+    """Build the h = 1/n kernel with the fss of ``package`` in this process."""
+    sys.path.insert(0, str(package.resolve().parent))
+    import fss
+
+    if not Path(fss.__file__).resolve().is_relative_to(package.resolve()):
+        raise SystemExit(f"fss was imported from {fss.__file__}, not {package}")
+    grid = fss.build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / n, COLLAR)
+    params = fss.FracParams(s=S, p=P, n_dim=2)
+    times: list[float] = []
+    started = time.perf_counter()
+    while len(times) < MAX_BUILDS and (
+            len(times) < MIN_BUILDS or time.perf_counter() - started < SECONDS):
+        t = time.perf_counter()
+        kernel = fss.build_kernel(grid, params)
+        times.append(time.perf_counter() - t)
+        del kernel
+    tracemalloc.start()
+    fss.build_kernel(grid, params)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {
+        "h": f"1/{n}",
+        "M": grid.interior_count,
+        "C": int(grid.collar.shape[0]),
+        "builds": len(times),
+        "build_s_median": statistics.median(times),
+        "tracemalloc_peak_mb": peak / 1e6,
+        "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3,
+        "interior_table_mb": 8 * grid.interior_count ** 2 / 1e6,
+    }
+
+
+def environment() -> dict:
+    import numpy
+
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "machine": platform.machine(),
+            "threads": {name: "1" for name in _THREAD_VARS}}
+
+
+def main(argv: list[str]) -> int:
+    if argv and argv[0] == "--one":
+        print(json.dumps(measure(Path(argv[1]), int(argv[2]))))
+        return 0
+    packages = {}
+    for arg in argv or ["src/fss"]:
+        name, _, path = arg.rpartition("=")
+        packages[name or path] = Path(path)
+    env = dict(os.environ, **{name: "1" for name in _THREAD_VARS})
+    points: dict[str, list] = {name: [] for name in packages}
+    for n in SPACINGS:
+        for name, package in packages.items():
+            out = subprocess.run(
+                [sys.executable, __file__, "--one", str(package), str(n)],
+                env=env, check=True, capture_output=True, text=True).stdout
+            points[name].append(json.loads(out))
+            print(f"{name} h=1/{n} done", file=sys.stderr)
+    print(json.dumps({"environment": environment(), "collar": COLLAR,
+                      "s": S, "p": P, "seconds": SECONDS, "points": points},
+                     indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
