@@ -18,7 +18,8 @@ the weight, of the strictly convex energy
 
 with omega_n = min(omega, n) and G_alpha'(z) = -z**(-alpha), and the
 singular limit minimizes the same energy with omega and shift 0.  One
-damped Newton routine solves every level and the limit.  Its gradient is
+damped Newton routine (``solver.newton``, which also runs the stand-alone
+solves at p != 2) solves every level and the limit.  Its gradient is
 A u - m omega_n (u + 1/n)**(-alpha) and its Hessian H_p(u) + D, with
 D = diag(alpha m omega_n (u + 1/n)**(-alpha-1)) and H_p the Hessian of
 (1/p)[u]^p (``operators.energy_hessian``).  Each step is cut to go at
@@ -52,28 +53,24 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from .exceptions import FssError, SolverError, StagnationError
+from .exceptions import FssError, SolverError
 from .grid import Kernel, r_alpha
 from .operators import (
     Field,
     WeightField,
     apply_operator,
     block_seminorm_p,
-    energy_and_gradient,
-    energy_hessian,
     norm_r,
     seminorm_p,
 )
 from .sampling import trial_chunks
 from .solver import (
-    BACKTRACK,
-    MAX_BACKTRACKS,
-    SUFFICIENT_DECREASE,
     EmbeddingConstant,
     SolveOptions,
     embedding_for_existence_bound,
+    newton,
     solve_barrier,
 )
 
@@ -109,20 +106,6 @@ def make_level(omega: WeightField, n: int, alpha: float) -> RegularizedProblem:
                               omega_n=truncate_weight(omega, n))
 
 
-# Newton steps one chain solve (a level or the limit) may take.
-_NEWTON_STEPS = 100
-# Steps at the double-precision floor after which a solve returns its best
-# iterate.
-_FLOOR_STEPS = 3
-# Largest fraction of the distance to the boundary u + shift = 0 a step
-# may cover.
-_TO_BOUNDARY = 0.995
-# Largest share of the nodes the weight's support may cover for a p = 2
-# step to go through Woodbury: at half the nodes it factors 1/8 of what
-# the direct step factors and keeps M^2 / 2 doubles of K^-1, while on
-# every node it is the slower one (5.6 against 4.1 ms a step at M = 529,
-# one BLAS thread).
-_WOODBURY_SHARE = 0.5
 # Seeded test fields of the per-level weak residual.
 _RESIDUAL_TRIALS = 100
 _RESIDUAL_SEED = 7
@@ -152,118 +135,6 @@ def _located(err: SolverError, where: str, **context) -> SolverError:
                        **context)
 
 
-def _solve_p2_newton(kernel: Kernel, support: np.ndarray, root: np.ndarray,
-                     c: np.ndarray) -> np.ndarray:
-    """Solve (K + D) x = b at p = 2 for D = diag(root^2) and b = root * c on
-    the ``support`` nodes, both zero elsewhere.
-
-    By Woodbury, with Z the support columns of K^-1 and r = ``root``,
-    (K + D)^-1 P = Z (D^-1 + Z_S)^-1 D^-1 = Z r C^-1 r^-1, so
-    x = Z (r C^-1 c) with C = I + r Z_S r, which is symmetric positive
-    definite with eigenvalues at least 1.  No term grows with D: a large
-    D, which the singular weight gives near the boundary u + shift = 0,
-    costs no accuracy.
-    """
-    z = kernel.inverse_stiffness_columns(support)
-    m = root[:, None] * z[support] * root[None, :]
-    m[np.diag_indices_from(m)] += 1.0
-    factor = cho_factor(m, overwrite_a=True, check_finite=False)
-    return z @ (root * cho_solve(factor, c, check_finite=False))
-
-
-def _newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
-            kernel: Kernel, tol: float, where: str,
-            level: int | None = None) -> tuple[np.ndarray, int, float]:
-    """Damped Newton on J(u) = (1/p)[u]^p + sum_i m w_i G_alpha(u_i + shift).
-
-    Starts from ``u``, which must satisfy u + shift > 0 on the support of
-    ``weight``.  Returns the best iterate, the number of Newton steps and
-    the max-norm of the step that produced that iterate (see the module
-    docstring for the stop rule).  The line search takes the L-BFGS
-    solver's parameters.  Every failure raises a ``SolverError`` whose
-    message starts "``where``, sweep <step>: " and which carries ``level``,
-    ``alpha``, the step as ``sweep`` and ``iterations``, the iterate and
-    its gradient max-norm: a non-finite Hessian or step, a Hessian that
-    is not positive definite, a step that is not a descent direction, a
-    failed line search, and a best iterate
-    that is not strictly positive at every node.  Running out of
-    steps raises the ``StagnationError`` subclass with the step max-norms
-    as ``history``.
-    """
-    support = np.flatnonzero(weight > 0.0)
-    mass = kernel.grid.measure * weight[support]
-
-    def evaluate(v):
-        """J(v), its gradient, and the size of the terms summed into J."""
-        energy, g = energy_and_gradient(v, kernel)
-        z = v[support] + shift
-        potential = mass * (-np.log(z) if alpha == 1.0
-                            else z ** (1.0 - alpha) / (alpha - 1.0))
-        g[support] -= mass * z ** (-alpha)
-        return (energy + float(potential.sum()), g,
-                energy + float(np.abs(potential).sum()))
-
-    def fail(reason, error=SolverError, **extra):
-        return error(f"{where}, sweep {step}: {reason}", iterate=u,
-                     grad_norm=float(np.abs(grad).max()), iterations=step,
-                     sweep=step, level=level, alpha=alpha, **extra)
-
-    fval, grad, size = evaluate(u)
-    best, best_delta, stale, history = u, math.inf, 0, []
-    for step in range(1, _NEWTON_STEPS + 1):
-        z = u[support] + shift
-        curvature = alpha * mass * z ** (-alpha - 1.0)
-        try:
-            if (kernel.params.p == 2.0
-                    and support.size <= _WOODBURY_SHARE * u.size):
-                # -grad = P (m w z^-alpha + D u_S) - (K + D) u, and
-                # m w z^-alpha = D z / alpha.
-                root = np.sqrt(curvature)
-                d = _solve_p2_newton(kernel, support, root,
-                                     root * (u[support] + z / alpha)) - u
-            else:
-                h = energy_hessian(u, kernel)
-                h[support, support] += curvature
-                if not np.isfinite(h).all():
-                    raise fail("Hessian has a non-finite entry")
-                d = cho_solve(cho_factor(h, overwrite_a=True,
-                                         check_finite=False),
-                              -grad, check_finite=False)
-        except LinAlgError as err:
-            raise fail("Hessian is not positive definite") from err
-        if not np.isfinite(d).all():
-            raise fail("Newton step is not finite")
-        slope = float(grad @ d)
-        # Near the minimum the decrease predicted by the slope drops below
-        # the rounding noise of the summed energy terms.
-        noise = 8.0 * np.finfo(float).eps * (1.0 + size)
-        if slope > noise:
-            raise fail("Newton step is not a descent direction")
-        delta = float(np.abs(d).max())
-        history.append(delta)
-        reach = float((-d[support] / z).max())
-        t = min(1.0, _TO_BOUNDARY / reach) if reach > 0.0 else 1.0
-        for _ in range(MAX_BACKTRACKS):
-            trial = u + t * d
-            ftrial, gtrial, strial = evaluate(trial)
-            if ftrial <= fval + SUFFICIENT_DECREASE * t * slope + noise:
-                break
-            t *= BACKTRACK
-        else:
-            raise fail("line search failed")
-        u, fval, grad, size = trial, ftrial, gtrial, strial
-        if delta < best_delta:
-            best, best_delta, stale = u, delta, 0
-        elif -slope <= noise:
-            stale += 1
-        if delta <= tol or stale >= _FLOOR_STEPS:
-            if best.min() <= 0.0:
-                raise fail("solution is not strictly positive")
-            return best, step, best_delta
-    raise fail(f"no convergence within {step} Newton steps (last step "
-               f"{history[-1]:.3e})", StagnationError, history=history)
-
-
 def solve_level(problem: RegularizedProblem, kernel: Kernel, init: Field,
                 opts: ChainOptions | None = None) -> tuple[Field, int, float]:
     """Minimize the level energy J_n by damped Newton from ``init``.
@@ -282,11 +153,11 @@ def solve_level(problem: RegularizedProblem, kernel: Kernel, init: Field,
     opts = opts or ChainOptions()
     if init.values.min() < 0.0:
         raise ValueError("initial field must be nonnegative")
-    u, steps, delta = _newton(init.values, problem.omega_n.values,
-                              problem.shift, problem.alpha, kernel,
-                              opts.fixed_point_tol,
-                              f"level {problem.level} (alpha {problem.alpha:g})",
-                              level=problem.level)
+    u, steps, delta = newton(init.values, problem.omega_n.values,
+                             problem.shift, problem.alpha, kernel,
+                             opts.fixed_point_tol,
+                             f"level {problem.level} (alpha {problem.alpha:g})",
+                             level=problem.level)
     return Field(u, kernel.grid), steps, delta
 
 
@@ -453,7 +324,8 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     params = kernel.params
     x0 = None
     if params.p == 2.0:
-        # The direct solution of K u = m min(omega, 1); L-BFGS certifies it.
+        # The direct solution of K u = m min(omega, 1), which conjugate
+        # gradients certify without an iteration.
         x0 = Field(cho_solve(kernel.stiffness_factor, kernel.grid.measure
                              * np.minimum(omega.values, 1.0),
                              check_finite=False), kernel.grid)
@@ -510,7 +382,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     m_alpha = (levels[0].max_value + 1.0) ** (-alpha / (params.p - 1.0))
     u_final, polish_sweeps, polish_delta = prev, 0, math.inf
     if converged:
-        values, polish_sweeps, polish_delta = _newton(
+        values, polish_sweeps, polish_delta = newton(
             prev.values, omega.values, 0.0, alpha, kernel, opts.polish_tol,
             f"polish (alpha {alpha:g})")
         u_final = Field(values, kernel.grid)

@@ -193,6 +193,11 @@ def _cmd_verify(args) -> int:
     alpha = stored.metadata.get("alpha")
     if alpha is None:
         raise SolutionFileError("solution file lacks alpha metadata")
+    # A JSON number, not a boolean or string; alpha > 1 is what `fss solve`
+    # writes for compactly supported weights.
+    if type(alpha) not in (int, float) or not 0.0 < alpha < math.inf:
+        raise SolutionFileError(f"corrupt solution file: alpha must be a "
+                                f"positive finite number, got {alpha!r}")
     u = Field(stored.values, grid)
 
     residual = weak_residual(u, omega, alpha, kernel, trials=min(trials, 200),

@@ -30,7 +30,7 @@ chain asks for it.  At p != 2 the pass runs over row blocks of about
 the kernel builds on the first such evaluation and then reuses, so an
 evaluation allocates O(M) memory instead of several M x M temporaries.
 The same row blocks assemble the Hessian of (1/p)[u]^p
-(``energy_hessian``) for the chain's Newton solves.
+(``energy_hessian``) for the Newton solves.
 """
 
 from __future__ import annotations
@@ -257,20 +257,27 @@ def energy_hessian(values: np.ndarray, kernel: Kernel) -> np.ndarray:
         H = 2 (p-1) [diag(sum_j c_ij + B_i |u_i|^(p-2)) - (c_ij)],
         c_ij = w_ij |u_i - u_j|^(p-2),
 
-    assembled through the blocked row pass.  For p < 2 an entry is
-    infinite where two nodes tie or a node vanishes.
+    assembled through the blocked row pass.  For p < 2 the powers are
+    infinite where two nodes tie or a node vanishes, so |u_i - u_j| and
+    |u_i| are clipped from below at eps = 1e-13 max|u| there (the fixed-eps
+    case of the relaxed Kacanov weights of Diening, Fornasier, Tomasi &
+    Wank, Numer. Math. 145, 2020); entries with |u_i - u_j| > eps are
+    unchanged, and only the zero field keeps infinite entries.  For
+    p >= 2 nothing is clipped.
     """
     p = kernel.params.p
     if p == 2.0:
         return kernel.stiffness.copy()
+    eps = 1e-13 * float(np.abs(values).max()) if p < 2.0 else 0.0
     h = np.empty((values.size, values.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows, diff in _pair_blocks(values, kernel):
-            np.multiply(kernel.w_interior[rows], np.abs(diff) ** (p - 2.0),
+            np.multiply(kernel.w_interior[rows],
+                        np.maximum(np.abs(diff), eps) ** (p - 2.0),
                         out=h[rows])
         np.fill_diagonal(h, 0.0)
-        diagonal = (h.sum(axis=1)
-                    + kernel.boundary_weight * np.abs(values) ** (p - 2.0))
+        diagonal = (h.sum(axis=1) + kernel.boundary_weight
+                    * np.maximum(np.abs(values), eps) ** (p - 2.0))
     h *= -2.0 * (p - 1.0)
     h[np.diag_indices_from(h)] = 2.0 * (p - 1.0) * diagonal
     return h

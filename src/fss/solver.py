@@ -5,11 +5,14 @@ The basic solve finds the unique minimizer of
     J(v) = (1/p) [v]^p - sum_i m f_i v_i
 
 which is the weak solution of the nonlocal p-problem with datum f and
-zero exterior values.  The energy is C^1 for every p > 1 but not C^2 for
-p < 2, so the solver is a line-search descent method: L-BFGS directions
-with Armijo backtracking, falling back to steepest descent whenever the
-quasi-Newton direction fails the descent test.  Every accepted step is
-checked to not increase the energy.
+zero exterior values.  At p = 2, J is quadratic and its minimizer solves
+K u = m f with the kernel's stiffness matrix K, which conjugate gradients
+solve with one matvec per iteration (K is symmetric positive definite).
+Every other p runs ``newton``, the damped Newton routine that also solves
+the levels of the approximation chain (``chain``): J is its energy at
+alpha = 0.  The energy is C^2 away from ties for every p > 1; at p < 2 the
+Hessian of (1/p)[u]^p is infinite at ties, and ``energy_hessian`` clips
+it there (see its docstring).
 
 The module also computes discrete embedding constants
 
@@ -26,24 +29,39 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .exceptions import FieldMismatchError, SolverError
+from .exceptions import FieldMismatchError, SolverError, StagnationError
 from .grid import Kernel
-from .operators import (Field, WeightField, energy_and_gradient, norm_r,
-                        seminorm_p)
+from .operators import (Field, WeightField, energy_and_gradient,
+                        energy_hessian, norm_r, seminorm_p)
 
-# Energy comparisons tolerate accumulated rounding of the pairwise sums.
-_DESCENT_SLACK = 1e-13
-# Armijo line search, shared with the chain's Newton steps: the step
-# shrink factor, the sufficient-decrease fraction of the predicted
-# decrease, and the number of shrinks before the search fails.
-BACKTRACK = 0.5
-SUFFICIENT_DECREASE = 1e-4
-MAX_BACKTRACKS = 60
-# Curvature pairs kept by L-BFGS.
-_LBFGS_MEMORY = 8
-# Iterations of one energy descent.
-_MAX_ITERATIONS = 10000
+# Armijo line search of the Newton steps: the step shrink factor, the
+# sufficient-decrease fraction of the predicted decrease, and the number
+# of shrinks before the search fails.
+_BACKTRACK = 0.5
+_SUFFICIENT_DECREASE = 1e-4
+_MAX_BACKTRACKS = 60
+# At p < 2, the largest share of the initial slope's size the slope at
+# an accepted point may reach.
+_CURVATURE = 0.9
+# Newton steps one solve (stand-alone, a chain level or the limit) may
+# take.
+_NEWTON_STEPS = 100
+# Steps at the double-precision floor after which a solve returns its best
+# iterate.
+_FLOOR_STEPS = 3
+# Largest fraction of the distance to the boundary u + shift = 0 a step
+# may cover.
+_TO_BOUNDARY = 0.995
+# Largest share of the nodes the weight's support may cover for a p = 2
+# step to go through Woodbury: at half the nodes it factors 1/8 of what
+# the direct step factors and keeps M^2 / 2 doubles of K^-1, while on
+# every node it is the slower one (5.6 against 4.1 ms a step at M = 529,
+# one BLAS thread).
+_WOODBURY_SHARE = 0.5
+# Conjugate-gradient iterations of one p = 2 solve.
+_CG_ITERATIONS = 10000
 # Steps of the inverse power iteration for S_theta, and the relative rise
 # of its quotient at or below which the iteration stops.
 _POWER_STEPS = 200
@@ -52,7 +70,7 @@ _POWER_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Gradient tolerance of the energy descent."""
+    """Gradient tolerance of a stand-alone solve."""
 
     grad_tol: float = 1e-10
 
@@ -61,108 +79,196 @@ class SolveOptions:
             raise ValueError("gradient tolerance must be positive")
 
 
-def _lbfgs_direction(grad, s_hist, y_hist):
-    """Two-loop recursion; returns the steepest direction on empty history."""
-    d = -grad
-    if not s_hist:
-        return d
-    alphas = []
-    q = d.copy()
-    for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        rho = 1.0 / (y @ s)
-        a = rho * (s @ q)
-        q -= a * y
-        alphas.append((a, rho, s, y))
-    s_last, y_last = s_hist[-1], y_hist[-1]
-    q *= (s_last @ y_last) / (y_last @ y_last)
-    for a, rho, s, y in reversed(alphas):
-        b = rho * (y @ q)
-        q += (a - b) * s
-    return q
+def _solve_p2_newton(kernel: Kernel, support: np.ndarray, root: np.ndarray,
+                     c: np.ndarray) -> np.ndarray:
+    """Solve (K + D) x = b at p = 2 for D = diag(root^2) and b = root * c on
+    the ``support`` nodes, both zero elsewhere.
+
+    By Woodbury, with Z the support columns of K^-1 and r = ``root``,
+    (K + D)^-1 P = Z (D^-1 + Z_S)^-1 D^-1 = Z r C^-1 r^-1, so
+    x = Z (r C^-1 c) with C = I + r Z_S r, which is symmetric positive
+    definite with eigenvalues at least 1.  No term grows with D: a large
+    D, which the singular weight gives near the boundary u + shift = 0,
+    costs no accuracy.
+    """
+    z = kernel.inverse_stiffness_columns(support)
+    m = root[:, None] * z[support] * root[None, :]
+    m[np.diag_indices_from(m)] += 1.0
+    factor = cho_factor(m, overwrite_a=True, check_finite=False)
+    return z @ (root * cho_solve(factor, c, check_finite=False))
 
 
-def _minimize(kernel: Kernel, rhs: np.ndarray | None, x0: np.ndarray,
-              opts: SolveOptions) -> np.ndarray:
-    u = np.asarray(x0, dtype=float).copy()
-    fval, grad = energy_and_gradient(u, kernel, rhs)
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    step = 1.0
-    best_fval = fval
-    best_gnorm = math.inf
-    stale = 0
-    for _ in range(_MAX_ITERATIONS):
-        gnorm = float(np.abs(grad).max(initial=0.0))
-        if gnorm <= opts.grad_tol:
-            return u
-        d = _lbfgs_direction(grad, s_hist, y_hist)
-        slope = float(d @ grad)
-        if slope >= -1e-14 * float(np.linalg.norm(d) * np.linalg.norm(grad)):
-            d = -grad
-            slope = -float(grad @ grad)
-            s_hist.clear()
-            y_hist.clear()
-        t = 1.0 if s_hist else min(1.0, 4.0 * step)
-        accepted = False
+def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
+           kernel: Kernel, tol: float, where: str | None = None,
+           level: int | None = None,
+           gradient: bool = False) -> tuple[np.ndarray, int, float]:
+    """Damped Newton on J(u) = (1/p)[u]^p + sum_i m w_i G_alpha(u_i + shift)
+    with G_alpha'(z) = -z^(-alpha).
+
+    At alpha = 0, G_0(z) = -z and J is the nonsingular energy with datum
+    ``weight``: there is no curvature term and no boundary.  At
+    alpha > 0, ``u`` must satisfy u + shift > 0 on the support of
+    ``weight``; the gradient is A u - m w (u + shift)^(-alpha) and the
+    Hessian H_p(u) + D, with D = diag(alpha m w (u + shift)^(-alpha-1))
+    and H_p the Hessian of (1/p)[u]^p (``operators.energy_hessian``).
+    Each step is cut to go at most 0.995 of the way to the boundary
+    u + shift = 0 and then backtracked until it passes the Armijo test on
+    J, and at p < 2 also the curvature test that keeps it from
+    overshooting a near-tie (Nocedal & Wright, Numerical Optimization,
+    2006, ch. 3 and 19).
+
+    At p = 2 with alpha > 0, H_p is the stiffness matrix K and D lives
+    only on the support S.  When S covers at most half the nodes, a step
+    uses the kernel's cached Cholesky factor of K and factors only the
+    |S| x |S| matrix I + D_S^(1/2) (K^-1)_SS D_S^(1/2) (Woodbury); the S
+    columns of K^-1 are solved once per kernel.  A wider support, and
+    every other p, factors H_p + D by Cholesky at each step.
+
+    The solve stops once the max-norm of its Newton step (of its gradient
+    when ``gradient``) is at most ``tol``, or, when ``tol`` lies below the
+    double-precision floor, after three steps that neither shrink that
+    max-norm nor promise a measurable energy decrease.  Returns the best
+    iterate, the number of Newton steps and the max-norm that iterate
+    reached.  Every failure raises a ``SolverError`` carrying the
+    iterate, its gradient max-norm and the step as ``iterations``: a
+    non-finite Hessian or step, a Hessian that is not positive definite,
+    a step that is not a descent direction, a failed line search, and at
+    alpha > 0 a best iterate that is not strictly positive at every
+    node.  Running out of steps raises the ``StagnationError`` subclass
+    with the step max-norms as ``history``.  Inside the chain, ``where``
+    names the stage: the message then starts "``where``, sweep <step>: "
+    and the error carries ``level``, ``alpha`` and the step as ``sweep``.
+    """
+    support = np.flatnonzero(weight != 0.0)
+    mass = kernel.grid.measure * weight[support]
+
+    def evaluate(v):
+        """J(v), its gradient, and the size of the terms summed into J."""
+        energy, g = energy_and_gradient(v, kernel)
+        z = v[support] + shift
+        potential = mass * (-np.log(z) if alpha == 1.0
+                            else z ** (1.0 - alpha) / (alpha - 1.0))
+        g[support] -= mass * z ** (-alpha)
+        return (energy + float(potential.sum()), g,
+                energy + float(np.abs(potential).sum()))
+
+    def fail(reason, error=SolverError, **extra):
+        if where is not None:
+            reason = f"{where}, sweep {step}: {reason}"
+            extra.update(sweep=step, level=level, alpha=alpha)
+        return error(reason, iterate=u, grad_norm=float(np.abs(grad).max()),
+                     iterations=step, **extra)
+
+    fval, grad, size = evaluate(u)
+    best, stale, history, step = u, 0, [], 0
+    best_norm = float(np.abs(grad).max()) if gradient else math.inf
+    while best_norm > tol and stale < _FLOOR_STEPS:
+        if step == _NEWTON_STEPS:
+            raise fail(f"no convergence within {step} Newton steps (last "
+                       f"step {history[-1]:.3e})", StagnationError,
+                       history=history)
+        step += 1
+        z = u[support] + shift
+        curvature = alpha * mass * z ** (-alpha - 1.0) if alpha > 0.0 else 0.0
+        try:
+            if (alpha > 0.0 and kernel.params.p == 2.0
+                    and support.size <= _WOODBURY_SHARE * u.size):
+                # -grad = P (m w z^-alpha + D u_S) - (K + D) u, and
+                # m w z^-alpha = D z / alpha.
+                root = np.sqrt(curvature)
+                d = _solve_p2_newton(kernel, support, root,
+                                     root * (u[support] + z / alpha)) - u
+            else:
+                h = energy_hessian(u, kernel)
+                h[support, support] += curvature
+                if not np.isfinite(h).all():
+                    raise fail("Hessian has a non-finite entry")
+                d = cho_solve(cho_factor(h, overwrite_a=True,
+                                         check_finite=False),
+                              -grad, check_finite=False)
+        except LinAlgError as err:
+            raise fail("Hessian is not positive definite") from err
+        if not np.isfinite(d).all():
+            raise fail("Newton step is not finite")
+        slope = float(grad @ d)
         # Near the minimum the decrease predicted by the slope drops below
-        # the rounding noise of the pairwise energy sums; the acceptance
-        # test carries the corresponding epsilon allowance so the iteration
-        # can keep refining down to the floating-point floor.
-        noise = 8.0 * np.finfo(float).eps * (1.0 + abs(fval))
-        for _ in range(MAX_BACKTRACKS):
+        # the rounding noise of the summed energy terms.
+        noise = 8.0 * np.finfo(float).eps * (1.0 + size)
+        if slope > noise:
+            raise fail("Newton step is not a descent direction")
+        # At p < 2 the Hessian of the pair terms is unbounded at ties, and
+        # a full step can carry a near-tie past its minimum: for one pair
+        # Newton maps the difference delta to delta (p - 2) / (p - 1), which
+        # is -delta at p = 1.5.  There the slope at the trial point must
+        # also be at most _CURVATURE |slope| (the curvature half of the
+        # strong Wolfe conditions), which backtracking meets since J is
+        # convex along d.
+        overshoot = math.inf
+        if kernel.params.p < 2.0 and slope < 0.0:
+            overshoot = -_CURVATURE * slope
+        delta = float(np.abs(d).max())
+        history.append(delta)
+        reach = float((-d[support] / z).max()) if alpha > 0.0 else 0.0
+        t = min(1.0, _TO_BOUNDARY / reach) if reach > 0.0 else 1.0
+        for _ in range(_MAX_BACKTRACKS):
             trial = u + t * d
-            ftrial, gtrial = energy_and_gradient(trial, kernel, rhs)
-            if ftrial <= fval + SUFFICIENT_DECREASE * t * slope + noise:
-                accepted = True
+            ftrial, gtrial, strial = evaluate(trial)
+            if (ftrial <= fval + _SUFFICIENT_DECREASE * t * slope + noise
+                    and float(gtrial @ d) <= overshoot):
                 break
-            t *= BACKTRACK
-        if not accepted:
-            # Backtracked to machine precision with the gradient still above
-            # tolerance: the requested accuracy is not reachable in doubles.
-            raise SolverError(
-                "line search failed before reaching the gradient tolerance",
-                iterate=u,
-                grad_norm=gnorm,
-            )
-        assert ftrial <= fval + _DESCENT_SLACK * (1.0 + abs(fval)), (
-            "energy increased along an accepted step"
-        )
-        gnorm_trial = float(np.abs(gtrial).max(initial=0.0))
-        if ftrial < best_fval - noise or gnorm_trial < 0.99 * best_gnorm:
-            stale = 0
+            t *= _BACKTRACK
         else:
+            raise fail("line search failed")
+        u, fval, grad, size = trial, ftrial, gtrial, strial
+        norm = float(np.abs(grad).max()) if gradient else delta
+        if norm < best_norm:
+            best, best_norm, stale = u, norm, 0
+        elif -slope <= noise:
             stale += 1
-        best_fval = min(best_fval, ftrial)
-        best_gnorm = min(best_gnorm, gnorm_trial)
-        if stale >= 20:
-            # No measurable energy or gradient progress for many steps:
-            # the double-precision floor sits above the requested tolerance.
-            raise SolverError(
-                f"gradient tolerance {opts.grad_tol:.1e} is below the "
-                f"floating-point floor (stalled at {best_gnorm:.3e})",
-                iterate=u,
-                grad_norm=best_gnorm,
-            )
-        s = trial - u
-        y = gtrial - grad
-        sy = float(s @ y)
-        if sy > 1e-14 * float(np.linalg.norm(s) * np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            if len(s_hist) > _LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-        u, fval, grad, step = trial, ftrial, gtrial, t
-    gnorm = float(np.abs(grad).max(initial=0.0))
-    if gnorm <= opts.grad_tol:
-        return u
-    raise SolverError(
-        f"no convergence within {_MAX_ITERATIONS} iterations "
-        f"(gradient max-norm {gnorm:.3e})",
-        iterate=u,
-        grad_norm=gnorm,
-        iterations=_MAX_ITERATIONS,
-    )
+    if alpha > 0.0 and best.min() <= 0.0:
+        raise fail("solution is not strictly positive")
+    return best, step, best_norm
+
+
+def _conjugate_gradients(kernel: Kernel, rhs: np.ndarray, u: np.ndarray,
+                         tol: float) -> tuple[np.ndarray, int, float]:
+    """Solve K u = rhs from ``u`` by conjugate gradients.
+
+    Stops once the true residual max|K u - rhs|, the gradient of the
+    quadratic energy, is at most ``tol``.  When the recurred residual says
+    so but the true one does not, the iteration restarts from the true
+    residual; a restart that does not lower the true residual marks the
+    double-precision floor.  Returns the iterate, the number of
+    iterations and its true residual max-norm.  Running out of iterations
+    raises a ``SolverError``.
+    """
+    matrix = kernel.stiffness
+    u = u.copy()
+    iterations, floor = 0, math.inf
+    while True:
+        _, grad = energy_and_gradient(u, kernel, rhs)
+        norm = float(np.abs(grad).max(initial=0.0))
+        if norm <= tol or norm >= floor:
+            return u, iterations, norm
+        floor = norm
+        r = -grad
+        d = r.copy()
+        rr = float(r @ r)
+        while float(np.abs(r).max()) > tol:
+            if iterations == _CG_ITERATIONS:
+                raise SolverError(
+                    f"no convergence within {iterations} conjugate-gradient "
+                    f"iterations (residual max-norm {np.abs(r).max():.3e})",
+                    iterate=u, grad_norm=float(np.abs(r).max()),
+                    iterations=iterations)
+            iterations += 1
+            kd = matrix @ d
+            step = rr / float(d @ kd)
+            u += step * d
+            r -= step * kd
+            rr, previous = float(r @ r), rr
+            d *= rr / previous
+            d += r
 
 
 def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
@@ -171,10 +277,17 @@ def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
 
     Returns the unique minimizer of (1/p)[v]^p - sum m f v, i.e. the field
     whose operator application equals the datum in duality.  The gradient
-    max-norm at return is at most ``opts.grad_tol``.  The descent starts
-    from ``x0`` when given, else from zero.  Any finite datum is accepted;
-    for nonnegative data (every use in this package) the minimizer is
-    nonnegative by the comparison principle.
+    max-norm at return is at most ``opts.grad_tol``; a solve that stalls
+    above it at the double-precision floor raises a ``SolverError``
+    saying so.  At p = 2, conjugate gradients start from ``x0`` when
+    given, else from zero.  Other p run ``newton`` at alpha = 0 from
+    ``x0`` when it is given and nonzero, else from t times the constant
+    field with t = (sum |m f| / [1]^p)^(1/(p-1)), which for nonnegative
+    data is the best multiple of it.  Every pair ties there, so no K is
+    built: for p > 2 the Hessian is diagonal, 2 (p-1) B_i t^(p-2) > 0,
+    and for p < 2 its pair terms are clipped (``energy_hessian``).  Any
+    finite datum is accepted; for nonnegative data (every use in this
+    package) the minimizer is nonnegative by the comparison principle.
     """
     opts = opts or SolveOptions()
     fv = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
@@ -185,8 +298,26 @@ def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
     if not np.all(np.isfinite(fv)):
         raise ValueError("datum must be finite")
     rhs = kernel.grid.measure * fv
-    start = x0.values if x0 is not None else np.zeros(kernel.interior_count)
-    u = _minimize(kernel, rhs, start, opts)
+    p = kernel.params.p
+    if p == 2.0:
+        start = x0.values if x0 is not None else np.zeros(fv.size)
+        u, steps, norm = _conjugate_gradients(kernel, rhs, start,
+                                              opts.grad_tol)
+    else:
+        if x0 is not None and x0.values.any():
+            start = x0.values
+        else:
+            # [1]^p = 2 sum_i B_i: the pair terms vanish at ties.
+            t = (np.abs(rhs).sum() / (2.0 * kernel.boundary_weight.sum())
+                 ) ** (1.0 / (p - 1.0))
+            start = np.full(fv.size, t)
+        u, steps, norm = newton(start, fv, 0.0, 0.0, kernel, opts.grad_tol,
+                                gradient=True)
+    if norm > opts.grad_tol:
+        raise SolverError(
+            f"gradient tolerance {opts.grad_tol:.1e} is below the "
+            f"floating-point floor (stalled at {norm:.3e})",
+            iterate=u, grad_norm=norm, iterations=steps)
     return Field(u, kernel.grid)
 
 
@@ -271,8 +402,9 @@ def embedding_constant(theta: float, kernel: Kernel,
         try:
             u = solve_nonsingular(datum, kernel, opts)
         except SolverError as err:
-            # L-BFGS stalls on flat fields at p < 2 (torsion at p = 1.5);
-            # the quotient of its last iterate is still a lower bound.
+            # At p < 2 a solve can stall above its tolerance (the
+            # floor of |u_i - u_j|^(p-1) at ties); the quotient of its
+            # last iterate is still a lower bound.
             u, exact = Field(err.iterate, grid), False
         quotient = norm_r(u, theta) ** p / seminorm_p(u, kernel)
         rising = quotient > value * (1.0 + _POWER_RTOL)

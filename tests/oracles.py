@@ -4,11 +4,13 @@ and Hessian, finite differences for gradients, the frozen-datum map T of
 the approximation chain, the one-field-at-a-time trial draw and
 certification loop, and the one-trial-at-a-time vector inequality check.
 
-These never call the solver paths they certify: T solves with L-BFGS,
-while the chain solves its levels by Newton, and the certification loop
-evaluates each trial field on its own, while the package evaluates them
-in blocks; the vector check draws and evaluates one pair at a time, while
-the package takes all pairs of one dimension at once.
+These never call the solver paths they certify: T solves by conjugate
+gradients at p = 2, the only p its comparisons use, while the chain
+solves its levels by Newton steps through Woodbury or a Cholesky factor;
+the certification loop evaluates each trial field on its own, while the
+package evaluates them in blocks; the vector check draws and evaluates
+one pair at a time, while the package takes all pairs of one dimension
+at once.
 """
 
 import math

@@ -24,7 +24,7 @@ from fss import (
     weak_residual,
 )
 from fss import chain as chain_module, solver as solver_module
-from fss.chain import _solve_p2_newton
+from fss.solver import _solve_p2_newton
 
 from conftest import (
     compact_bump_values,
@@ -151,7 +151,7 @@ class TestSolveLevel:
         u, steps, delta = solve_level(problem, kernel_1d, start,
                                       ChainOptions(fixed_point_tol=1e-30))
         assert (u - ref).max_norm() <= 1e-12
-        assert steps < chain_module._NEWTON_STEPS
+        assert steps < solver_module._NEWTON_STEPS
         # The returned step max-norm shows the miss; the default tolerance
         # is met.
         assert 1e-30 < delta <= 1e-12
@@ -162,6 +162,20 @@ class TestSolveLevel:
         u, _, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
                               ChainOptions())
         assert u.values.min() > 0.0
+
+    def test_tied_start_below_p2(self, kernel_1d_p15, bump_weight):
+        # The constant start ties every pair, where the Hessian of the pair
+        # terms is infinite at p < 2; clipped, it is finite and the level
+        # solve converges to the weak form.
+        problem = make_level(bump_weight, 4, 0.5)
+        u, steps, delta = solve_level(problem, kernel_1d_p15,
+                                      Field.constant(kernel_1d_p15.grid, 0.3))
+        assert delta <= ChainOptions().fixed_point_tol
+        assert steps < solver_module._NEWTON_STEPS
+        source = kernel_1d_p15.grid.measure * problem.omega_n.values / (
+            u.values + problem.shift) ** problem.alpha
+        residual = apply_operator(u, kernel_1d_p15) - source
+        assert np.abs(residual).max() <= 1e-7
 
     def test_energy_minimality_inequality(self, kernel_1d, bump_weight):
         # The level solution u minimizes its frozen-datum energy, hence
@@ -231,7 +245,7 @@ class TestChainErrors:
     # Newton failures are forced through the module's step budget.
     def test_solver_error_names_level_sweep_alpha(self, kernel_1d_p3,
                                                   bump_weight, monkeypatch):
-        monkeypatch.setattr(chain_module, "_NEWTON_STEPS", 1)
+        monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
         problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
             solve_level(problem, kernel_1d_p3,
@@ -245,7 +259,7 @@ class TestChainErrors:
     def test_stagnation_error_names_level_sweep_alpha(self, kernel_1d,
                                                       bump_weight,
                                                       monkeypatch):
-        monkeypatch.setattr(chain_module, "_NEWTON_STEPS", 2)
+        monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 2)
         problem = make_level(bump_weight, 8, 1.0)
         with pytest.raises(StagnationError) as err:
             solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
@@ -258,7 +272,7 @@ class TestChainErrors:
     def test_standalone_solver_error_has_no_chain_context(self, kernel_1d_p3,
                                                           bump_weight,
                                                           monkeypatch):
-        monkeypatch.setattr(solver_module, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
         problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
             fixed_point_step(problem, kernel_1d_p3,
@@ -267,7 +281,7 @@ class TestChainErrors:
 
     def test_p2_solver_error_names_level_sweep_alpha(self, kernel_1d,
                                                      bump_weight, monkeypatch):
-        monkeypatch.setattr(chain_module, "_NEWTON_STEPS", 1)
+        monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
         problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
             solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
@@ -279,11 +293,12 @@ class TestChainErrors:
 
     def test_hessian_failure_names_level_step_alpha(self, kernel_1d_p15,
                                                     bump_weight):
-        # At p < 2 tied nodes give c_ij = w_ij 0^(p-2): a non-finite Hessian.
+        # At p < 2 the zero field gives c_ij = w_ij 0^(p-2) with nothing to
+        # clip (eps = 1e-13 max|u| = 0): a non-finite Hessian.
         problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
             solve_level(problem, kernel_1d_p15,
-                        Field.constant(kernel_1d_p15.grid, 0.3))
+                        Field.zero(kernel_1d_p15.grid))
         exc = err.value
         assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
         assert str(exc) == ("level 4 (alpha 0.5), sweep 1: Hessian has a "
@@ -303,7 +318,7 @@ class TestChainErrors:
 
     def test_barrier_error_names_stage_and_alpha(self, kernel_1d_p3,
                                                  bump_weight, monkeypatch):
-        monkeypatch.setattr(solver_module, "_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
         with pytest.raises(SolverError) as err:
             run_chain(bump_weight, 0.5, kernel_1d_p3)
         exc = err.value
@@ -315,14 +330,14 @@ class TestChainErrors:
                                                 bump_weight, monkeypatch):
         # A budget of one step for the limit only: its first step is of the
         # order of the chain tolerance, far above the polish tolerance.
-        newton = chain_module._newton
+        newton = chain_module.newton
 
         def one_step_polish(u, weight, shift, *args, **kwargs):
             if shift == 0.0:
-                monkeypatch.setattr(chain_module, "_NEWTON_STEPS", 1)
+                monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
             return newton(u, weight, shift, *args, **kwargs)
 
-        monkeypatch.setattr(chain_module, "_newton", one_step_polish)
+        monkeypatch.setattr(chain_module, "newton", one_step_polish)
         with pytest.raises(SolverError) as err:
             run_chain(bump_weight, 1.0, kernel_1d_p3)
         exc = err.value
@@ -351,18 +366,28 @@ class TestCholeskyStart:
 
     def test_barrier_takes_one_evaluation(self, grid_1d, bump_weight,
                                           monkeypatch):
-        # Started from the direct solution, the barrier's L-BFGS solve
-        # certifies it with a single energy evaluation.  At alpha = 1 the
-        # barrier is the chain's only solver-module solve.
+        # Started from the direct solution, the barrier's conjugate-
+        # gradient solve certifies it with a single energy evaluation and
+        # no iteration.  The chain's Newton levels evaluate through the
+        # solver module too, so only the barrier's evaluations count.
         kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
         calls = []
         evaluate = solver_module.energy_and_gradient
+        barrier = chain_module.solve_barrier
 
         def counted(*args, **kwargs):
             calls.append(1)
             return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(solver_module, "energy_and_gradient", counted)
+        def counted_barrier(*args, **kwargs):
+            monkeypatch.setattr(solver_module, "energy_and_gradient", counted)
+            try:
+                return barrier(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(solver_module, "energy_and_gradient",
+                                    evaluate)
+
+        monkeypatch.setattr(chain_module, "solve_barrier", counted_barrier)
         run_chain(bump_weight, 1.0, kernel)
         assert len(calls) == 1
 
@@ -380,7 +405,7 @@ class TestWideSupport:
         start = Field.constant(grid_1d, 0.1)
         direct, _, _ = solve_level(problem, kernel, start)
         assert kernel._inverse_columns == {}
-        monkeypatch.setattr(chain_module, "_WOODBURY_SHARE", 1.0)
+        monkeypatch.setattr(solver_module, "_WOODBURY_SHARE", 1.0)
         woodbury, _, _ = solve_level(problem, kernel, start)
         assert len(kernel._inverse_columns) == 1
         assert (direct - woodbury).max_norm() <= 1e-12
@@ -420,6 +445,21 @@ class TestSupportSolve:
 
 
 class TestRunChain:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_constant_weight_below_p2(self, kernel_1d_p15, constant_weight,
+                                      alpha):
+        # At p = 1.5 the barrier is the torsion solve (datum min(1, 1)),
+        # which Newton takes to the gradient tolerance; the chain then
+        # converges, monotone and above its barrier, to the weak form.
+        chain = run_chain(constant_weight, alpha, kernel_1d_p15)
+        assert chain.converged
+        assert chain.monotone_gap() <= 1e-8
+        assert chain.barrier_gap() <= 1e-8
+        report = weak_residual(chain.u_alpha, constant_weight, alpha,
+                               kernel_1d_p15)
+        assert report.max_residual <= 1e-10
+        assert report.aux_min_slack >= 0.0
+
     def test_monotone_levels(self, kernel_1d, bump_weight):
         chain = run_chain(bump_weight, 0.5, kernel_1d, opts=ChainOptions())
         assert chain.converged

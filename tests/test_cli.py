@@ -184,6 +184,22 @@ class TestVerifyCommand:
         assert rc == 1
         assert "error: corrupt solution file: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["0.5", True, math.nan, math.inf,
+                                       0.0, -1.0],
+                             ids=["string", "bool", "nan", "inf", "zero",
+                                  "negative"])
+    def test_corrupt_alpha(self, tmp_path, capsys, alpha):
+        path, out = cli_config(tmp_path)
+        run_command(["solve", "--config", path])
+        sol = json.load(open(out["solution"]))
+        sol["metadata"]["alpha"] = alpha
+        open(out["solution"], "w").write(json.dumps(sol))
+        rc = run_command(["verify", "--config", path,
+                          "--solution", out["solution"]])
+        assert rc == 1
+        assert "error: corrupt solution file: alpha must be a positive " \
+            "finite number" in capsys.readouterr().err
+
     def test_hash_mismatch_is_warning_only(self, tmp_path, capsys):
         path, out = cli_config(tmp_path)
         run_command(["solve", "--config", path])

@@ -355,6 +355,40 @@ class TestHessian:
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         assert "stiffness" not in kernel.__dict__
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_ties_clipped_below_p2(self, grid_1d, p):
+        # At p = 1.5, |u_i - u_j| and |u_i| are clipped at
+        # eps = 1e-13 max|u|: the Hessian is finite at a tie and a zero
+        # node, and every entry free of them is the unclipped formula's,
+        # bitwise.  At p = 3 nothing is clipped.
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
+        u = rand_field(grid_1d, np.random.default_rng(9)).values
+        u[3] = u[7]
+        u[5] = 0.0
+        got = energy_hessian(u, kernel)
+        diff = np.abs(u[:, None] - u[None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = kernel.w_interior * diff ** (p - 2.0)
+            np.fill_diagonal(c, 0.0)
+            diagonal = c.sum(axis=1) \
+                + kernel.boundary_weight * np.abs(u) ** (p - 2.0)
+        expected = -2.0 * (p - 1.0) * c
+        expected[np.diag_indices_from(expected)] = 2.0 * (p - 1.0) * diagonal
+        assert np.isfinite(got).all()
+        if p > 2.0:
+            assert np.array_equal(got, expected)
+            return
+        eps = 1e-13 * np.abs(u).max()
+        free = diff > eps
+        assert not free[3, 7] and not free.all()
+        assert np.array_equal(got[free], expected[free])
+        rows = (free | np.eye(u.size, dtype=bool)).all(axis=1) \
+            & (np.abs(u) > eps)
+        assert rows.sum() == u.size - 3
+        assert np.array_equal(np.diag(got)[rows], np.diag(expected)[rows])
+        assert got[3, 7] == -2.0 * (p - 1.0) * kernel.w_interior[3, 7] \
+            * eps ** (p - 2.0)
+
     def test_is_stiffness_at_p2(self, kernel_1d):
         u = rand_field(kernel_1d.grid, np.random.default_rng(7)).values
         hess = energy_hessian(u, kernel_1d)

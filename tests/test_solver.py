@@ -25,7 +25,7 @@ from fss import solver as solver_module
 from fss.operators import block_seminorm_p
 
 from conftest import single_node_kernel, synthetic_unit_kernel
-from oracles import dense_p2_matrix
+from oracles import dense_p2_matrix, double_sum_gradient
 
 
 def _kernel_2d():
@@ -63,14 +63,34 @@ class TestSolveNonsingular:
         assert u.values[0] == pytest.approx(m * f / 2.0, rel=1e-11)
 
     def test_dense_linear_oracle(self):
+        # Conjugate gradients on K, in 1D and 2D, never factor K.
         grid = build_grid([(0.0, 1.0)], 1.0 / 33, 0.5)
-        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1))
         rng = np.random.default_rng(0)
-        f = np.abs(rng.standard_normal(grid.interior_count))
-        direct = np.linalg.solve(dense_p2_matrix(kernel), grid.measure * f)
-        u = solve_nonsingular(f, kernel, SolveOptions(grad_tol=1e-11))
-        err = np.abs(u.values - direct).max() / np.abs(direct).max()
-        assert err <= 1e-9
+        for kernel in (build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=1)),
+                       _kernel_2d()):
+            m = kernel.grid.measure
+            f = np.abs(rng.standard_normal(kernel.interior_count))
+            direct = np.linalg.solve(dense_p2_matrix(kernel), m * f)
+            u = solve_nonsingular(f, kernel, SolveOptions(grad_tol=1e-11))
+            err = np.abs(u.values - direct).max() / np.abs(direct).max()
+            assert err <= 1e-9
+            assert "stiffness_factor" not in kernel.__dict__
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_newton_meets_double_sum_gradient(self, grid_1d, dim, p):
+        # The solve's gradient, recomputed by the plain double sums, minus
+        # m f is within the tolerance.
+        grid = grid_1d if dim == 1 else build_grid([(0.0, 1.0), (0.0, 1.0)],
+                                                   1.0 / 6, 0.5)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=dim))
+        f = np.abs(np.random.default_rng(10).standard_normal(
+            grid.interior_count))
+        opts = SolveOptions()
+        u = solve_nonsingular(f, kernel, opts)
+        residual = double_sum_gradient(kernel, u.values, p) - grid.measure * f
+        assert np.abs(residual).max() <= opts.grad_tol
+        assert "stiffness" not in kernel.__dict__
 
     def test_nonnegative_for_nonnegative_data(self, kernel_1d_p15, kernel_1d_p3):
         rng = np.random.default_rng(2)
@@ -122,7 +142,7 @@ class TestSolveNonsingular:
 
     def test_nonconvergence_error_carries_state(self, kernel_1d,
                                                 monkeypatch):
-        monkeypatch.setattr(solver_module, "_MAX_ITERATIONS", 2)
+        monkeypatch.setattr(solver_module, "_CG_ITERATIONS", 2)
         rng = np.random.default_rng(7)
         f = np.abs(rng.standard_normal(kernel_1d.interior_count))
         with pytest.raises(SolverError) as err:
@@ -214,22 +234,40 @@ class TestEmbeddingConstant:
         assert result.value == max(quotients)
         assert result.exact == (theta <= p)
 
-    @pytest.mark.parametrize("theta", [1.0, 1.2, 1.5])
+    @pytest.mark.parametrize("theta", [1.5])
     def test_stalled_solves_give_lower_bound(self, kernel_1d_p15, theta):
-        # L-BFGS stalls above the gradient tolerance on these data at
-        # p = 1.5: the result is the quotient of its last iterate.
+        # At theta = p = 1.5 a solve of the iteration stalls above the
+        # gradient tolerance: the result is the quotient of its last
+        # iterate.
         result = embedding_constant(theta, kernel_1d_p15)
         attained = norm_r(result.extremizer, theta) ** 1.5 \
             / seminorm_p(result.extremizer, kernel_1d_p15)
         assert not result.exact
         assert attained == result.value
 
+    @pytest.mark.parametrize("theta", [1.0, 1.2])
+    def test_converged_solves_give_exact_value(self, kernel_1d_p15, theta):
+        # Below theta = p = 1.5 every solve meets the gradient tolerance:
+        # the value is attained by the extremizer and no random field
+        # exceeds it.
+        result = embedding_constant(theta, kernel_1d_p15)
+        attained = norm_r(result.extremizer, theta) ** 1.5 \
+            / seminorm_p(result.extremizer, kernel_1d_p15)
+        assert result.exact
+        assert attained == result.value
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            v = Field(rng.uniform(-1, 1, kernel_1d_p15.interior_count),
+                      kernel_1d_p15.grid)
+            ratio = norm_r(v, theta) ** 1.5 / seminorm_p(v, kernel_1d_p15)
+            assert ratio <= result.value * (1.0 + 1e-10)
+
     def test_lower_bound_above_p(self, kernel_1d):
         for theta in (2.5, 4.0):
             assert not embedding_constant(theta, kernel_1d).exact
         assert not embedding_constant(3.5, _kernel_2d()).exact
 
-    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_exact_at_theta_one(self, grid_1d, p, monkeypatch):
         # S_1 = ||u||_1^(p-1) for the torsion field u (A u = m * 1),
         # from that one solve.
