@@ -227,17 +227,18 @@ class ChainResult:
         return worst
 
 
-def _residual_probes(kernel: Kernel, trials: int,
-                     seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded test fields phi, one per row, and their energy norms
-    [phi] = ([phi]^p)^(1/p), evaluated chunk by chunk.
+def residual_probes(kernel: Kernel, trials: int,
+                    seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trials 0 to ``trials - 1`` of ``seed`` as test fields phi, one per
+    row, and their energies [phi]^p, evaluated chunk by chunk.
 
     They depend only on the kernel, so a chain draws them once for all
-    levels.
+    levels, and ``fss verify`` certifies on the ones its weak residual
+    used.
     """
     chunks = list(trial_chunks(kernel.grid, seed, trials))
     energies = np.concatenate([block_seminorm_p(c, kernel) for c in chunks])
-    return np.concatenate(chunks), energies ** (1.0 / kernel.params.p)
+    return np.concatenate(chunks), energies
 
 
 def _level_residual(au: np.ndarray, source: np.ndarray, probes: np.ndarray,
@@ -337,7 +338,9 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         embedding = embedding_for_existence_bound(kernel, opts.solve)
     bound = _existence_bound(omega, alpha, kernel, embedding)
 
-    probes, norms = _residual_probes(kernel, _RESIDUAL_TRIALS, _RESIDUAL_SEED)
+    probes, energies = residual_probes(kernel, _RESIDUAL_TRIALS,
+                                       _RESIDUAL_SEED)
+    norms = energies ** (1.0 / params.p)
     levels: list[LevelRecord] = []
     power_seminorms: list[float] = []
     prev: Field | None = None
@@ -421,27 +424,33 @@ class ResidualReport:
 
 
 def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
-                  trials: int = 100, seed: int = 0) -> ResidualReport:
+                  trials: int = 100, seed: int = 0,
+                  probes: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> ResidualReport:
     """Certify the weak form of the singular equation against test fields.
 
     For each of the ``trials`` (at least one) seeded fields v this measures
     |pairing(u, v) - sum m w v / u^alpha| / (1 + [v]), and also the slack
     of the duality estimate |sum m w v / u^alpha| <= [u]^(p-1) [v].
+    ``probes``, when given, is what ``residual_probes`` returned for the
+    fields to test, and takes the place of ``trials`` and ``seed``.
     Requires u strictly positive at every interior node.
     """
-    if trials < 1:
+    if probes is None and trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if u.values.min() <= 0.0:
         raise FssError("not an interior-positive field")
     p = kernel.params.p
     source = kernel.grid.measure * omega.values / u.values**alpha
-    probes, norms = _residual_probes(kernel, trials, seed)
+    fields, energies = (probes if probes is not None
+                        else residual_probes(kernel, trials, seed))
+    norms = energies ** (1.0 / p)
     bound = seminorm_p(u, kernel) ** ((p - 1.0) / p) * norms
     return ResidualReport(
         max_residual=_level_residual(apply_operator(u, kernel), source,
-                                     probes, norms),
-        aux_min_slack=float((bound - np.abs(probes @ source)).min()),
-        trials=trials)
+                                     fields, norms),
+        aux_min_slack=float((bound - np.abs(fields @ source)).min()),
+        trials=norms.size)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain import run_chain, weak_residual
+from .chain import residual_probes, run_chain, weak_residual
 from .config import build_geometry, build_weight, load_config
 from .constants import (
     check_valfa_limit,
@@ -200,8 +200,10 @@ def _cmd_verify(args) -> int:
                                 f"positive finite number, got {alpha!r}")
     u = Field(stored.values, grid)
 
-    residual = weak_residual(u, omega, alpha, kernel, trials=min(trials, 200),
-                             seed=seed)
+    # The weak residual's test fields are the certification's first trials,
+    # drawn and evaluated once.
+    probes = residual_probes(kernel, min(trials, 200), seed)
+    residual = weak_residual(u, omega, alpha, kernel, probes=probes)
     report = {
         "alpha": alpha,
         "trials": trials,
@@ -212,11 +214,12 @@ def _cmd_verify(args) -> int:
     ok = residual.max_residual <= 1e-6 and residual.aux_min_slack >= -1e-10
     if alpha < 1.0:
         sol = solution_from_field(u, omega, kernel, alpha)
-        cert = verify_sobolev(sol, trials=trials, seed=seed)
+        cert = verify_sobolev(sol, trials=trials, seed=seed, probes=probes)
         report["lambda"] = sol.lam
     elif alpha == 1.0:
         est = mu_from_field(u, omega, kernel)
-        cert = verify_log_sobolev(est, trials=trials, seed=seed)
+        cert = verify_log_sobolev(est, trials=trials, seed=seed,
+                                  probes=probes)
         report["mu"] = est.mu_direct
         report["log_mean_residual"] = est.log_mean_residual
         ok = ok and abs(est.log_mean_residual) <= 1e-8

@@ -157,7 +157,7 @@ class CertificationReport:
 def verify_sobolev(solution: SingularSolution, trials: int = 1000,
                    seed: int = 0, constant: float | None = None,
                    extremal_scales=(-2.0, 0.5, 1.0),
-                   extra_fields=()) -> CertificationReport:
+                   extra_fields=(), probes=None) -> CertificationReport:
     """Check the power-mean inequality on random fields and on extremal
     multiples.
 
@@ -165,7 +165,9 @@ def verify_sobolev(solution: SingularSolution, trials: int = 1000,
     -1e-8 relative) on every trial, and zero at scalar multiples of the
     extremal; any larger constant must be caught violating at the
     extremal itself.  ``extra_fields`` lets callers inject adversarial
-    candidates beyond the seeded trials.
+    candidates beyond the seeded trials.  ``probes`` is an optional
+    (fields, energies) pair of the first trials of ``seed``, already
+    evaluated (``chain.residual_probes``); only the later trials are drawn.
     """
     alpha = solution.alpha
     kernel, omega = solution.kernel, solution.omega
@@ -177,7 +179,7 @@ def verify_sobolev(solution: SingularSolution, trials: int = 1000,
         return np.exp(log_c + p / (1.0 - alpha) * _log_or_minus_inf(mass))
 
     return _certify(term, math.exp(log_c), kernel, solution.extremal, trials,
-                    seed, extremal_scales, extra_fields)
+                    seed, extremal_scales, extra_fields, probes)
 
 
 def _log_or_minus_inf(x: np.ndarray) -> np.ndarray:
@@ -187,22 +189,31 @@ def _log_or_minus_inf(x: np.ndarray) -> np.ndarray:
 
 def _certify(term, constant: float, kernel: Kernel, extremal: Field,
              trials: int, seed: int, extremal_scales,
-             extra_fields) -> CertificationReport:
+             extra_fields, probes) -> CertificationReport:
     """Summarize the slack [v]^p - term(v) over the seeded trial fields,
     then ``extra_fields``, then the nonzero multiples of the extremal.
 
     ``term`` maps a block of fields, one per row, to the array of its
-    right-hand sides.  The trials are drawn and evaluated in the chunks of
-    ``sampling.trial_chunks``; the extra fields and the multiples form one
-    last block.
+    right-hand sides.  The first trials are the ``probes`` (fields and
+    energies) when given; the rest are drawn and evaluated in the chunks
+    of ``sampling.trial_chunks``.  The extra fields and the multiples form
+    one last block.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     multiples = np.multiply.outer(extremal_scales, extremal.values)
     multiples = multiples[multiples.any(axis=1)]
     tail = np.array([v.values for v in extra_fields] + list(multiples))
-    energy, rhs = [], []
-    for block in itertools.chain(trial_chunks(kernel.grid, seed, trials),
+    energy, rhs, drawn = [], [], 0
+    if probes is not None:
+        fields, energies = probes
+        drawn = energies.size
+        if drawn > trials:
+            raise ValueError(f"{drawn} probes for {trials} trials")
+        energy.append(energies)
+        rhs.append(term(fields))
+    for block in itertools.chain(trial_chunks(kernel.grid, seed, trials,
+                                              start=drawn),
                                  [tail.reshape(-1, extremal.values.size)]):
         energy.append(block_seminorm_p(block, kernel))
         rhs.append(term(block))
@@ -446,13 +457,13 @@ def estimate_mu(omega: WeightField, alpha_grid, kernel: Kernel,
 def verify_log_sobolev(estimate: MuEstimate, trials: int = 1000,
                        seed: int = 0, constant: float | None = None,
                        extremal_scales=(-2.0, 0.5, 1.0),
-                       extra_fields=()) -> CertificationReport:
+                       extra_fields=(), probes=None) -> CertificationReport:
     """Check the exponential-log inequality on random fields and at
     multiples of the extremal V.
 
     Fields vanishing on the support of the weight make the exponential
     term zero, so the inequality holds with slack equal to the full
-    energy.
+    energy.  ``probes`` is as for ``verify_sobolev``.
     """
     kernel, omega = estimate.kernel, estimate.omega
     p = kernel.params.p
@@ -466,7 +477,7 @@ def verify_log_sobolev(estimate: MuEstimate, trials: int = 1000,
         return np.exp(log_mu + p / omega.norm_1 * li)
 
     return _certify(term, mu, kernel, estimate.extremal, trials, seed,
-                    extremal_scales, extra_fields)
+                    extremal_scales, extra_fields, probes)
 
 
 @dataclass(frozen=True)

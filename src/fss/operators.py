@@ -12,25 +12,32 @@ tail).  The nodal gradient of (1/p)[u]^p,
 
     (A u)_i = 2 sum_j w_ij phi_p(u_i - u_j)  +  2 B_i phi_p(u_i),
 
-is the one pairwise pass (``_gradient``); every entry point below is an
-inner product with it:
-
-    pairing(u, v) = <A u, v>,    [u]^p = <A u, u>,
-
-the second by p-homogeneity (Euler's identity), so discrete duality holds
-to rounding.  At p = 2 the pass is the matvec A u = K u with
+is the one pairwise pass (``_gradient``); the pairing is an inner
+product with it, pairing(u, v) = <A u, v>.  At p = 2 the pass is the
+matvec A u = K u with
 
     K = 2 (diag(sum_j w_ij) - w + diag(B)),
 
-the kernel's cached ``stiffness`` matrix.  K costs M^2 doubles (39 MB at
-M = 2209) and is built on the first p = 2 evaluation; other p never
-build it.  Its Cholesky factor is not used here: only the approximation
-chain asks for it.  At p != 2 the pass runs over row blocks of about
-``grid.PAIR_BLOCK_ELEMENTS`` pairs, writing into two scratch arrays that
-the kernel builds on the first such evaluation and then reuses, so an
-evaluation allocates O(M) memory instead of several M x M temporaries.
-The same row blocks assemble the Hessian of (1/p)[u]^p
-(``energy_hessian``) for the Newton solves.
+the kernel's cached ``stiffness`` matrix, and the energy is
+[u]^2 = <K u, u>.  K costs M^2 doubles (39 MB at M = 2209) and is built
+on the first p = 2 evaluation; other p never build it.  Its Cholesky
+factor is not used here: only the approximation chain asks for it.  At
+p != 2 the pass runs over row blocks of about ``grid.PAIR_BLOCK_ELEMENTS``
+pairs, writing into two scratch arrays that the kernel builds on the
+first such evaluation and then reuses, so an evaluation allocates O(M)
+memory instead of several M x M temporaries.  The same row blocks
+assemble the Hessian of (1/p)[u]^p (``energy_hessian``) for the Newton
+solves.
+
+The energy needs no gradient.  At p != 2 it is the symmetric double sum
+
+    [u]^p = 2 sum_{i<j} w_ij |u_i - u_j|^p  +  2 sum_i B_i |u_i|^p,
+
+taken over each unordered pair once (``_folded_seminorms``) against the
+kernel's ``folded_weights``: half the pairs of the gradient pass, and
+one dot product per block instead of a row reduction.  Euler's identity
+for the p-homogeneous energy gives [u]^p = <A u, u>, so duality between
+the energy and the pairing still holds, to rounding.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import FieldMismatchError
 from .grid import Grid, Kernel
@@ -195,14 +203,56 @@ def _gradient(values: np.ndarray, kernel: Kernel) -> np.ndarray:
     return g
 
 
+def _folded_seminorms(block: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """[v]^p at p != 2 for each row v of the (k, M) ``block``, each
+    unordered pair taken once.
+
+    Offset j = 1 ... M // 2 pairs node i with node (i + j) mod M, which
+    covers every unordered pair once (``Kernel.folded_weights`` zeroes the
+    repeats of offset M / 2 at even M).  The shifted copies of v are rows
+    of a sliding window over v followed by its first M // 2 values, so
+    nothing is gathered.  Offsets run in blocks of the kernel's two reused
+    ``pair_buffers``; each block forms |d|^p as |d|^(p-1) |d|, since numpy
+    squares fast but takes other powers at several times the cost, and
+    adds one dot product with the matching rows of the folded weights.
+    Each row is evaluated on its own, so a row's value does not depend on
+    the block it came in.
+    """
+    p = kernel.params.p
+    m = block.shape[1]
+    half = m // 2
+    shifted = sliding_window_view(
+        np.concatenate([block, block[:, :half]], axis=1), m, axis=1)
+    weights = kernel.folded_weights
+    diff_buf, term_buf = kernel.pair_buffers
+    energies = np.empty(block.shape[0])
+    for row, v in enumerate(block):
+        total = 0.0
+        for first in range(1, half + 1, diff_buf.shape[0]):
+            stop = min(first + diff_buf.shape[0], half + 1)
+            diff, term = diff_buf[:stop - first], term_buf[:stop - first]
+            np.subtract(shifted[row, first:stop], v, out=diff)
+            np.abs(diff, out=diff)
+            np.power(diff, p - 1.0, out=term)
+            term *= diff
+            total += float(weights[first - 1:stop - 1].ravel() @ term.ravel())
+        av = np.abs(v)
+        energies[row] = 2.0 * (total + float(kernel.boundary_weight
+                                             @ (av ** (p - 1.0) * av)))
+    return energies
+
+
 def seminorm_p(u: Field, kernel: Kernel) -> float:
-    """p-th power of the nonlocal energy seminorm, [u]^p = <A u, u>.
+    """p-th power of the nonlocal energy seminorm: <K u, u> at p = 2, the
+    folded double sum (``_folded_seminorms``) at other p.
 
     Nonnegative, and zero only for the zero field (every node couples to
     the zero collar with positive weight).
     """
     uv = _field_on_kernel(u, kernel)
-    return float(uv @ _gradient(uv, kernel))
+    if kernel.params.p == 2.0:
+        return float(uv @ _gradient(uv, kernel))
+    return float(_folded_seminorms(uv[None, :], kernel)[0])
 
 
 def pairing(u: Field, v: Field, kernel: Kernel) -> float:
@@ -229,9 +279,12 @@ def block_gradient(block: np.ndarray, kernel: Kernel) -> np.ndarray:
 
 
 def block_seminorm_p(block: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """[v]^p = <A v, v> for each row v of the (k, M) ``block``; row by
-    row equal to ``seminorm_p`` (bitwise at p != 2)."""
-    return np.vecdot(block, block_gradient(block, kernel))
+    """[v]^p for each row v of the (k, M) ``block``; row by row equal to
+    ``seminorm_p`` (bitwise at p != 2, to rounding at p = 2, where it is
+    <A v, v> from one GEMM)."""
+    if kernel.params.p == 2.0:
+        return np.vecdot(block, block_gradient(block, kernel))
+    return _folded_seminorms(block, kernel)
 
 
 def energy_and_gradient(values: np.ndarray, kernel: Kernel,

@@ -46,12 +46,21 @@ def trial_block(grid: Grid, seed: int, start: int, count: int) -> np.ndarray:
     return block
 
 
-def trial_chunks(grid: Grid, seed: int, count: int, group: int = 1):
-    """The first ``count * group`` trials as consecutive blocks (one field
-    per row) of whole groups of ``group`` trials, each block holding at
-    most ``PAIR_BLOCK_ELEMENTS`` values, or one group when a group alone
-    holds more."""
+def trial_chunks(grid: Grid, seed: int, count: int, group: int = 1,
+                 start: int = 0):
+    """Groups ``start`` to ``count - 1`` of ``group`` trials each, as
+    consecutive blocks (one field per row) of at most
+    ``PAIR_BLOCK_ELEMENTS`` values, or of one group when a group alone
+    holds more.
+
+    Blocks end at multiples of the chunk size counted from group 0, so a
+    range that starts late splits only the block holding its start: at
+    p = 2 a block's energies come from one GEMM, whose rounding depends
+    on the block, and every other block keeps its bits.
+    """
     step = max(1, PAIR_BLOCK_ELEMENTS // (group * grid.interior_count))
-    for first in range(0, count, step):
-        yield trial_block(grid, seed, group * first,
-                          group * min(step, count - first))
+    first = start
+    while first < count:
+        stop = min(first - first % step + step, count)
+        yield trial_block(grid, seed, group * first, group * (stop - first))
+        first = stop

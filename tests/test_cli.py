@@ -6,6 +6,7 @@ import pytest
 from fss.cli import run_command
 
 from test_config_io import write_config
+from test_sampling import count_draws
 
 
 def cli_config(tmp_path, p=2.0, **problem):
@@ -112,6 +113,17 @@ class TestVerifyCommand:
         assert report["trials"] == 150
         assert ("lambda" in report) == (alpha < 1.0)
         assert ("mu" in report) == (alpha == 1.0)
+
+    @pytest.mark.parametrize("p,alpha", [(2.0, 0.5), (2.0, 1.0), (3.0, 0.5)])
+    def test_each_trial_drawn_once(self, tmp_path, monkeypatch, p, alpha):
+        path, out = cli_config(tmp_path, p=p, alpha=alpha)
+        assert run_command(["solve", "--config", path]) == 0
+        draws = count_draws(monkeypatch)
+        assert run_command(["verify", "--config", path, "--solution",
+                            out["solution"], "--trials", "1000"]) == 0
+        # At alpha = 1 the constant mu comes with the weak residual of its
+        # limit equation, on 100 fields of its own seed.
+        assert draws == [1000 + (100 if alpha == 1.0 else 0)]
 
     @pytest.mark.parametrize("flag,value", [
         ("--trials", "-5"), ("--trials", "0"), ("--seed", "-3"),

@@ -22,6 +22,8 @@ from fss import (
     verify_sobolev,
 )
 
+from fss.chain import residual_probes
+
 from conftest import synthetic_unit_kernel, tight_chain_options
 from oracles import (
     certify_per_field,
@@ -29,7 +31,7 @@ from oracles import (
     scalar_mu,
     scalar_singular_solution,
 )
-from test_sampling import record_chunks
+from test_sampling import count_draws, record_chunks
 
 ALPHA_GRID = (0.90, 0.925, 0.95, 0.975, 0.99)
 
@@ -417,6 +419,24 @@ class TestBlockCertification:
                 assert getattr(report, key) == expected[key]
             else:
                 assert abs(getattr(report, key) - expected[key]) <= tol
+
+    @pytest.mark.parametrize("inequality", ["power-mean", "log"])
+    def test_probes_stand_for_the_first_trials(self, bump_solution_05,
+                                               bump_mu, monkeypatch,
+                                               inequality):
+        subject, verify = ((bump_solution_05, verify_sobolev)
+                           if inequality == "power-mean"
+                           else (bump_mu, verify_log_sobolev))
+        whole = verify(subject, trials=100, seed=42)
+        probes = residual_probes(subject.kernel, 30, 42)
+        draws = count_draws(monkeypatch)
+        shared = verify(subject, trials=100, seed=42, probes=probes)
+        assert draws == [70]
+        assert shared.violations == whole.violations
+        assert shared.min_slack_rel == pytest.approx(whole.min_slack_rel,
+                                                     abs=1e-13)
+        with pytest.raises(ValueError, match="30 probes for 20 trials"):
+            verify(subject, trials=20, seed=42, probes=probes)
 
     @pytest.mark.parametrize("inequality", ["power-mean", "log"])
     def test_rejects_negative_trials(self, bump_solution_05, bump_mu,

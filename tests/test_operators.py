@@ -302,6 +302,47 @@ class TestBlockedPass:
         apply_operator(u, kernel)
         assert kernel.pair_buffers is buffers
 
+    def test_folded_weights_built_by_first_seminorm(self, grid_1d):
+        u = Field.constant(grid_1d, 1.0)
+        block = trial_block(grid_1d, 0, 0, 3)
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=3.0, n_dim=1))
+        assert "folded_weights" not in kernel.__dict__
+        apply_operator(u, kernel)
+        assert "folded_weights" not in kernel.__dict__
+        seminorm_p(u, kernel)
+        table = kernel.folded_weights
+        block_seminorm_p(block, kernel)
+        assert kernel.folded_weights is table
+        p2 = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
+        seminorm_p(u, p2)
+        block_seminorm_p(block, p2)
+        assert "folded_weights" not in p2.__dict__
+
+
+class TestFoldedSeminorm:
+    """At p != 2 the energy visits each unordered pair once, as
+    {i, (i + j) mod M} for j = 1 ... M // 2; at even M offset M / 2 meets
+    each of its pairs from both ends and must count it once."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("box,h,count", [
+        ([(0.0, 1.0)], 0.5, 1),
+        ([(0.0, 1.0)], 1.0 / 3, 2),
+        ([(0.0, 1.0)], 1.0 / 17, 16),
+        ([(0.0, 1.0)], 1.0 / 256, 255),
+        ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12, 121),
+        ([(0.0, 1.0), (0.0, 0.5)], 1.0 / 12, 55),
+    ], ids=["1d-M1", "1d-M2", "1d-M16", "1d-M255", "2d-M121", "2d-M55"])
+    def test_matches_double_sum(self, box, h, count, p):
+        grid = build_grid(box, h, 0.5)
+        assert grid.interior_count == count
+        kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=len(box)))
+        block = trial_block(grid, 3, 7, 3)
+        expected = np.array([double_sum_seminorm(kernel, v, p)
+                             for v in block])
+        assert np.all(np.abs(block_seminorm_p(block, kernel) - expected)
+                      <= 1e-13 * expected)
+
 
 class TestBlockEvaluation:
     """[v]^p and A v of a block of fields, one per row, against the one-field

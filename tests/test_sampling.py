@@ -51,6 +51,16 @@ class TestTrialChunks:
         assert np.array_equal(joined,
                               trial_block(grid_2d, 3, 0, count * group))
 
+    def test_late_start_splits_only_its_block(self, grid_2d):
+        whole = list(trial_chunks(grid_2d, 3, 1000))
+        late = list(trial_chunks(grid_2d, 3, 1000, start=200))
+        assert [c.shape[0] for c in whole[:4]] == [61, 61, 61, 61]
+        assert late[0].shape[0] == 4 * 61 - 200
+        assert np.array_equal(late[0], whole[3][200 - 3 * 61:])
+        assert len(late) == len(whole) - 3
+        assert all(np.array_equal(a, b) for a, b in zip(late[1:], whole[4:]))
+        assert list(trial_chunks(grid_2d, 3, 200, start=200)) == []
+
     def test_group_larger_than_bound_is_one_chunk(self, grid_1d, monkeypatch):
         monkeypatch.setattr(sampling, "PAIR_BLOCK_ELEMENTS", 20)
         chunks = list(trial_chunks(grid_1d, 3, 4, 2))
@@ -71,6 +81,19 @@ def record_chunks(monkeypatch, elements):
 
     monkeypatch.setattr(sampling, "trial_block", recorded)
     return sizes
+
+
+def count_draws(monkeypatch):
+    """Count every trial field drawn from now on, in a one-item list."""
+    draws = [0]
+    draw = sampling.trial_field
+
+    def counted(grid, seed, index):
+        draws[0] += 1
+        return draw(grid, seed, index)
+
+    monkeypatch.setattr(sampling, "trial_field", counted)
+    return draws
 
 
 def _residual(kernel):
