@@ -227,18 +227,41 @@ class ChainResult:
         return worst
 
 
-def residual_probes(kernel: Kernel, trials: int,
-                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trials 0 to ``trials - 1`` of ``seed`` as test fields phi, one per
-    row, and their energies [phi]^p, evaluated chunk by chunk.
+@dataclass(frozen=True, eq=False)
+class TrialProbes:
+    """Trials 0 to ``count - 1`` of ``seed`` on ``kernel``: the test fields
+    phi, one per row, and their energies [phi]^p.
 
     They depend only on the kernel, so a chain draws them once for all
     levels, and ``fss verify`` certifies on the ones its weak residual
-    used.
+    used.  Whoever takes them in place of drawing the same trials checks
+    the kernel and the seed with ``require``.
     """
+
+    kernel: Kernel
+    seed: int
+    fields: np.ndarray
+    energies: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.energies.size
+
+    def require(self, kernel: Kernel, seed: int) -> None:
+        """Raise ValueError unless these are trials of ``seed`` on
+        ``kernel``."""
+        if kernel is not self.kernel:
+            raise ValueError("probes were drawn on another kernel")
+        if seed != self.seed:
+            raise ValueError(f"probes of seed {self.seed} for seed {seed}")
+
+
+def residual_probes(kernel: Kernel, trials: int, seed: int) -> TrialProbes:
+    """Draw trials 0 to ``trials - 1`` of ``seed`` and evaluate their
+    energies chunk by chunk."""
     chunks = list(trial_chunks(kernel.grid, seed, trials))
     energies = np.concatenate([block_seminorm_p(c, kernel) for c in chunks])
-    return np.concatenate(chunks), energies
+    return TrialProbes(kernel, seed, np.concatenate(chunks), energies)
 
 
 def _level_residual(au: np.ndarray, source: np.ndarray, probes: np.ndarray,
@@ -338,9 +361,8 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         embedding = embedding_for_existence_bound(kernel, opts.solve)
     bound = _existence_bound(omega, alpha, kernel, embedding)
 
-    probes, energies = residual_probes(kernel, _RESIDUAL_TRIALS,
-                                       _RESIDUAL_SEED)
-    norms = energies ** (1.0 / params.p)
+    probes = residual_probes(kernel, _RESIDUAL_TRIALS, _RESIDUAL_SEED)
+    norms = probes.energies ** (1.0 / params.p)
     levels: list[LevelRecord] = []
     power_seminorms: list[float] = []
     prev: Field | None = None
@@ -356,7 +378,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         source = kernel.grid.measure * problem.omega_n.values / (
             u_n.values + problem.shift
         ) ** problem.alpha
-        residual = _level_residual(au, source, probes, norms)
+        residual = _level_residual(au, source, probes.fields, norms)
         levels.append(LevelRecord(
             n=n,
             u=u_n,
@@ -425,26 +447,31 @@ class ResidualReport:
 
 def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
                   trials: int = 100, seed: int = 0,
-                  probes: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> ResidualReport:
+                  probes: TrialProbes | None = None) -> ResidualReport:
     """Certify the weak form of the singular equation against test fields.
 
     For each of the ``trials`` (at least one) seeded fields v this measures
     |pairing(u, v) - sum m w v / u^alpha| / (1 + [v]), and also the slack
     of the duality estimate |sum m w v / u^alpha| <= [u]^(p-1) [v].
-    ``probes``, when given, is what ``residual_probes`` returned for the
-    fields to test, and takes the place of ``trials`` and ``seed``.
+    ``probes``, when given, must hold exactly these ``trials`` of
+    ``seed`` on ``kernel`` (``residual_probes``); they are then not drawn
+    again.
     Requires u strictly positive at every interior node.
     """
-    if probes is None and trials < 1:
+    if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if probes is not None:
+        probes.require(kernel, seed)
+        if probes.count != trials:
+            raise ValueError(f"{probes.count} probes for {trials} trials")
     if u.values.min() <= 0.0:
         raise FssError("not an interior-positive field")
+    if probes is None:
+        probes = residual_probes(kernel, trials, seed)
     p = kernel.params.p
     source = kernel.grid.measure * omega.values / u.values**alpha
-    fields, energies = (probes if probes is not None
-                        else residual_probes(kernel, trials, seed))
-    norms = energies ** (1.0 / p)
+    fields = probes.fields
+    norms = probes.energies ** (1.0 / p)
     bound = seminorm_p(u, kernel) ** ((p - 1.0) / p) * norms
     return ResidualReport(
         max_residual=_level_residual(apply_operator(u, kernel), source,

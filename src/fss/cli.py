@@ -203,7 +203,8 @@ def _cmd_verify(args) -> int:
     # The weak residual's test fields are the certification's first trials,
     # drawn and evaluated once.
     probes = residual_probes(kernel, min(trials, 200), seed)
-    residual = weak_residual(u, omega, alpha, kernel, probes=probes)
+    residual = weak_residual(u, omega, alpha, kernel, probes.count, seed,
+                             probes=probes)
     report = {
         "alpha": alpha,
         "trials": trials,

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ChainOptions, ChainResult, run_chain, weak_residual
+from .chain import (ChainOptions, ChainResult, TrialProbes, run_chain,
+                    weak_residual)
 from .exceptions import FssError
 from .grid import Kernel, r_alpha
 from .operators import (Field, WeightField, block_seminorm_p, log_functional,
@@ -157,7 +158,8 @@ class CertificationReport:
 def verify_sobolev(solution: SingularSolution, trials: int = 1000,
                    seed: int = 0, constant: float | None = None,
                    extremal_scales=(-2.0, 0.5, 1.0),
-                   extra_fields=(), probes=None) -> CertificationReport:
+                   extra_fields=(), probes: TrialProbes | None = None
+                   ) -> CertificationReport:
     """Check the power-mean inequality on random fields and on extremal
     multiples.
 
@@ -165,9 +167,10 @@ def verify_sobolev(solution: SingularSolution, trials: int = 1000,
     -1e-8 relative) on every trial, and zero at scalar multiples of the
     extremal; any larger constant must be caught violating at the
     extremal itself.  ``extra_fields`` lets callers inject adversarial
-    candidates beyond the seeded trials.  ``probes`` is an optional
-    (fields, energies) pair of the first trials of ``seed``, already
-    evaluated (``chain.residual_probes``); only the later trials are drawn.
+    candidates beyond the seeded trials.  ``probes``, when given, must be
+    the first trials of ``seed`` on the solution's kernel, already drawn
+    and evaluated (``chain.residual_probes``); only the later trials are
+    drawn.
     """
     alpha = solution.alpha
     kernel, omega = solution.kernel, solution.omega
@@ -194,10 +197,10 @@ def _certify(term, constant: float, kernel: Kernel, extremal: Field,
     then ``extra_fields``, then the nonzero multiples of the extremal.
 
     ``term`` maps a block of fields, one per row, to the array of its
-    right-hand sides.  The first trials are the ``probes`` (fields and
-    energies) when given; the rest are drawn and evaluated in the chunks
-    of ``sampling.trial_chunks``.  The extra fields and the multiples form
-    one last block.
+    right-hand sides.  The first trials are the ``probes`` when given
+    (checked against ``kernel`` and ``seed``); the rest are drawn and
+    evaluated in the chunks of ``sampling.trial_chunks``.  The extra
+    fields and the multiples form one last block.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -206,12 +209,12 @@ def _certify(term, constant: float, kernel: Kernel, extremal: Field,
     tail = np.array([v.values for v in extra_fields] + list(multiples))
     energy, rhs, drawn = [], [], 0
     if probes is not None:
-        fields, energies = probes
-        drawn = energies.size
+        probes.require(kernel, seed)
+        drawn = probes.count
         if drawn > trials:
             raise ValueError(f"{drawn} probes for {trials} trials")
-        energy.append(energies)
-        rhs.append(term(fields))
+        energy.append(probes.energies)
+        rhs.append(term(probes.fields))
     for block in itertools.chain(trial_chunks(kernel.grid, seed, trials,
                                               start=drawn),
                                  [tail.reshape(-1, extremal.values.size)]):
@@ -457,7 +460,8 @@ def estimate_mu(omega: WeightField, alpha_grid, kernel: Kernel,
 def verify_log_sobolev(estimate: MuEstimate, trials: int = 1000,
                        seed: int = 0, constant: float | None = None,
                        extremal_scales=(-2.0, 0.5, 1.0),
-                       extra_fields=(), probes=None) -> CertificationReport:
+                       extra_fields=(), probes: TrialProbes | None = None
+                       ) -> CertificationReport:
     """Check the exponential-log inequality on random fields and at
     multiples of the extremal V.
 

@@ -589,6 +589,23 @@ class TestWeakResidual:
             weak_residual(Field.constant(kernel_1d.grid, 1.0), bump_weight,
                           0.5, kernel_1d, trials=trials)
 
+    def test_probes_must_be_its_trials(self, kernel_1d, kernel_1d_p3,
+                                       bump_weight):
+        u = Field(np.linspace(0.2, 1.0, kernel_1d.interior_count),
+                  kernel_1d.grid)
+        probes = chain_module.residual_probes(kernel_1d, 30, 4)
+        drawn = weak_residual(u, bump_weight, 0.5, kernel_1d, 30, 4)
+        shared = weak_residual(u, bump_weight, 0.5, kernel_1d, 30, 4,
+                               probes=probes)
+        assert shared == drawn
+        with pytest.raises(ValueError, match="seed 4 for seed 5"):
+            weak_residual(u, bump_weight, 0.5, kernel_1d, 30, 5, probes=probes)
+        with pytest.raises(ValueError, match="30 probes for 20 trials"):
+            weak_residual(u, bump_weight, 0.5, kernel_1d, 20, 4, probes=probes)
+        with pytest.raises(ValueError, match="another kernel"):
+            weak_residual(u, bump_weight, 0.5, kernel_1d_p3, 30, 4,
+                          probes=probes)
+
     @pytest.mark.parametrize("fixture", ["kernel_1d", "kernel_1d_p3"])
     def test_matches_per_field_loop(self, fixture, request, bump_weight):
         # The probes are evaluated as one block; the reference takes them

@@ -439,6 +439,19 @@ class TestBlockCertification:
             verify(subject, trials=20, seed=42, probes=probes)
 
     @pytest.mark.parametrize("inequality", ["power-mean", "log"])
+    def test_probes_of_another_seed_or_kernel_rejected(
+            self, bump_solution_05, bump_mu, kernel_1d_p3, inequality):
+        subject, verify = ((bump_solution_05, verify_sobolev)
+                           if inequality == "power-mean"
+                           else (bump_mu, verify_log_sobolev))
+        probes = residual_probes(subject.kernel, 30, 42)
+        with pytest.raises(ValueError, match="seed 42 for seed 43"):
+            verify(subject, trials=100, seed=43, probes=probes)
+        elsewhere = residual_probes(kernel_1d_p3, 30, 42)
+        with pytest.raises(ValueError, match="another kernel"):
+            verify(subject, trials=100, seed=42, probes=elsewhere)
+
+    @pytest.mark.parametrize("inequality", ["power-mean", "log"])
     def test_rejects_negative_trials(self, bump_solution_05, bump_mu,
                                      inequality):
         subject, verify = ((bump_solution_05, verify_sobolev)

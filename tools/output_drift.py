@@ -1,17 +1,18 @@
 """How far the CLI outputs of one checkout of fss drift from another's.
 
-    python3 tools/output_drift.py OLD_CHECKOUT NEW_CHECKOUT
-        [--seed N] [--theta 1 2 3 6] [--workdir DIR]
+    python3 tools/output_drift.py OLD_CHECKOUT NEW_CHECKOUT [--workdir DIR]
 
 Runs ``fss solve|verify|sweep|props|constant`` with each checkout's
 ``src`` on the shipped configs (``configs/*.json``) and on the four
 benchmark workload configs that ``perfbench/workloads.make_config``
-builds for ``--seed``.  Both checkouts read the same config files, taken
+builds for ``SEED``.  Both checkouts read the same config files, taken
 from NEW_CHECKOUT, with their outputs redirected into ``--workdir``.  A
 config with ``problem.alpha`` runs ``solve`` then ``verify`` on the
 solution it wrote; one with ``problem.alpha_grid`` runs ``sweep`` then
-``props``; every config runs ``constant`` at each ``--theta``.  BLAS runs
-on one thread, as in the benchmark.
+``props``; every config runs ``constant`` at each theta of ``THETAS``.
+Each config runs in its own directory, emptied first, so a reused
+``--workdir`` holds no output of an earlier run.  BLAS runs on one
+thread, as in the benchmark.
 
 For every output file the script prints whether the two are
 byte-identical and, when not, the largest relative change
@@ -30,6 +31,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -37,10 +39,12 @@ from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOADS = ("chain2d_p2", "chain1d_p3", "sweep1d", "solve2d_large")
+SEED = 1
+THETAS = (1.0, 2.0, 3.0, 6.0)
 SKIPPED = {"config_hash"}
 
 
-def _configs(checkout: Path, seed: int) -> dict[str, dict]:
+def _configs(checkout: Path) -> dict[str, dict]:
     """The shipped configs and the workload configs, by name."""
     configs = {path.stem: json.loads(path.read_text())
                for path in sorted((checkout / "configs").glob("*.json"))}
@@ -49,7 +53,7 @@ def _configs(checkout: Path, seed: int) -> dict[str, dict]:
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     for name in WORKLOADS:
-        configs[name] = workloads.make_config(name, seed, ".")
+        configs[name] = workloads.make_config(name, SEED, ".")
     return configs
 
 
@@ -62,11 +66,12 @@ def _run(checkout: Path, workdir: Path, argv: list[str]) -> int:
                               stderr=subprocess.STDOUT).returncode
 
 
-def _run_config(checkout: Path, workdir: Path, config: dict,
-                thetas) -> dict[str, int]:
+def _run_config(checkout: Path, workdir: Path,
+                config: dict) -> dict[str, int]:
     """Run every command of one config; returns each command's exit code.
-    Outputs land in ``workdir`` under fixed names."""
-    workdir.mkdir(parents=True, exist_ok=True)
+    Outputs land in ``workdir``, emptied first, under fixed names."""
+    shutil.rmtree(workdir, ignore_errors=True)
+    workdir.mkdir(parents=True)
     config = dict(config, output={
         "solution": "solution.json", "diagnostics": "levels.json",
         "sweep_csv": "sweep.csv", "mu_report": "mu.json"})
@@ -83,7 +88,7 @@ def _run_config(checkout: Path, workdir: Path, config: dict,
         codes["sweep"] = _run(checkout, workdir, ["sweep", *base])
         codes["props"] = _run(checkout, workdir,
                               ["props", *base, "--out", "props.json"])
-    for theta in thetas:
+    for theta in THETAS:
         codes[f"constant {theta:g}"] = _run(checkout, workdir, [
             "constant", *base, "--theta", repr(theta),
             "--out", f"constant-{theta:g}.json"])
@@ -156,16 +161,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("old", type=Path)
     ap.add_argument("new", type=Path)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--theta", type=float, nargs="+", default=[1, 2, 3, 6])
     ap.add_argument("--workdir", type=Path)
     args = ap.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="output-drift-"))
     drifted = False
-    for name, config in _configs(new, args.seed).items():
+    for name, config in _configs(new).items():
         dirs = {side: workdir / side / name for side in ("old", "new")}
-        codes = {side: _run_config(checkout, dirs[side], config, args.theta)
+        codes = {side: _run_config(checkout, dirs[side], config)
                  for side, checkout in (("old", old), ("new", new))}
         print(f"== {name}")
         if codes["old"] != codes["new"]:
