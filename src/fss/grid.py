@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import FieldMismatchError, GridError
@@ -34,6 +35,18 @@ _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}
 # Elements per row block of the 1D collar row sums and of the p != 2
 # pairwise pass (256 KB of doubles).
 PAIR_BLOCK_ELEMENTS = 2**15
+
+# Interior nodes above which ``Kernel.stiffness_product`` convolves by FFT
+# instead of multiplying by the dense ``stiffness``.  Dense against FFT, in
+# ms over three runs, one BLAS thread, unit square, for one field and for
+# a block of PAIR_BLOCK_ELEMENTS // M fields:
+#   M =  529 (h = 1/24): 0.07-0.09 / 0.06-0.09; 61 fields 0.9-1.1 / 2.8-3.8
+#   M =  961 (h = 1/32): 0.30-0.32 / 0.08-0.11; 34 fields 1.7-2.3 / 4.1-4.9
+#   M = 1225 (h = 1/36): 0.52-0.53 / 0.10-0.16; 26 fields 3.0-3.5 / 2.2-3.0
+#   M = 1521 (h = 1/40): 0.79-0.84 / 0.12-0.17; 21 fields 3.9-5.0 / 2.2-2.5
+#   M = 2209 (h = 1/48): 1.7-1.8 / 0.13-0.19; 14 fields 9.0-10.5 / 1.8-2.4
+# The FFT wins a single field from M = 961 on and a block from M = 1225 on.
+FFT_NODES = 1100
 
 
 @dataclass(frozen=True)
@@ -177,11 +190,16 @@ class Kernel:
 
     At p = 2 the energy is the quadratic form [u]^2 = u^T K u with the
     ``stiffness`` matrix K = 2 (diag(row sums of w_interior) - w_interior
-    + diag(boundary_weight)).  K costs M^2 doubles (39 MB at M = 2209), so
-    it is built on first use: the operators ask for it on their first p = 2
-    evaluation, while ``build_kernel`` and the p != 2 paths never do.  Its
-    Cholesky factor ``stiffness_factor`` (another M^2 doubles) is built
-    only when the approximation chain asks for it: the p = 2 barrier starts
+    + diag(boundary_weight)), and every p = 2 evaluation applies K through
+    ``stiffness_product``.  Up to ``FFT_NODES`` interior nodes that is a
+    product with the dense K, M^2 doubles built on the first p = 2
+    evaluation.  Above, it is an FFT convolution with the interior offset
+    table (``offset_spectrum``, O(M) doubles, built on the first p = 2
+    evaluation), so the operators and a stand-alone solve never build K
+    (39 MB at M = 2209).  ``build_kernel`` and the p != 2 paths build
+    neither.  The Cholesky factor ``stiffness_factor`` of K (another M^2
+    doubles, and K with it at any M) is built only when the approximation
+    chain asks for it: the p = 2 barrier starts
     from the direct solution of K u = rhs, and when the weight's support S
     covers at most half the nodes, the Newton steps of the chain solve
     with K + D, D diagonal on S, through the factor and the S columns of
@@ -212,6 +230,53 @@ class Kernel:
         k[np.diag_indices_from(k)] += 2.0 * (self.w_interior.sum(axis=1)
                                              + self.boundary_weight)
         return k
+
+    def stiffness_product(self, v: np.ndarray) -> np.ndarray:
+        """K v for one field or for an (M, k) block, one field per column.
+
+        At most ``FFT_NODES`` interior nodes it is ``stiffness @ v``.  Above,
+        it is 2 ((row sums of W + B) v - W v) with W = ``w_interior``,
+        where W v is a convolution over the interior lattice
+        (``offset_spectrum``), and K is not built."""
+        if self.interior_count <= FFT_NODES:
+            return self.stiffness @ v
+        shape, lengths, spectrum, diagonal = self.offset_spectrum
+        if v.ndim == 2:
+            diagonal = diagonal[:, None]
+        return 2.0 * (diagonal * v
+                      - _lattice_convolution(v, shape, lengths, spectrum))
+
+    @cached_property
+    def offset_spectrum(self) -> tuple[tuple[int, ...], tuple[int, ...],
+                                       np.ndarray, np.ndarray]:
+        """The interior lattice shape, the padded FFT lengths, the FFT of
+        the offset table, and the row sums of W plus B, built by the first
+        p = 2 product above ``FFT_NODES`` nodes and never by
+        ``build_kernel``.
+
+        ``build_grid`` enumerates the interior as a full n0 (x n1) lattice,
+        axis 0 major, and a pair weight depends only on the pair's lattice
+        offset d (up to rounding: the float coordinates do not repeat
+        their offsets bit for bit).  The table takes the weight of offset
+        d from ``w_interior[0]``, the first node's row reshaped to the
+        lattice, at |d|, and stores it at d mod L on each axis, where
+        L = next_fast_len(2 n - 1) for the n lattice lines of that axis.
+        A circular convolution of length L then gives W v without
+        wrapping round (Huang & Oberman, SIAM J. Numer. Anal. 52, 2014).
+        The row sums of W are the same convolution applied to ones."""
+        interior = self.grid.interior
+        shape = tuple(np.unique(interior[:, axis]).size
+                      for axis in range(interior.shape[1]))
+        lengths = tuple(next_fast_len(2 * n - 1, real=True) for n in shape)
+        table = np.zeros(lengths)
+        table[np.ix_(*(np.r_[0:n, size - n + 1:size]
+                       for n, size in zip(shape, lengths)))] = (
+            self.w_interior[0].reshape(shape)[
+                np.ix_(*(np.r_[0:n, n - 1:0:-1] for n in shape))])
+        spectrum = rfftn(table)
+        row_sums = _lattice_convolution(np.ones(self.interior_count), shape,
+                                        lengths, spectrum)
+        return shape, lengths, spectrum, row_sums + self.boundary_weight
 
     @cached_property
     def stiffness_factor(self) -> tuple[np.ndarray, bool]:
@@ -256,6 +321,21 @@ class Kernel:
         if m % 2 == 0:
             table[-1, m // 2:] = 0.0
         return table
+
+
+def _lattice_convolution(v: np.ndarray, shape: tuple[int, ...],
+                         lengths: tuple[int, ...],
+                         spectrum: np.ndarray) -> np.ndarray:
+    """The convolution of one field, or of each column of an (M, k) block,
+    with the offset table whose FFT of ``lengths`` is ``spectrum``, on the
+    interior lattice of ``shape``: zero-padded to ``lengths``, transformed,
+    multiplied and cut back to the lattice."""
+    axes = tuple(range(-len(shape), 0))
+    fields = v.T.reshape(v.shape[1:] + shape)
+    out = irfftn(rfftn(fields, lengths, axes=axes) * spectrum, lengths,
+                 axes=axes)
+    return out[(...,) + tuple(slice(n) for n in shape)].reshape(
+        v.shape[::-1]).T
 
 
 def _pair_weights(x: np.ndarray, y: np.ndarray, measure: float, exponent: float,

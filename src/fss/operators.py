@@ -14,20 +14,22 @@ tail).  The nodal gradient of (1/p)[u]^p,
 
 is the one pairwise pass (``_gradient``); the pairing is an inner
 product with it, pairing(u, v) = <A u, v>.  At p = 2 the pass is the
-matvec A u = K u with
+product A u = K u with
 
     K = 2 (diag(sum_j w_ij) - w + diag(B)),
 
-the kernel's cached ``stiffness`` matrix, and the energy is
-[u]^2 = <K u, u>.  K costs M^2 doubles (39 MB at M = 2209) and is built
-on the first p = 2 evaluation; other p never build it.  Its Cholesky
-factor is not used here: only the approximation chain asks for it.  At
-p != 2 the pass runs over row blocks of about ``grid.PAIR_BLOCK_ELEMENTS``
-pairs, writing into two scratch arrays that the kernel builds on the
-first such evaluation and then reuses, so an evaluation allocates O(M)
-memory instead of several M x M temporaries.  The same row blocks
-assemble the Hessian of (1/p)[u]^p (``energy_hessian``) for the Newton
-solves.
+taken by the kernel's ``stiffness_product``, and the energy is
+[u]^2 = <K u, u>.  Up to ``grid.FFT_NODES`` interior nodes that is a
+matvec against the cached dense K (M^2 doubles, built on the first p = 2
+evaluation); above, it is an FFT convolution over the interior lattice,
+and K is not built (it would be 39 MB at M = 2209).  Other p never build
+K.  Its Cholesky factor is not used here: only the approximation chain
+asks for it.  At p != 2 the pass runs over row blocks of about
+``grid.PAIR_BLOCK_ELEMENTS`` pairs, writing into two scratch arrays that
+the kernel builds on the first such evaluation and then reuses, so an
+evaluation allocates O(M) memory instead of several M x M temporaries.
+The same row blocks assemble the Hessian of (1/p)[u]^p
+(``energy_hessian``) for the Newton solves.
 
 The energy needs no gradient.  At p != 2 it is the symmetric double sum
 
@@ -177,15 +179,16 @@ def _gradient(values: np.ndarray, kernel: Kernel) -> np.ndarray:
 
     ``values`` is one field or an (M, k) block with one field per column.
     A u_i = 2 sum_j w_ij phi_p(u_i - u_j) + 2 B_i phi_p(u_i), which at
-    p = 2 is one matvec (one GEMM for a block) against the cached
-    stiffness matrix.  Other p sum the pair terms of each field in row
-    blocks through the kernel's two reused ``pair_buffers``, so no M x M
-    temporary is allocated per call, and store each field's gradient in a
-    contiguous column.
+    p = 2 is K u by ``Kernel.stiffness_product``: one matvec (one GEMM for
+    a block) against the cached stiffness matrix up to ``grid.FFT_NODES``
+    nodes, one FFT convolution per field above.  Other p sum the pair
+    terms of each field in row blocks through the kernel's two reused
+    ``pair_buffers``, so no M x M temporary is allocated per call, and
+    store each field's gradient in a contiguous column.
     """
     p = kernel.params.p
     if p == 2.0:
-        return kernel.stiffness @ values
+        return kernel.stiffness_product(values)
     w = kernel.w_interior
     term_buf = kernel.pair_buffers[1]
     g = np.empty(values.shape, order="F")
@@ -274,14 +277,14 @@ def apply_operator(u: Field, kernel: Kernel) -> np.ndarray:
 def block_gradient(block: np.ndarray, kernel: Kernel) -> np.ndarray:
     """A v for each row v of the (k, M) ``block``, as the rows of a new
     (k, M) array; row by row equal to ``apply_operator`` (bitwise at
-    p != 2, to rounding at p = 2, where the block is one GEMM)."""
+    p != 2, to rounding at p = 2, where the block is one product)."""
     return _gradient(block.T, kernel).T
 
 
 def block_seminorm_p(block: np.ndarray, kernel: Kernel) -> np.ndarray:
     """[v]^p for each row v of the (k, M) ``block``; row by row equal to
     ``seminorm_p`` (bitwise at p != 2, to rounding at p = 2, where it is
-    <A v, v> from one GEMM)."""
+    <A v, v> from one product)."""
     if kernel.params.p == 2.0:
         return np.vecdot(block, block_gradient(block, kernel))
     return _folded_seminorms(block, kernel)

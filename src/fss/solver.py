@@ -7,7 +7,10 @@ The basic solve finds the unique minimizer of
 which is the weak solution of the nonlocal p-problem with datum f and
 zero exterior values.  At p = 2, J is quadratic and its minimizer solves
 K u = m f with the kernel's stiffness matrix K, which conjugate gradients
-solve with one matvec per iteration (K is symmetric positive definite).
+solve with one product K v per iteration (K is symmetric positive
+definite).  The product is ``Kernel.stiffness_product``: a matvec against
+the dense K up to ``grid.FFT_NODES`` interior nodes, an FFT convolution
+above, where a stand-alone solve never builds K.
 Every other p runs ``newton``, the damped Newton routine that also solves
 the levels of the approximation chain (``chain``): J is its energy at
 alpha = 0.  The energy is C^2 away from ties for every p > 1; at p < 2 the
@@ -232,7 +235,9 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
 
 def _conjugate_gradients(kernel: Kernel, rhs: np.ndarray, u: np.ndarray,
                          tol: float) -> tuple[np.ndarray, int, float]:
-    """Solve K u = rhs from ``u`` by conjugate gradients.
+    """Solve K u = rhs from ``u`` by conjugate gradients, with one
+    ``kernel.stiffness_product`` per iteration (so K is built only up to
+    ``grid.FFT_NODES`` nodes).
 
     Stops once the true residual max|K u - rhs|, the gradient of the
     quadratic energy, is at most ``tol``.  When the recurred residual says
@@ -242,7 +247,6 @@ def _conjugate_gradients(kernel: Kernel, rhs: np.ndarray, u: np.ndarray,
     iterations and its true residual max-norm.  Running out of iterations
     raises a ``SolverError``.
     """
-    matrix = kernel.stiffness
     u = u.copy()
     iterations, floor = 0, math.inf
     while True:
@@ -262,7 +266,7 @@ def _conjugate_gradients(kernel: Kernel, rhs: np.ndarray, u: np.ndarray,
                     iterate=u, grad_norm=float(np.abs(r).max()),
                     iterations=iterations)
             iterations += 1
-            kd = matrix @ d
+            kd = kernel.stiffness_product(d)
             step = rr / float(d @ kd)
             u += step * d
             r -= step * kd

@@ -20,6 +20,7 @@ from fss import (
     solve_nonsingular,
     weighted_qmean,
 )
+from fss import grid as grid_module
 from fss.grid import PAIR_BLOCK_ELEMENTS
 from fss.operators import (
     block_gradient,
@@ -263,6 +264,58 @@ class TestP2FastPath:
         b = np.linspace(-1.0, 2.0, kernel.interior_count)
         u = cho_solve(kernel.stiffness_factor, b)
         assert np.abs(kernel.stiffness @ u - b).max() <= 1e-12 * np.abs(b).max()
+
+
+class TestFFTProduct:
+    """Above ``grid.FFT_NODES`` interior nodes the p = 2 product K v is a
+    convolution with the interior offset table.  With the threshold at 0
+    every p = 2 entry point must equal the dense oracle to rounding, for
+    one field and for a block, on lines of even and odd length and on a
+    square and a non-square box (which catches a transposed lattice), and
+    must not build K."""
+
+    @pytest.mark.parametrize("box,h,count", [
+        ([(0.0, 1.0)], 1.0 / 17, 16),
+        ([(0.0, 1.0)], 1.0 / 18, 17),
+        ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12, 121),
+        ([(0.0, 1.0), (0.0, 0.5)], 1.0 / 12, 55),
+    ], ids=["1d-M16", "1d-M17", "2d-M121", "2d-11x5"])
+    def test_matches_dense_oracle(self, box, h, count, monkeypatch):
+        monkeypatch.setattr(grid_module, "FFT_NODES", 0)
+        grid = build_grid(box, h, 0.5)
+        assert grid.interior_count == count
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=len(box)))
+        block = trial_block(grid, 4, 0, 10)
+        expected = block @ dense_p2_matrix(kernel)  # K is symmetric
+        energies = np.vecdot(block, expected)
+        scale = np.abs(expected).max(axis=1, keepdims=True)
+        assert np.all(np.abs(block_gradient(block, kernel) - expected)
+                      <= 1e-13 * scale)
+        assert np.all(np.abs(block_seminorm_p(block, kernel) - energies)
+                      <= 1e-13 * energies)
+        other = Field(block[-1], grid)
+        for v, grad, energy in zip(block, expected, energies):
+            u = Field(v, grid)
+            assert np.abs(apply_operator(u, kernel) - grad).max() \
+                <= 1e-13 * np.abs(grad).max()
+            assert seminorm_p(u, kernel) == pytest.approx(energy, rel=1e-13)
+            assert abs(pairing(u, other, kernel) - grad @ other.values) \
+                <= 1e-13 * (np.abs(grad) @ np.abs(other.values))
+        assert "stiffness" not in kernel.__dict__
+
+    def test_spectrum_built_by_first_product_above_threshold(self, grid_1d,
+                                                             monkeypatch):
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
+        seminorm_p(Field.constant(grid_1d, 1.0), kernel)
+        assert "offset_spectrum" not in kernel.__dict__
+        monkeypatch.setattr(grid_module, "FFT_NODES", 0)
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
+        assert "offset_spectrum" not in kernel.__dict__
+        seminorm_p(Field.constant(grid_1d, 1.0), kernel)
+        spectrum = kernel.offset_spectrum
+        apply_operator(Field.constant(grid_1d, 1.0), kernel)
+        assert kernel.offset_spectrum is spectrum
+        assert "stiffness" not in kernel.__dict__
 
 
 class TestBlockedPass:

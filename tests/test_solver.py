@@ -21,8 +21,9 @@ from fss import (
     solve_nonsingular,
 )
 
+from fss import grid as grid_module
 from fss import solver as solver_module
-from fss.operators import block_seminorm_p
+from fss.operators import block_gradient, block_seminorm_p
 
 from conftest import single_node_kernel, synthetic_unit_kernel
 from oracles import dense_p2_matrix, double_sum_gradient
@@ -75,6 +76,40 @@ class TestSolveNonsingular:
             err = np.abs(u.values - direct).max() / np.abs(direct).max()
             assert err <= 1e-9
             assert "stiffness_factor" not in kernel.__dict__
+
+    @staticmethod
+    def _check_fft_solve(kernel, f):
+        """A p = 2 solve and the four operators above the FFT threshold
+        meet the tolerance and never build K."""
+        opts = SolveOptions()
+        u = solve_nonsingular(f, kernel, opts)
+        grad = apply_operator(u, kernel)
+        assert np.abs(grad - kernel.grid.measure * f).max() <= opts.grad_tol
+        assert np.abs(block_gradient(u.values[None, :], kernel)[0]
+                      - grad).max() <= 1e-13 * np.abs(grad).max()
+        assert pairing(u, u, kernel) == pytest.approx(seminorm_p(u, kernel),
+                                                      rel=1e-12)
+        assert "stiffness" not in kernel.__dict__
+
+    @pytest.mark.parametrize("box,h", [
+        ([(0.0, 1.0)], 1.0 / 33),
+        ([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12),
+        ([(0.0, 1.0), (0.0, 0.5)], 1.0 / 12),
+    ], ids=["1d-M32", "2d-M121", "2d-11x5"])
+    def test_fft_product_solve(self, box, h, monkeypatch):
+        monkeypatch.setattr(grid_module, "FFT_NODES", 0)
+        grid = build_grid(box, h, 0.5)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=len(box)))
+        f = np.abs(np.random.default_rng(12).standard_normal(
+            grid.interior_count))
+        self._check_fft_solve(kernel, f)
+
+    def test_fft_product_solve_above_real_threshold(self):
+        # h = 1/48 on the unit square: 2209 interior nodes.
+        grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 48, 0.25)
+        assert grid.interior_count > grid_module.FFT_NODES
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2))
+        self._check_fft_solve(kernel, np.ones(grid.interior_count))
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     @pytest.mark.parametrize("dim", [1, 2])

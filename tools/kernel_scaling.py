@@ -1,11 +1,16 @@
-"""Time the 2D kernel build and its memory peak as the lattice is refined.
+"""Time the 2D kernel build, one p = 2 solve and their memory peak as the
+lattice is refined.
 
 For each spacing h in 1/12, 1/24, 1/48, 1/64 and 1/96 on the unit square
 (collar 1/4, s = 1/2, p = 2), a fresh Python process builds the kernel
-for at least two seconds (three builds at least) and reports the median
-``build_kernel`` wall time, the ``tracemalloc`` peak of one more build,
-and the process's peak RSS.  The BLAS thread counts are pinned to 1.  At
-h = 1/96 (M = 9025) the interior table alone is 650 MB.
+for at least two seconds (three builds at least) and, after each build,
+runs one ``solve_nonsingular`` with the constant datum 1 on the fresh
+kernel.  It reports the median ``build_kernel`` and solve wall times, the
+solve's conjugate-gradient iterations, whether the solve built the dense
+stiffness matrix K, the ``tracemalloc`` peak of one more build, and the
+process's peak RSS (builds and solves).  The BLAS thread counts are
+pinned to 1.  At h = 1/96 (M = 9025) the interior table alone is 650 MB,
+and K as much again; at h = 1/128 the table would be 2.1 GB.
 
 Usage, from the root of a checkout:
 
@@ -41,22 +46,42 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def measure(package: Path, n: int) -> dict:
-    """Build the h = 1/n kernel with the fss of ``package`` in this process."""
+    """Build the h = 1/n kernel and solve on it with the fss of
+    ``package`` in this process."""
     sys.path.insert(0, str(package.resolve().parent))
+    import numpy
     import fss
 
     if not Path(fss.__file__).resolve().is_relative_to(package.resolve()):
         raise SystemExit(f"fss was imported from {fss.__file__}, not {package}")
     grid = fss.build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / n, COLLAR)
     params = fss.FracParams(s=S, p=P, n_dim=2)
+    datum = numpy.ones(grid.interior_count)
+    # solve_nonsingular returns only the field, so the iteration count is
+    # read from the conjugate-gradient routine it calls.
+    iterations: list[int] = []
+    conjugate_gradients = fss.solver._conjugate_gradients
+
+    def counted(*args, **kwargs):
+        result = conjugate_gradients(*args, **kwargs)
+        iterations.append(result[1])
+        return result
+
+    fss.solver._conjugate_gradients = counted
     times: list[float] = []
+    solve_times: list[float] = []
     started = time.perf_counter()
     while len(times) < MAX_BUILDS and (
             len(times) < MIN_BUILDS or time.perf_counter() - started < SECONDS):
         t = time.perf_counter()
         kernel = fss.build_kernel(grid, params)
         times.append(time.perf_counter() - t)
+        t = time.perf_counter()
+        fss.solve_nonsingular(datum, kernel)
+        solve_times.append(time.perf_counter() - t)
+        stiffness_built = "stiffness" in kernel.__dict__
         del kernel
+    fss.solver._conjugate_gradients = conjugate_gradients
     tracemalloc.start()
     fss.build_kernel(grid, params)
     peak = tracemalloc.get_traced_memory()[1]
@@ -67,6 +92,9 @@ def measure(package: Path, n: int) -> dict:
         "C": int(grid.collar.shape[0]),
         "builds": len(times),
         "build_s_median": statistics.median(times),
+        "solve_s_median": statistics.median(solve_times),
+        "cg_iterations": sorted(set(iterations)),
+        "stiffness_built": stiffness_built,
         "tracemalloc_peak_mb": peak / 1e6,
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3,
         "interior_table_mb": 8 * grid.interior_count ** 2 / 1e6,
