@@ -31,13 +31,13 @@ its Newton step is at most its tolerance (``fixed_point_tol`` at a level,
 double-precision floor, after three steps that neither shrink the step
 nor promise a measurable energy decrease; it returns its best iterate.
 
-At p = 2, H_p is the stiffness matrix K and D lives only on S.  When S
-covers at most half the nodes, a step uses the kernel's cached Cholesky
-factor of K and factors only the |S| x |S| matrix
-I + D_S^(1/2) (K^-1)_SS D_S^(1/2) (Woodbury); the S columns of K^-1 are
-solved once per kernel.  A wider support, and every other p, factors
-H_p + D by Cholesky at each step.  For p > 2, H_p vanishes at u = 0, so
-the walk starts from the barrier.
+At p = 2, H_p is the stiffness matrix K and D lives only on S.  Each
+step, and the barrier's start, is one solve with K + D on S
+(``Kernel.support_solve``): the other nodes are eliminated once per
+support through the Schur complement C of K on S, and a step factors
+only the |S| x |S| matrix C + D.  Every other p factors H_p + D by
+Cholesky at each step.  For p > 2, H_p vanishes at u = 0, so the walk
+starts from the barrier.
 
 Levels are walked along a geometric schedule with warm starts, the first
 from the barrier psi.  The level solutions increase in n, their energies
@@ -53,7 +53,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .exceptions import FssError, SolverError
 from .grid import Kernel, r_alpha
@@ -349,10 +348,13 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     x0 = None
     if params.p == 2.0:
         # The direct solution of K u = m min(omega, 1), which conjugate
-        # gradients certify without an iteration.
-        x0 = Field(cho_solve(kernel.stiffness_factor, kernel.grid.measure
-                             * np.minimum(omega.values, 1.0),
-                             check_finite=False), kernel.grid)
+        # gradients certify without an iteration.  The datum lives on the
+        # weight's support, as in the levels.
+        support = np.flatnonzero(omega.values)
+        x0 = Field(kernel.support_solve(
+            support, 0.0,
+            kernel.grid.measure * np.minimum(omega.values[support], 1.0)),
+            kernel.grid)
     try:
         psi = solve_barrier(omega, kernel, opts.solve, x0=x0)
     except SolverError as err:

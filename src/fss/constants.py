@@ -27,17 +27,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import (ChainOptions, ChainResult, TrialProbes, run_chain,
-                    weak_residual)
+from .chain import ChainOptions, ChainResult, TrialProbes, run_chain
 from .exceptions import FssError
 from .grid import Kernel, r_alpha
 from .operators import (Field, WeightField, block_seminorm_p, log_functional,
                         seminorm_p)
 from .sampling import trial_chunks
 from .solver import EmbeddingConstant, embedding_for_existence_bound
-
-# Seed of the weak residual of the limit equation in the mu estimate.
-_MU_RESIDUAL_SEED = 11
 
 
 @dataclass(frozen=True)
@@ -356,7 +352,6 @@ class MuEstimate:
     extremal: Field                  # V, zero weighted log-mean
     u_star: Field                    # alpha = 1 singular solution
     log_mean_residual: float         # sum m w log V (should be ~0)
-    eqv_residual: float              # weak residual of the limit equation
     omega: WeightField
     kernel: Kernel
     mu_sweep: float | None = None
@@ -400,22 +395,15 @@ def mu_from_field(u_star: Field, omega: WeightField,
     v = math.exp(log_k) * u_star
     mu = seminorm_p(v, kernel)
     log_mean = log_functional(v, omega)
-    res = weak_residual(v, _scaled_weight(omega, mu / omega.norm_1), 1.0,
-                        kernel, seed=_MU_RESIDUAL_SEED)
     return MuEstimate(
         mu_direct=float(mu),
         extremal=v,
         u_star=u_star,
         log_mean_residual=float(log_mean),
-        eqv_residual=float(res.max_residual),
         omega=omega,
         kernel=kernel,
         chain=None,
     )
-
-
-def _scaled_weight(omega: WeightField, factor: float) -> WeightField:
-    return WeightField(omega.values * factor, omega.grid, omega.r)
 
 
 def estimate_mu(omega: WeightField, alpha_grid, kernel: Kernel,
@@ -440,20 +428,9 @@ def estimate_mu(omega: WeightField, alpha_grid, kernel: Kernel,
         d0 = scaled[-2] - scaled[-3]
         if d1 <= d0:
             trend = "still-rising"
-    est = MuEstimate(
-        mu_direct=direct.mu_direct,
-        extremal=direct.extremal,
-        u_star=direct.u_star,
-        log_mean_residual=direct.log_mean_residual,
-        eqv_residual=direct.eqv_residual,
-        omega=omega,
-        kernel=kernel,
-        mu_sweep=float(mu_sweep),
-        trend=trend,
-        alpha_grid=tuple(r.alpha for r in recs),
-        scaled_values=scaled,
-        chain=direct.chain,
-    )
+    est = replace(direct, mu_sweep=float(mu_sweep), trend=trend,
+                  alpha_grid=tuple(r.alpha for r in recs),
+                  scaled_values=scaled)
     return est, sweep
 
 

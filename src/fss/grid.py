@@ -197,13 +197,10 @@ class Kernel:
     table (``offset_spectrum``, O(M) doubles, built on the first p = 2
     evaluation), so the operators and a stand-alone solve never build K
     (39 MB at M = 2209).  ``build_kernel`` and the p != 2 paths build
-    neither.  The Cholesky factor ``stiffness_factor`` of K (another M^2
-    doubles, and K with it at any M) is built only when the approximation
-    chain asks for it: the p = 2 barrier starts
-    from the direct solution of K u = rhs, and when the weight's support S
-    covers at most half the nodes, the Newton steps of the chain solve
-    with K + D, D diagonal on S, through the factor and the S columns of
-    K^-1 (``inverse_stiffness_columns``, M x |S| doubles per support).
+    neither.  The approximation chain solves (K + D) x = b with D and b
+    supported on the weight's support S (``support_solve``); it builds K
+    at any M and keeps, per support, the Schur complement of K on S and
+    the map from x_S to the other nodes (|S|^2 + |S| (M - |S|) doubles).
     At p != 2 the pairwise pass runs in row blocks through the two scratch
     arrays of ``pair_buffers``, built on the first such evaluation.  The
     p != 2 energy visits each unordered pair once, against the
@@ -216,8 +213,8 @@ class Kernel:
     params: FracParams
     w_interior: np.ndarray
     boundary_weight: np.ndarray
-    _inverse_columns: dict = field(init=False, default_factory=dict,
-                                   repr=False, compare=False)
+    _schur_complements: dict = field(init=False, default_factory=dict,
+                                     repr=False, compare=False)
 
     @property
     def interior_count(self) -> int:
@@ -278,25 +275,46 @@ class Kernel:
                                         lengths, spectrum)
         return shape, lengths, spectrum, row_sums + self.boundary_weight
 
-    @cached_property
-    def stiffness_factor(self) -> tuple[np.ndarray, bool]:
-        """Cholesky factor of ``stiffness`` in ``cho_factor`` form, built once.
+    def support_solve(self, support: np.ndarray, diagonal,
+                      rhs: np.ndarray) -> np.ndarray:
+        """Solve (K + D) x = b, where D = diag(``diagonal``) and b = ``rhs``
+        live on the ``support`` nodes S (an increasing index array) and
+        vanish on the other nodes R.  ``diagonal`` is a nonnegative scalar
+        or one entry per support node.
 
-        The chain's p = 2 barrier starts from a solve with it, and its
-        Newton steps on a support of at most half the nodes solve through
-        it (see ``inverse_stiffness_columns``)."""
-        return cho_factor(self.stiffness, check_finite=False)
+        Eliminating R leaves (C + D) x_S = b_S with the Schur complement
+        C = K_SS - K_SR K_RR^-1 K_RS, and then x_R = E x_S with
+        E = -K_RR^-1 K_RS.  C and E are built once per support
+        (``_schur_complement``), so a solve factors only the |S| x |S|
+        matrix C + D by Cholesky; at S = every node, C is K.  Raises
+        ``LinAlgError`` when C + D is not positive definite."""
+        rest, schur, extension = self._schur_complement(support)
+        m = schur.copy()
+        m.ravel()[::m.shape[0] + 1] += diagonal
+        x_s = cho_solve(cho_factor(m, overwrite_a=True, check_finite=False),
+                        rhs, check_finite=False)
+        x = np.empty(self.interior_count)
+        x[support] = x_s
+        x[rest] = extension @ x_s
+        return x
 
-    def inverse_stiffness_columns(self, columns: np.ndarray) -> np.ndarray:
-        """The ``columns`` of K^-1 as an (M, len(columns)) array, solved
-        with ``stiffness_factor`` once per index set and kept."""
-        key = columns.tobytes()
-        if key not in self._inverse_columns:
-            unit = np.zeros((self.interior_count, columns.size))
-            unit[columns, np.arange(columns.size)] = 1.0
-            self._inverse_columns[key] = cho_solve(
-                self.stiffness_factor, unit, check_finite=False)
-        return self._inverse_columns[key]
+    def _schur_complement(self, support: np.ndarray):
+        """The nodes R off ``support``, the Schur complement C of K on the
+        support and the extension E = -K_RR^-1 K_RS, built from
+        ``stiffness`` by one Cholesky factorization of K_RR and kept per
+        support."""
+        key = support.tobytes()
+        if key not in self._schur_complements:
+            rest = np.setdiff1d(np.arange(self.interior_count), support,
+                                assume_unique=True)
+            k = self.stiffness
+            k_rs = k[np.ix_(rest, support)]
+            extension = -cho_solve(
+                cho_factor(k[np.ix_(rest, rest)], overwrite_a=True,
+                           check_finite=False), k_rs, check_finite=False)
+            schur = k[np.ix_(support, support)] + k_rs.T @ extension
+            self._schur_complements[key] = rest, schur, extension
+        return self._schur_complements[key]
 
     @cached_property
     def pair_buffers(self) -> tuple[np.ndarray, np.ndarray]:

@@ -23,8 +23,7 @@ taken by the kernel's ``stiffness_product``, and the energy is
 matvec against the cached dense K (M^2 doubles, built on the first p = 2
 evaluation); above, it is an FFT convolution over the interior lattice,
 and K is not built (it would be 39 MB at M = 2209).  Other p never build
-K.  Its Cholesky factor is not used here: only the approximation chain
-asks for it.  At p != 2 the pass runs over row blocks of about
+K.  At p != 2 the pass runs over row blocks of about
 ``grid.PAIR_BLOCK_ELEMENTS`` pairs, writing into two scratch arrays that
 the kernel builds on the first such evaluation and then reuses, so an
 evaluation allocates O(M) memory instead of several M x M temporaries.
@@ -307,8 +306,8 @@ def energy_and_gradient(values: np.ndarray, kernel: Kernel,
 
 
 def energy_hessian(values: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Hessian of (1/p)[u]^p as a new M x M array (a copy of the stiffness
-    K at p = 2):
+    """Hessian of (1/p)[u]^p as a new M x M array (the stiffness K at
+    p = 2, without building it):
 
         H = 2 (p-1) [diag(sum_j c_ij + B_i |u_i|^(p-2)) - (c_ij)],
         c_ij = w_ij |u_i - u_j|^(p-2),
@@ -322,8 +321,6 @@ def energy_hessian(values: np.ndarray, kernel: Kernel) -> np.ndarray:
     p >= 2 nothing is clipped.
     """
     p = kernel.params.p
-    if p == 2.0:
-        return kernel.stiffness.copy()
     eps = 1e-13 * float(np.abs(values).max()) if p < 2.0 else 0.0
     h = np.empty((values.size, values.size))
     with np.errstate(divide="ignore", invalid="ignore"):

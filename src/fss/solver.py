@@ -57,12 +57,6 @@ _FLOOR_STEPS = 3
 # Largest fraction of the distance to the boundary u + shift = 0 a step
 # may cover.
 _TO_BOUNDARY = 0.995
-# Largest share of the nodes the weight's support may cover for a p = 2
-# step to go through Woodbury: at half the nodes it factors 1/8 of what
-# the direct step factors and keeps M^2 / 2 doubles of K^-1, while on
-# every node it is the slower one (5.6 against 4.1 ms a step at M = 529,
-# one BLAS thread).
-_WOODBURY_SHARE = 0.5
 # Conjugate-gradient iterations of one p = 2 solve.
 _CG_ITERATIONS = 10000
 # Steps of the inverse power iteration for S_theta, and the relative rise
@@ -80,25 +74,6 @@ class SolveOptions:
     def __post_init__(self):
         if self.grad_tol <= 0.0:
             raise ValueError("gradient tolerance must be positive")
-
-
-def _solve_p2_newton(kernel: Kernel, support: np.ndarray, root: np.ndarray,
-                     c: np.ndarray) -> np.ndarray:
-    """Solve (K + D) x = b at p = 2 for D = diag(root^2) and b = root * c on
-    the ``support`` nodes, both zero elsewhere.
-
-    By Woodbury, with Z the support columns of K^-1 and r = ``root``,
-    (K + D)^-1 P = Z (D^-1 + Z_S)^-1 D^-1 = Z r C^-1 r^-1, so
-    x = Z (r C^-1 c) with C = I + r Z_S r, which is symmetric positive
-    definite with eigenvalues at least 1.  No term grows with D: a large
-    D, which the singular weight gives near the boundary u + shift = 0,
-    costs no accuracy.
-    """
-    z = kernel.inverse_stiffness_columns(support)
-    m = root[:, None] * z[support] * root[None, :]
-    m[np.diag_indices_from(m)] += 1.0
-    factor = cho_factor(m, overwrite_a=True, check_finite=False)
-    return z @ (root * cho_solve(factor, c, check_finite=False))
 
 
 def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
@@ -121,11 +96,10 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
     2006, ch. 3 and 19).
 
     At p = 2 with alpha > 0, H_p is the stiffness matrix K and D lives
-    only on the support S.  When S covers at most half the nodes, a step
-    uses the kernel's cached Cholesky factor of K and factors only the
-    |S| x |S| matrix I + D_S^(1/2) (K^-1)_SS D_S^(1/2) (Woodbury); the S
-    columns of K^-1 are solved once per kernel.  A wider support, and
-    every other p, factors H_p + D by Cholesky at each step.
+    only on the support S, so a step solves for u + d through
+    ``Kernel.support_solve``: it factors only the |S| x |S| matrix C + D,
+    with C the Schur complement of K on S, built once per support.  Every
+    other p factors H_p + D by Cholesky at each step.
 
     The solve stops once the max-norm of its Newton step (of its gradient
     when ``gradient``) is at most ``tol``, or, when ``tol`` lies below the
@@ -174,13 +148,12 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
         z = u[support] + shift
         curvature = alpha * mass * z ** (-alpha - 1.0) if alpha > 0.0 else 0.0
         try:
-            if (alpha > 0.0 and kernel.params.p == 2.0
-                    and support.size <= _WOODBURY_SHARE * u.size):
+            if alpha > 0.0 and kernel.params.p == 2.0:
                 # -grad = P (m w z^-alpha + D u_S) - (K + D) u, and
                 # m w z^-alpha = D z / alpha.
-                root = np.sqrt(curvature)
-                d = _solve_p2_newton(kernel, support, root,
-                                     root * (u[support] + z / alpha)) - u
+                d = kernel.support_solve(
+                    support, curvature,
+                    curvature * (u[support] + z / alpha)) - u
             else:
                 h = energy_hessian(u, kernel)
                 h[support, support] += curvature

@@ -6,11 +6,11 @@ certification loop, and the one-trial-at-a-time vector inequality check.
 
 These never call the solver paths they certify: T solves by conjugate
 gradients at p = 2, the only p its comparisons use, while the chain
-solves its levels by Newton steps through Woodbury or a Cholesky factor;
-the certification loop evaluates each trial field on its own, while the
-package evaluates them in blocks; the vector check draws and evaluates
-one pair at a time, while the package takes all pairs of one dimension
-at once.
+solves its levels by Newton steps through a Schur complement on the
+weight's support; the certification loop evaluates each trial field on
+its own, while the package evaluates them in blocks; the vector check
+draws and evaluates one pair at a time, while the package takes all
+pairs of one dimension at once.
 """
 
 import math

@@ -12,6 +12,7 @@ from fss import (
     SolverError,
     StagnationError,
     WeightField,
+    build_grid,
     build_kernel,
     embedding_constant,
     linfty_bound_report,
@@ -24,7 +25,6 @@ from fss import (
     weak_residual,
 )
 from fss import chain as chain_module, solver as solver_module
-from fss.solver import _solve_p2_newton
 
 from conftest import (
     compact_bump_values,
@@ -348,20 +348,22 @@ class TestChainErrors:
 
 
 class TestCholeskyStart:
-    """At p = 2 the barrier starts from the direct solution by the kernel's
-    cached Cholesky factor, and the Newton steps of a narrow support solve
-    through it; only the chain builds the factor."""
+    """At p = 2 the barrier starts from the direct solution of K u = m
+    min(omega, 1), solved on the weight's support like the Newton steps
+    (``Kernel.support_solve``); only the chain builds the support's Schur
+    complement."""
 
     def test_built_by_run_chain_at_p2(self, grid_1d, bump_weight):
         kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
-        assert "stiffness_factor" not in kernel.__dict__
+        assert kernel._schur_complements == {}
         run_chain(bump_weight, 1.0, kernel)
-        assert "stiffness_factor" in kernel.__dict__
+        # The barrier and every level share the one support.
+        assert len(kernel._schur_complements) == 1
 
     def test_not_built_at_p3(self, grid_1d, bump_weight):
         kernel = build_kernel(grid_1d, FracParams(s=0.5, p=3.0, n_dim=1))
         run_chain(bump_weight, 1.0, kernel)
-        assert "stiffness_factor" not in kernel.__dict__
+        assert kernel._schur_complements == {}
         assert "stiffness" not in kernel.__dict__
 
     def test_barrier_takes_one_evaluation(self, grid_1d, bump_weight,
@@ -392,56 +394,47 @@ class TestCholeskyStart:
         assert len(calls) == 1
 
 
-class TestWideSupport:
-    """At p = 2 a weight positive on more than half the nodes takes the
-    direct Cholesky step of K + D instead of the Woodbury one, and keeps
-    no columns of K^-1."""
-
-    @pytest.mark.parametrize("n,alpha", [(4, 0.5), (64, 1.0)])
-    def test_matches_woodbury_step(self, grid_1d, constant_weight, n, alpha,
-                                   monkeypatch):
-        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
-        problem = make_level(constant_weight, n, alpha)
-        start = Field.constant(grid_1d, 0.1)
-        direct, _, _ = solve_level(problem, kernel, start)
-        assert kernel._inverse_columns == {}
-        monkeypatch.setattr(solver_module, "_WOODBURY_SHARE", 1.0)
-        woodbury, _, _ = solve_level(problem, kernel, start)
-        assert len(kernel._inverse_columns) == 1
-        assert (direct - woodbury).max_norm() <= 1e-12
-
-    def test_narrow_support_takes_woodbury(self, grid_1d):
-        # Radius 0.2: 6 of the 16 nodes.
-        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
-        omega = WeightField(compact_bump_values(grid_1d, radius=0.2), grid_1d,
-                            r=3.0)
-        solve_level(make_level(omega, 4, 0.5), kernel,
-                    Field.constant(grid_1d, 0.1))
-        assert len(kernel._inverse_columns) == 1
-
-
 class TestSupportSolve:
     """The p = 2 Newton system (K + D) x = g with D diagonal on the
-    weight's support S and g supported on S, solved by Woodbury through
-    the factor of K.  With S = every node, g is arbitrary."""
+    weight's support S and g supported on S, solved through the Schur
+    complement of K on S (``Kernel.support_solve``)."""
 
-    @pytest.mark.parametrize("support", ["bump", "every node", "one node"])
+    @pytest.mark.parametrize("support", [
+        "bump", "every node", "one node", "60%", "90%", "2d"])
     def test_matches_dense_solve(self, grid_1d, bump_weight, support):
-        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=2.0, n_dim=1))
-        m = grid_1d.interior_count
+        grid = grid_1d if support != "2d" else build_grid(
+            [(0.0, 1.0), (0.0, 1.0)], 1.0 / 8, 0.25)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0,
+                                               n_dim=grid.n_dim))
+        m = grid.interior_count
+        rng = np.random.default_rng(41)
         nodes = {"bump": np.flatnonzero(bump_weight.values > 0.0),
                  "every node": np.arange(m),
-                 "one node": np.array([m // 2])}[support]
-        rng = np.random.default_rng(41)
+                 "one node": np.array([m // 2]),
+                 "60%": np.sort(rng.choice(m, round(0.6 * m), replace=False)),
+                 "90%": np.sort(rng.choice(m, round(0.9 * m), replace=False)),
+                 "2d": np.flatnonzero(compact_bump_values(grid) > 0.0),
+                 }[support]
         diagonal = 10.0 ** rng.uniform(-3.0, 8.0, nodes.size)
         g = np.zeros(m)
         g[nodes] = rng.standard_normal(nodes.size)
         dense = dense_p2_matrix(kernel)
         dense[nodes, nodes] += diagonal
         expected = np.linalg.solve(dense, g)
-        root = np.sqrt(diagonal)
-        got = _solve_p2_newton(kernel, nodes, root, g[nodes] / root)
+        got = kernel.support_solve(nodes, diagonal, g[nodes])
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert len(kernel._schur_complements) == 1
+
+    def test_schur_complement_kept_per_support(self, kernel_1d):
+        kernel = build_kernel(kernel_1d.grid, kernel_1d.params)
+        nodes = np.arange(3, 9)
+        rhs = np.ones(nodes.size)
+        first = kernel.support_solve(nodes, 2.0, rhs)
+        kept = kernel._schur_complements[nodes.tobytes()]
+        assert np.array_equal(kernel.support_solve(nodes, 2.0, rhs), first)
+        assert kernel._schur_complements[nodes.tobytes()] is kept
+        kernel.support_solve(nodes[1:], 2.0, rhs[1:])
+        assert len(kernel._schur_complements) == 2
 
 
 class TestRunChain:

@@ -121,9 +121,7 @@ class TestVerifyCommand:
         draws = count_draws(monkeypatch)
         assert run_command(["verify", "--config", path, "--solution",
                             out["solution"], "--trials", "1000"]) == 0
-        # At alpha = 1 the constant mu comes with the weak residual of its
-        # limit equation, on 100 fields of its own seed.
-        assert draws == [1000 + (100 if alpha == 1.0 else 0)]
+        assert draws == [1000]
 
     @pytest.mark.parametrize("flag,value", [
         ("--trials", "-5"), ("--trials", "0"), ("--seed", "-3"),

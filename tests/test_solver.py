@@ -75,7 +75,7 @@ class TestSolveNonsingular:
             u = solve_nonsingular(f, kernel, SolveOptions(grad_tol=1e-11))
             err = np.abs(u.values - direct).max() / np.abs(direct).max()
             assert err <= 1e-9
-            assert "stiffness_factor" not in kernel.__dict__
+            assert kernel._schur_complements == {}
 
     @staticmethod
     def _check_fft_solve(kernel, f):

@@ -8,9 +8,15 @@ runs one ``solve_nonsingular`` with the constant datum 1 on the fresh
 kernel.  It reports the median ``build_kernel`` and solve wall times, the
 solve's conjugate-gradient iterations, whether the solve built the dense
 stiffness matrix K, the ``tracemalloc`` peak of one more build, and the
-process's peak RSS (builds and solves).  The BLAS thread counts are
-pinned to 1.  At h = 1/96 (M = 9025) the interior table alone is 650 MB,
-and K as much again; at h = 1/128 the table would be 2.1 GB.
+process's peak RSS (builds, solves and chains).  At h = 1/24 and 1/48 it
+also times ``CHAINS`` p = 2, alpha = 1 approximation chains
+(``run_chain``), each on a fresh kernel so that the one-time work on the
+weight's support counts, with the compact bump of
+``configs/solve_2d.json`` (centre (1/2, 1/2), radius 0.3, r = 3), and
+reports their median wall time, levels and support size.  The BLAS
+thread counts are pinned to 1.  At h = 1/96 (M = 9025) the interior
+table alone is 650 MB, and K as much again; at h = 1/128 the table would
+be 2.1 GB.
 
 Usage, from the root of a checkout:
 
@@ -42,6 +48,9 @@ S, P = 0.5, 2.0
 MIN_BUILDS = 3
 MAX_BUILDS = 100
 SECONDS = 2.0
+CHAIN_SPACINGS = (24, 48)
+CHAINS = 3
+BUMP_RADIUS = 0.3
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -86,6 +95,7 @@ def measure(package: Path, n: int) -> dict:
     fss.build_kernel(grid, params)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    chains = time_chains(fss, grid, params) if n in CHAIN_SPACINGS else {}
     return {
         "h": f"1/{n}",
         "M": grid.interior_count,
@@ -98,7 +108,31 @@ def measure(package: Path, n: int) -> dict:
         "tracemalloc_peak_mb": peak / 1e6,
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3,
         "interior_table_mb": 8 * grid.interior_count ** 2 / 1e6,
-    }
+    } | chains
+
+
+def time_chains(fss, grid, params) -> dict:
+    """Median wall time of ``CHAINS`` alpha = 1 chains with the compact
+    bump weight, each on a fresh kernel, with their levels and the
+    number of nodes the weight covers."""
+    import numpy
+
+    t2 = ((grid.interior - 0.5) ** 2).sum(axis=1) / BUMP_RADIUS**2
+    values = numpy.zeros(grid.interior_count)
+    inside = t2 < 1.0
+    values[inside] = numpy.exp(1.0 - 1.0 / (1.0 - t2[inside]))
+    omega = fss.WeightField(values, grid, r=3.0)
+    times, levels = [], set()
+    for _ in range(CHAINS):
+        kernel = fss.build_kernel(grid, params)
+        t = time.perf_counter()
+        result = fss.run_chain(omega, 1.0, kernel)
+        times.append(time.perf_counter() - t)
+        levels.add(len(result.levels))
+        del kernel, result
+    return {"chain_s_median": statistics.median(times),
+            "chain_levels": sorted(levels),
+            "support_nodes": int(inside.sum())}
 
 
 def environment() -> dict:
