@@ -291,7 +291,9 @@ class Kernel:
         rest, schur, extension = self._schur_complement(support)
         m = schur.copy()
         m.ravel()[::m.shape[0] + 1] += diagonal
-        x_s = cho_solve(cho_factor(m, overwrite_a=True, check_finite=False),
+        # The transpose of the symmetric m is the Fortran-ordered matrix
+        # LAPACK factors in place: no second |S| x |S| copy per solve.
+        x_s = cho_solve(cho_factor(m.T, overwrite_a=True, check_finite=False),
                         rhs, check_finite=False)
         x = np.empty(self.interior_count)
         x[support] = x_s
