@@ -291,8 +291,9 @@ class Kernel:
         rest, schur, extension = self._schur_complement(support)
         m = schur.copy()
         m.ravel()[::m.shape[0] + 1] += diagonal
-        # The transpose of the symmetric m is the Fortran-ordered matrix
-        # LAPACK factors in place: no second |S| x |S| copy per solve.
+        # m is symmetric up to rounding, and its transpose is a Fortran-
+        # ordered view that LAPACK factors in place: no second |S| x |S|
+        # copy per solve.
         x_s = cho_solve(cho_factor(m.T, overwrite_a=True, check_finite=False),
                         rhs, check_finite=False)
         x = np.empty(self.interior_count)
