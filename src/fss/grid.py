@@ -13,7 +13,9 @@ pair's two squared coordinate differences, and a lattice has few distinct
 ones per axis (178 at h = 1/48), so the kernel power is taken once per
 class pair of equal values and the weights are gathered from that table
 with the same bits (about 32 thousand powers instead of 12 million pairs
-at M = 2209).
+at M = 2209).  ``build_kernel`` keeps only O(M) doubles: the exterior row
+sums and the first row of the interior table.  The M x M interior table
+is built on its first read, by the passes that need it.
 """
 
 from __future__ import annotations
@@ -188,30 +190,37 @@ class Kernel:
     the energy needs from the exterior, since every field vanishes there.
     Both are bitwise what the pair-by-pair formula gives, in 1D and 2D.
 
+    ``build_kernel`` stores ``boundary_weight`` and ``first_row``, the
+    weights from node 0 to every interior node (``w_interior[0]``, bit for
+    bit): O(M) doubles.  The M x M table ``w_interior`` (39 MB at
+    M = 2209) is built on its first read and kept.  Its readers are the
+    dense ``stiffness`` (and through it ``support_solve``), the p != 2
+    passes with ``folded_weights``, and the one-node bound of the
+    embedding constant.
+
     At p = 2 the energy is the quadratic form [u]^2 = u^T K u with the
     ``stiffness`` matrix K = 2 (diag(row sums of w_interior) - w_interior
     + diag(boundary_weight)), and every p = 2 evaluation applies K through
     ``stiffness_product``.  Up to ``FFT_NODES`` interior nodes that is a
     product with the dense K, M^2 doubles built on the first p = 2
     evaluation.  Above, it is an FFT convolution with the interior offset
-    table (``offset_spectrum``, O(M) doubles, built on the first p = 2
-    evaluation), so the operators and a stand-alone solve never build K
-    (39 MB at M = 2209).  ``build_kernel`` and the p != 2 paths build
-    neither.  The approximation chain solves (K + D) x = b with D and b
-    supported on the weight's support S (``support_solve``); it builds K
-    at any M and keeps, per support, the Schur complement of K on S and
-    the map from x_S to the other nodes (|S|^2 + |S| (M - |S|) doubles).
-    At p != 2 the pairwise pass runs in row blocks through the two scratch
-    arrays of ``pair_buffers``, built on the first such evaluation.  The
-    p != 2 energy visits each unordered pair once, against the
-    ``folded_weights`` table: M^2 / 2 doubles (19.5 MB at M = 2209), built
-    by the first p != 2 seminorm, never by ``build_kernel`` and never at
-    p = 2.
+    table (``offset_spectrum``, O(M) doubles from ``first_row``, built on
+    the first p = 2 evaluation), so the operators and a stand-alone solve
+    build neither K nor ``w_interior``.  The approximation chain solves
+    (K + D) x = b with D and b supported on the weight's support S
+    (``support_solve``); it builds K at any M and keeps, per support, the
+    Schur complement of K on S and the map from x_S to the other nodes
+    (|S|^2 + |S| (M - |S|) doubles).  At p != 2 the pairwise pass runs in
+    row blocks through the two scratch arrays of ``pair_buffers``, built
+    on the first such evaluation.  The p != 2 energy visits each unordered
+    pair once, against the ``folded_weights`` table: M^2 / 2 doubles
+    (19.5 MB at M = 2209), built by the first p != 2 seminorm, never by
+    ``build_kernel`` and never at p = 2.
     """
 
     grid: Grid
     params: FracParams
-    w_interior: np.ndarray
+    first_row: np.ndarray
     boundary_weight: np.ndarray
     _schur_complements: dict = field(init=False, default_factory=dict,
                                      repr=False, compare=False)
@@ -219,6 +228,14 @@ class Kernel:
     @property
     def interior_count(self) -> int:
         return self.grid.interior_count
+
+    @cached_property
+    def w_interior(self) -> np.ndarray:
+        """The M x M interior pair weights, built from the grid on first
+        read, with the same bits as ``first_row`` in row 0."""
+        interior = _lattice_interior if self.grid.n_dim == 2 else _line_interior
+        return interior(self.grid, self.grid.measure,
+                        self.grid.n_dim + self.params.sp)
 
     @cached_property
     def stiffness(self) -> np.ndarray:
@@ -234,7 +251,7 @@ class Kernel:
         At most ``FFT_NODES`` interior nodes it is ``stiffness @ v``.  Above,
         it is 2 ((row sums of W + B) v - W v) with W = ``w_interior``,
         where W v is a convolution over the interior lattice
-        (``offset_spectrum``), and K is not built."""
+        (``offset_spectrum``), and neither K nor W is built."""
         if self.interior_count <= FFT_NODES:
             return self.stiffness @ v
         shape, lengths, spectrum, diagonal = self.offset_spectrum
@@ -255,7 +272,7 @@ class Kernel:
         axis 0 major, and a pair weight depends only on the pair's lattice
         offset d (up to rounding: the float coordinates do not repeat
         their offsets bit for bit).  The table takes the weight of offset
-        d from ``w_interior[0]``, the first node's row reshaped to the
+        d from ``first_row``, the first node's row of W reshaped to the
         lattice, at |d|, and stores it at d mod L on each axis, where
         L = next_fast_len(2 n - 1) for the n lattice lines of that axis.
         A circular convolution of length L then gives W v without
@@ -268,7 +285,7 @@ class Kernel:
         table = np.zeros(lengths)
         table[np.ix_(*(np.r_[0:n, size - n + 1:size]
                        for n, size in zip(shape, lengths)))] = (
-            self.w_interior[0].reshape(shape)[
+            self.first_row.reshape(shape)[
                 np.ix_(*(np.r_[0:n, n - 1:0:-1] for n in shape))])
         spectrum = rfftn(table)
         row_sums = _lattice_convolution(np.ones(self.interior_count), shape,
@@ -362,7 +379,8 @@ def _lattice_convolution(v: np.ndarray, shape: tuple[int, ...],
 def _pair_weights(x: np.ndarray, y: np.ndarray, measure: float, exponent: float,
                   same_set: bool) -> np.ndarray:
     """m^2 / |x_i - y_j|^exponent in one (len(x), len(y)) array, for 1D
-    coordinates, taken in place."""
+    coordinates, taken in place.  ``same_set`` says that x is the first
+    nodes of y, and zeroes the self-pairs (i, i)."""
     w = np.subtract.outer(x, y)
     np.square(w, out=w)
     np.sqrt(w, out=w)
@@ -376,22 +394,29 @@ def _pair_weights(x: np.ndarray, y: np.ndarray, measure: float, exponent: float,
     return w
 
 
-def _line_weights(grid: Grid, measure: float,
-                  exponent: float) -> tuple[np.ndarray, np.ndarray]:
-    """``w_interior`` and the collar row sums of a 1D grid, pair by pair.
+def _line_rows(grid: Grid, measure: float,
+               exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of ``w_interior`` and the collar row sums of a 1D
+    grid, pair by pair.
 
     The collar pair weights are formed in row blocks of about
     ``PAIR_BLOCK_ELEMENTS`` and summed at once, so no M x C array is held.
     """
     x, y = grid.interior[:, 0], grid.collar[:, 0]
-    w_int = _pair_weights(x, x, measure, exponent, same_set=True)
     rows = max(1, PAIR_BLOCK_ELEMENTS // y.size)
     collar_sums = np.empty(x.size)
     for first in range(0, x.size, rows):
         collar_sums[first:first + rows] = _pair_weights(
             x[first:first + rows], y, measure, exponent,
             same_set=False).sum(axis=1)
-    return w_int, collar_sums
+    first_row = _pair_weights(x[:1], x, measure, exponent, same_set=True)[0]
+    return first_row, collar_sums
+
+
+def _line_interior(grid: Grid, measure: float, exponent: float) -> np.ndarray:
+    """``w_interior`` of a 1D grid, pair by pair."""
+    x = grid.interior[:, 0]
+    return _pair_weights(x, x, measure, exponent, same_set=True)
 
 
 def _axis_classes(grid: Grid, axis: int):
@@ -412,21 +437,19 @@ def _axis_classes(grid: Grid, axis: int):
     return values, classes.reshape(squares.shape), line_of.reshape(-1)
 
 
-def _lattice_weights(grid: Grid, measure: float,
-                     exponent: float) -> tuple[np.ndarray, np.ndarray]:
-    """``w_interior`` and the collar row sums of a 2D grid, from per-axis
-    classes of squared differences.
+def _class_table(grid: Grid, measure: float, exponent: float):
+    """The pair weight of each class pair of a 2D grid's per-axis squared
+    differences, with the classes of both axes.
 
     A pair weight depends only on the classes c0, c1 of its two squared
     coordinate differences, so m^2 / sqrt(v0[c0] + v1[c1])^exponent is
     taken once per class pair, by the ufuncs of the pair pass in its
-    order, and every weight is bitwise the pair pass's.  ``build_grid``
-    enumerates the interior as a full n0 x n1 lattice, axis 0 major, so
-    the n1 rows of interior line a are one gather from the class-table
-    rows of that line's classes: the node on lattice lines (k0, k1) sits
-    at k0 * len(v1) + c1[b, k1] for row b.  Each line's collar rows are
-    gathered the same way, in collar order, and summed along their rows
-    as the pair pass sums them; no M x C array is held.
+    order, and every weight is bitwise the pair pass's.  Returns the
+    (len(v0), len(v1)) table and, per axis, the class and line arrays of
+    ``_axis_classes``.  ``build_grid`` enumerates the interior as a full
+    n0 x n1 lattice, axis 0 major, so the n1 rows of interior line a are
+    one gather from the table rows of that line's classes: the node on
+    lattice lines (k0, k1) sits at k0 * len(v1) + c1[b, k1] for row b.
     """
     (values0, classes0, line0), (values1, classes1, line1) = (
         _axis_classes(grid, axis) for axis in (0, 1))
@@ -436,21 +459,47 @@ def _lattice_weights(grid: Grid, measure: float,
     np.power(table, exponent, out=table)
     np.divide(measure * measure, table, out=table)
     table[0, 0] = 0.0
+    return table, classes0, line0, classes1, line1
+
+
+def _lattice_rows(grid: Grid, measure: float,
+                  exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of ``w_interior`` and the collar row sums of a 2D
+    grid, from the class table (``_class_table``).
+
+    Each interior line's collar rows are gathered in collar order and
+    summed along their rows as the pair pass sums them; no M x C array is
+    held.
+    """
+    table, classes0, line0, classes1, line1 = _class_table(
+        grid, measure, exponent)
     count, n1 = grid.interior_count, classes1.shape[0]
-    inner = line0[:count] * values1.size + classes1[:, line1[:count]]
-    outer = line0[count:] * values1.size + classes1[:, line1[count:]]
-    w_int = np.empty((count, count))
+    outer = line0[count:] * table.shape[1] + classes1[:, line1[count:]]
     collar_sums = np.empty(count)
     collar_rows = np.empty(outer.shape)
     for a, classes in enumerate(classes0):
-        line = slice(a * n1, (a + 1) * n1)
-        rows = table.take(classes, axis=0).reshape(-1)
         # mode="clip" lets take write into out unbuffered (no index is
         # out of range).
-        rows.take(inner, out=w_int[line], mode="clip")
-        rows.take(outer, out=collar_rows, mode="clip")
-        collar_rows.sum(axis=1, out=collar_sums[line])
-    return w_int, collar_sums
+        table.take(classes, axis=0).reshape(-1).take(
+            outer, out=collar_rows, mode="clip")
+        collar_rows.sum(axis=1, out=collar_sums[a * n1:(a + 1) * n1])
+    first_row = table[classes0[0, line0[:count]], classes1[0, line1[:count]]]
+    return first_row, collar_sums
+
+
+def _lattice_interior(grid: Grid, measure: float,
+                      exponent: float) -> np.ndarray:
+    """``w_interior`` of a 2D grid, gathered line by line from the class
+    table (``_class_table``)."""
+    table, classes0, line0, classes1, line1 = _class_table(
+        grid, measure, exponent)
+    count, n1 = grid.interior_count, classes1.shape[0]
+    inner = line0[:count] * table.shape[1] + classes1[:, line1[:count]]
+    w_int = np.empty((count, count))
+    for a, classes in enumerate(classes0):
+        table.take(classes, axis=0).reshape(-1).take(
+            inner, out=w_int[a * n1:(a + 1) * n1], mode="clip")
+    return w_int
 
 
 def _exterior_tail(grid: Grid, params: FracParams) -> np.ndarray:
@@ -465,26 +514,29 @@ def _exterior_tail(grid: Grid, params: FracParams) -> np.ndarray:
 
 
 def build_kernel(grid: Grid, params: FracParams) -> Kernel:
-    """Assemble the interior pair weights and the exterior row sums.
+    """Assemble the exterior row sums and the first row of the interior
+    pair weights.
 
     The exponent is N + s*p.  A 1D grid takes its weights pair by pair
-    (``_line_weights``); a 2D grid takes one power per class pair of
-    per-axis squared differences and gathers the weights from that table
-    (``_lattice_weights``), with the same bits.  Neither holds an M x C
-    array.
+    (``_line_rows``); a 2D grid takes one power per class pair of per-axis
+    squared differences and gathers the weights from that table
+    (``_lattice_rows``), with the same bits.  Neither holds an M x C or an
+    M x M array: ``Kernel.w_interior`` is built on its first read
+    (``_line_interior``, ``_lattice_interior``), by the dense p = 2
+    stiffness and the chain's ``support_solve``, the p != 2 passes and the
+    one-node bound of ``embedding_constant``.
     """
     if params.n_dim != grid.n_dim:
         raise FieldMismatchError(
             f"params dimension {params.n_dim} != grid dimension {grid.n_dim}"
         )
-    exponent = grid.n_dim + params.sp
     m = grid.measure
-    weights = _lattice_weights if grid.n_dim == 2 else _line_weights
-    w_int, collar_sums = weights(grid, m, exponent)
+    rows = _lattice_rows if grid.n_dim == 2 else _line_rows
+    first_row, collar_sums = rows(grid, m, grid.n_dim + params.sp)
     return Kernel(
         grid=grid,
         params=params,
-        w_interior=w_int,
+        first_row=first_row,
         boundary_weight=collar_sums + m * _exterior_tail(grid, params),
     )
 

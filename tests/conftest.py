@@ -72,7 +72,7 @@ def synthetic_unit_kernel(p: float, pair_weight: float = 1.0) -> Kernel:
     return Kernel(
         grid=grid,
         params=FracParams(s=0.5, p=p, n_dim=1),
-        w_interior=np.zeros((1, 1)),
+        first_row=np.zeros(1),
         boundary_weight=np.array([pair_weight]),
     )
 

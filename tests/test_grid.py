@@ -175,8 +175,13 @@ class TestPairWeights:
         kernel = build_kernel(grid, params)
         exponent = grid.n_dim + params.sp
         m = grid.measure
-        assert np.array_equal(kernel.w_interior, full_matrix_pair_weights(
+        # The build keeps the first row only; the M x M table is built on
+        # its first read, with the same bits.
+        assert "w_interior" not in kernel.__dict__
+        w = kernel.w_interior
+        assert np.array_equal(w, full_matrix_pair_weights(
             grid.interior, grid.interior, m, exponent, True))
+        assert kernel.first_row.tobytes() == w[0].tobytes()
         collar_sums = full_matrix_pair_weights(
             grid.interior, grid.collar, m, exponent, False).sum(axis=1)
         assert np.array_equal(kernel.boundary_weight,
@@ -207,14 +212,15 @@ class TestPairWeights:
         first, second = (build_kernel(build_grid(box, h, collar), params)
                          for _ in range(2))
         assert first.w_interior.tobytes() == second.w_interior.tobytes()
+        assert first.first_row.tobytes() == second.first_row.tobytes()
         assert (first.boundary_weight.tobytes()
                 == second.boundary_weight.tobytes())
 
     def test_no_interior_by_collar_array(self):
-        # The build holds the M x M table plus per-line gathers, index
-        # tables and the class table, all far below 4 M C bytes; an M x M
-        # scratch array or half an M x C array beside the M x M table
-        # breaks the bound.
+        # The build holds per-line gathers, index tables, the class table
+        # and O(M) rows, far below 8 M^2 bytes (under a third of it at
+        # h = 1/24); any M x M array, such as the interior table, or an
+        # M x C array breaks the bound.
         grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 24, 0.25)
         m, c = grid.interior_count, grid.collar.shape[0]
         assert c > m
@@ -225,7 +231,7 @@ class TestPairWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * m * m + 4 * m * c
+        assert peak < 8 * m * m
 
 
 class TestRAlpha:

@@ -315,6 +315,20 @@ class TestFFTProduct:
         apply_operator(Field.constant(grid_1d, 1.0), kernel)
         assert kernel.offset_spectrum is spectrum
         assert "stiffness" not in kernel.__dict__
+        # A stand-alone solve and the operator checks on its solution read
+        # only the spectrum: neither K nor the M x M table W is built, in
+        # 1D or 2D.
+        grid_2d = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 12, 0.25)
+        for grid in (grid_1d, grid_2d):
+            kernel = build_kernel(grid, FracParams(s=0.5, p=2.0,
+                                                   n_dim=grid.n_dim))
+            u = solve_nonsingular(np.ones(grid.interior_count), kernel)
+            apply_operator(u, kernel)
+            seminorm_p(u, kernel)
+            pairing(u, u, kernel)
+            assert "offset_spectrum" in kernel.__dict__
+            assert "w_interior" not in kernel.__dict__
+            assert "stiffness" not in kernel.__dict__
 
 
 class TestBlockedPass:

@@ -1,22 +1,24 @@
 """Time the 2D kernel build, one p = 2 solve and their memory peak as the
 lattice is refined.
 
-For each spacing h in 1/12, 1/24, 1/48, 1/64 and 1/96 on the unit square
-(collar 1/4, s = 1/2, p = 2), a fresh Python process builds the kernel
-for at least two seconds (three builds at least) and, after each build,
-runs one ``solve_nonsingular`` with the constant datum 1 on the fresh
-kernel.  It reports the median ``build_kernel`` and solve wall times, the
-solve's conjugate-gradient iterations, whether the solve built the dense
-stiffness matrix K, the ``tracemalloc`` peak of one more build, and the
-process's peak RSS (builds, solves and chains).  At h = 1/24 and 1/48 it
+For each spacing h in 1/12, 1/24, 1/48, 1/64, 1/96 and 1/128 on the unit
+square (collar 1/4, s = 1/2, p = 2), a fresh Python process builds the
+kernel for at least two seconds (three builds at least) and, after each
+build, runs one ``solve_nonsingular`` with the constant datum 1 on the
+fresh kernel.  It reports the median ``build_kernel`` and solve wall
+times, the solve's conjugate-gradient iterations, whether the kernel
+holds the dense stiffness matrix K and the M x M interior table W after
+the solve, the ``tracemalloc`` peak of one more build, and the process's
+peak RSS (builds, solves and chains).  At h = 1/24 and 1/48 it
 also times ``CHAINS`` p = 2, alpha = 1 approximation chains
 (``run_chain``), each on a fresh kernel so that the one-time work on the
 weight's support counts, with the compact bump of
 ``configs/solve_2d.json`` (centre (1/2, 1/2), radius 0.3, r = 3), and
 reports their median wall time, levels and support size.  The BLAS
-thread counts are pinned to 1.  At h = 1/96 (M = 9025) the interior
-table alone is 650 MB, and K as much again; at h = 1/128 the table would
-be 2.1 GB.
+thread counts are pinned to 1.  At h = 1/96 (M = 9025) W alone is
+650 MB, and K as much again; at h = 1/128 (M = 16129) W would be 2.1 GB.
+So a package whose kernel held W at its previous point is not run where
+W would exceed ``TABLE_LIMIT_MB``, and the point records why.
 
 Usage, from the root of a checkout:
 
@@ -42,7 +44,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
-SPACINGS = (12, 24, 48, 64, 96)  # h = 1/n
+SPACINGS = (12, 24, 48, 64, 96, 128)  # h = 1/n
+TABLE_LIMIT_MB = 1000
 COLLAR = 0.25
 S, P = 0.5, 2.0
 MIN_BUILDS = 3
@@ -89,6 +92,7 @@ def measure(package: Path, n: int) -> dict:
         fss.solve_nonsingular(datum, kernel)
         solve_times.append(time.perf_counter() - t)
         stiffness_built = "stiffness" in kernel.__dict__
+        w_interior_built = "w_interior" in kernel.__dict__
         del kernel
     fss.solver._conjugate_gradients = conjugate_gradients
     tracemalloc.start()
@@ -105,10 +109,16 @@ def measure(package: Path, n: int) -> dict:
         "solve_s_median": statistics.median(solve_times),
         "cg_iterations": sorted(set(iterations)),
         "stiffness_built": stiffness_built,
+        "w_interior_built": w_interior_built,
         "tracemalloc_peak_mb": peak / 1e6,
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3,
-        "interior_table_mb": 8 * grid.interior_count ** 2 / 1e6,
+        "interior_table_mb": table_mb(n),
     } | chains
+
+
+def table_mb(n: int) -> float:
+    """Size of W on the h = 1/n unit square, (n - 1)^2 interior nodes."""
+    return 8 * (n - 1) ** 4 / 1e6
 
 
 def time_chains(fss, grid, params) -> dict:
@@ -155,10 +165,18 @@ def main(argv: list[str]) -> int:
     points: dict[str, list] = {name: [] for name in packages}
     for n in SPACINGS:
         for name, package in packages.items():
+            done = points[name]
+            if (table_mb(n) > TABLE_LIMIT_MB and done
+                    and done[-1].get("w_interior_built", False)):
+                done.append({"h": f"1/{n}", "M": (n - 1) ** 2,
+                             "skipped": f"held W at {done[-1]['h']}; here "
+                                        f"W is {table_mb(n):.0f} MB"})
+                print(f"{name} h=1/{n} skipped", file=sys.stderr)
+                continue
             out = subprocess.run(
                 [sys.executable, __file__, "--one", str(package), str(n)],
                 env=env, check=True, capture_output=True, text=True).stdout
-            points[name].append(json.loads(out))
+            done.append(json.loads(out))
             print(f"{name} h=1/{n} done", file=sys.stderr)
     print(json.dumps({"environment": environment(), "collar": COLLAR,
                       "s": S, "p": P, "seconds": SECONDS, "points": points},
