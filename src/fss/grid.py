@@ -8,14 +8,16 @@ collar box is accounted for by an analytic tail term.
 
 Nodes are enumerated lexicographically by coordinates, so two builds with
 identical inputs produce bitwise-identical grids and kernels.  A 1D
-kernel is built pair by pair.  In 2D a pair weight depends only on the
-pair's two squared coordinate differences, and a lattice has few distinct
-ones per axis (178 at h = 1/48), so the kernel power is taken once per
-class pair of equal values and the weights are gathered from that table
-with the same bits (about 32 thousand powers instead of 12 million pairs
-at M = 2209).  ``build_kernel`` keeps only O(M) doubles: the exterior row
-sums and the first row of the interior table.  The M x M interior table
-is built on its first read, by the passes that need it.
+kernel is built pair by pair.  In 2D the exterior row sums are one FFT
+convolution over the collar box's lattice.  A 2D interior pair weight
+depends only on the pair's two squared coordinate differences, and the
+interior lattice has few distinct ones per axis (128 at h = 1/48), so
+the kernel power is taken once per class pair of equal values and the
+interior weights are gathered from that table with the same bits (about
+16 thousand powers instead of 4.9 million pairs at M = 2209).
+``build_kernel`` keeps only O(M) doubles: the exterior row sums and the
+first row of the interior table.  The M x M interior table is built on
+its first read, by the passes that need it.
 """
 
 from __future__ import annotations
@@ -185,18 +187,19 @@ class Kernel:
     interior nodes (zero diagonal; the quadrature never touches the
     singular self-pair).  ``boundary_weight[i]`` is the total coupling of
     node i to the zero exterior: the same pair weights summed over the
-    collar nodes in collar order, plus ``m`` times the kernel's integral
-    beyond the collar box (``_exterior_tail``).  It is the only quantity
-    the energy needs from the exterior, since every field vanishes there.
-    Both are bitwise what the pair-by-pair formula gives, in 1D and 2D.
+    collar nodes, plus ``m`` times the kernel's integral beyond the collar
+    box (``_exterior_tail``).  It is the only quantity the energy needs
+    from the exterior, since every field vanishes there.
+    ``w_interior`` is bitwise what the pair-by-pair formula gives, and so
+    is ``boundary_weight`` in 1D.  In 2D the collar sums are an FFT
+    convolution, within a relative 1e-13 of the pair-by-pair sums.
 
     ``build_kernel`` stores ``boundary_weight`` and ``first_row``, the
     weights from node 0 to every interior node (``w_interior[0]``, bit for
     bit): O(M) doubles.  The M x M table ``w_interior`` (39 MB at
     M = 2209) is built on its first read and kept.  Its readers are the
-    dense ``stiffness`` (and through it ``support_solve``), the p != 2
-    passes with ``folded_weights``, and the one-node bound of the
-    embedding constant.
+    dense ``stiffness`` (and through it ``support_solve``) and the p != 2
+    passes with ``folded_weights``.
 
     At p = 2 the energy is the quadratic form [u]^2 = u^T K u with the
     ``stiffness`` matrix K = 2 (diag(row sums of w_interior) - w_interior
@@ -265,7 +268,8 @@ class Kernel:
                                        np.ndarray, np.ndarray]:
         """The interior lattice shape, the padded FFT lengths, the FFT of
         the offset table, and the row sums of W plus B, built by the first
-        p = 2 product above ``FFT_NODES`` nodes and never by
+        p = 2 product above ``FFT_NODES`` nodes or by the one-node bound
+        of ``embedding_constant``, at any p, and never by
         ``build_kernel``.
 
         ``build_grid`` enumerates the interior as a full n0 (x n1) lattice,
@@ -273,21 +277,12 @@ class Kernel:
         offset d (up to rounding: the float coordinates do not repeat
         their offsets bit for bit).  The table takes the weight of offset
         d from ``first_row``, the first node's row of W reshaped to the
-        lattice, at |d|, and stores it at d mod L on each axis, where
-        L = next_fast_len(2 n - 1) for the n lattice lines of that axis.
-        A circular convolution of length L then gives W v without
-        wrapping round (Huang & Oberman, SIAM J. Numer. Anal. 52, 2014).
+        lattice, at |d| (``_offset_spectrum``), so W v is a convolution.
         The row sums of W are the same convolution applied to ones."""
         interior = self.grid.interior
         shape = tuple(np.unique(interior[:, axis]).size
                       for axis in range(interior.shape[1]))
-        lengths = tuple(next_fast_len(2 * n - 1, real=True) for n in shape)
-        table = np.zeros(lengths)
-        table[np.ix_(*(np.r_[0:n, size - n + 1:size]
-                       for n, size in zip(shape, lengths)))] = (
-            self.first_row.reshape(shape)[
-                np.ix_(*(np.r_[0:n, n - 1:0:-1] for n in shape))])
-        spectrum = rfftn(table)
+        lengths, spectrum = _offset_spectrum(self.first_row.reshape(shape))
         row_sums = _lattice_convolution(np.ones(self.interior_count), shape,
                                         lengths, spectrum)
         return shape, lengths, spectrum, row_sums + self.boundary_weight
@@ -420,21 +415,34 @@ def _line_interior(grid: Grid, measure: float, exponent: float) -> np.ndarray:
 
 
 def _axis_classes(grid: Grid, axis: int):
-    """The squared differences between the interior lattice lines and all
-    lattice lines of ``axis``, grouped into classes of equal value.
+    """The squared differences between the interior lattice lines of
+    ``axis``, grouped into classes of equal value.
 
-    Returns the sorted distinct values, the (interior lines, all lines)
-    array of class indices, and the lattice line of each interior node and
-    then of each collar node.  The values are the floats the pair pass
-    squares, bit for bit: lattice offsets alone would not do, since one
-    offset gives several float differences across the lattice.
+    Returns the sorted distinct values, the (lines, lines) array of class
+    indices, and the lattice line of each interior node.  The values are
+    the floats the pair pass squares, bit for bit: lattice offsets alone
+    would not do, since one offset gives several float differences across
+    the lattice.
     """
-    coords = np.concatenate([grid.interior[:, axis], grid.collar[:, axis]])
-    lines, line_of = np.unique(coords, return_inverse=True)
-    squares = np.subtract.outer(np.unique(grid.interior[:, axis]), lines)
+    lines, line_of = np.unique(grid.interior[:, axis], return_inverse=True)
+    squares = np.subtract.outer(lines, lines)
     np.square(squares, out=squares)
     values, classes = np.unique(squares, return_inverse=True)
     return values, classes.reshape(squares.shape), line_of.reshape(-1)
+
+
+def _weight_table(squares0: np.ndarray, squares1: np.ndarray, measure: float,
+                  exponent: float) -> np.ndarray:
+    """m^2 / sqrt(squares0[a] + squares1[b])^exponent at (a, b), by the
+    ufuncs of the pair pass in its order, and 0 at (0, 0), where both
+    squares are those of a node paired with itself."""
+    table = np.add.outer(squares0, squares1)
+    np.sqrt(table, out=table)
+    table[0, 0] = 1.0
+    np.power(table, exponent, out=table)
+    np.divide(measure * measure, table, out=table)
+    table[0, 0] = 0.0
+    return table
 
 
 def _class_table(grid: Grid, measure: float, exponent: float):
@@ -442,48 +450,69 @@ def _class_table(grid: Grid, measure: float, exponent: float):
     differences, with the classes of both axes.
 
     A pair weight depends only on the classes c0, c1 of its two squared
-    coordinate differences, so m^2 / sqrt(v0[c0] + v1[c1])^exponent is
-    taken once per class pair, by the ufuncs of the pair pass in its
-    order, and every weight is bitwise the pair pass's.  Returns the
-    (len(v0), len(v1)) table and, per axis, the class and line arrays of
-    ``_axis_classes``.  ``build_grid`` enumerates the interior as a full
-    n0 x n1 lattice, axis 0 major, so the n1 rows of interior line a are
-    one gather from the table rows of that line's classes: the node on
+    coordinate differences, so the weight is taken once per class pair
+    (``_weight_table``), and every weight is bitwise the pair pass's.
+    Returns the (len(v0), len(v1)) table and, per axis, the class and line
+    arrays of ``_axis_classes``.  ``build_grid`` enumerates the interior as
+    a full n0 x n1 lattice, axis 0 major, so the n1 rows of interior line a
+    are one gather from the table rows of that line's classes: the node on
     lattice lines (k0, k1) sits at k0 * len(v1) + c1[b, k1] for row b.
     """
     (values0, classes0, line0), (values1, classes1, line1) = (
         _axis_classes(grid, axis) for axis in (0, 1))
-    table = np.add.outer(values0, values1)
-    np.sqrt(table, out=table)
-    table[0, 0] = 1.0  # the zero class: a node paired with itself
-    np.power(table, exponent, out=table)
-    np.divide(measure * measure, table, out=table)
-    table[0, 0] = 0.0
+    table = _weight_table(values0, values1, measure, exponent)
     return table, classes0, line0, classes1, line1
+
+
+def _offset_spectrum(quadrant: np.ndarray) -> tuple[tuple[int, ...],
+                                                    np.ndarray]:
+    """The padded FFT lengths and the FFT of the offset table of a lattice
+    of ``quadrant.shape``, where ``quadrant`` holds the weight of each
+    offset d >= 0 at index d and the weight of any offset is that at |d|.
+
+    The table stores the weight of offset d at d mod L on each axis, where
+    L = next_fast_len(2 n - 1) for the n lattice lines of that axis.  A
+    circular convolution of length L then gives the lattice convolution
+    without wrapping round (Huang & Oberman, SIAM J. Numer. Anal. 52,
+    2014)."""
+    shape = quadrant.shape
+    lengths = tuple(next_fast_len(2 * n - 1, real=True) for n in shape)
+    table = np.zeros(lengths)
+    table[np.ix_(*(np.r_[0:n, size - n + 1:size]
+                   for n, size in zip(shape, lengths)))] = (
+        quadrant[np.ix_(*(np.r_[0:n, n - 1:0:-1] for n in shape))])
+    return lengths, rfftn(table)
 
 
 def _lattice_rows(grid: Grid, measure: float,
                   exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """The first row of ``w_interior`` and the collar row sums of a 2D
-    grid, from the class table (``_class_table``).
+    grid.
 
-    Each interior line's collar rows are gathered in collar order and
-    summed along their rows as the pair pass sums them; no M x C array is
-    held.
+    The first row is gathered from the class table (``_class_table``), bit
+    for bit.  ``build_grid`` enumerates the interior and collar nodes
+    together as one full n0 x n1 lattice, the collar box's, so the collar
+    row sums are the collar indicator (1 on collar nodes, 0 on interior
+    ones) convolved with that lattice's offset table m^2 / |d h|^exponent
+    (``_offset_spectrum``) and read at the interior nodes.  The FFT sums
+    in another order than the pair pass, so they differ from its sums by
+    rounding.
     """
     table, classes0, line0, classes1, line1 = _class_table(
         grid, measure, exponent)
-    count, n1 = grid.interior_count, classes1.shape[0]
-    outer = line0[count:] * table.shape[1] + classes1[:, line1[count:]]
-    collar_sums = np.empty(count)
-    collar_rows = np.empty(outer.shape)
-    for a, classes in enumerate(classes0):
-        # mode="clip" lets take write into out unbuffered (no index is
-        # out of range).
-        table.take(classes, axis=0).reshape(-1).take(
-            outer, out=collar_rows, mode="clip")
-        collar_rows.sum(axis=1, out=collar_sums[a * n1:(a + 1) * n1])
-    first_row = table[classes0[0, line0[:count]], classes1[0, line1[:count]]]
+    first_row = table[classes0[0, line0], classes1[0, line1]]
+    nodes = np.concatenate([grid.interior, grid.collar])
+    lines = [np.unique(nodes[:, axis], return_inverse=True)
+             for axis in (0, 1)]
+    shape = tuple(values.size for values, _ in lines)
+    interior = tuple(line_of[:grid.interior_count] for _, line_of in lines)
+    offsets = (np.square(grid.h * np.arange(n)) for n in shape)
+    lengths, spectrum = _offset_spectrum(
+        _weight_table(*offsets, measure, exponent))
+    collar = np.ones(shape)
+    collar[interior] = 0.0
+    collar_sums = _lattice_convolution(collar.reshape(-1), shape, lengths,
+                                       spectrum).reshape(shape)[interior]
     return first_row, collar_sums
 
 
@@ -494,9 +523,11 @@ def _lattice_interior(grid: Grid, measure: float,
     table, classes0, line0, classes1, line1 = _class_table(
         grid, measure, exponent)
     count, n1 = grid.interior_count, classes1.shape[0]
-    inner = line0[:count] * table.shape[1] + classes1[:, line1[:count]]
+    inner = line0 * table.shape[1] + classes1[:, line1]
     w_int = np.empty((count, count))
     for a, classes in enumerate(classes0):
+        # mode="clip" lets take write into out unbuffered (no index is
+        # out of range).
         table.take(classes, axis=0).reshape(-1).take(
             inner, out=w_int[a * n1:(a + 1) * n1], mode="clip")
     return w_int
@@ -518,13 +549,13 @@ def build_kernel(grid: Grid, params: FracParams) -> Kernel:
     pair weights.
 
     The exponent is N + s*p.  A 1D grid takes its weights pair by pair
-    (``_line_rows``); a 2D grid takes one power per class pair of per-axis
-    squared differences and gathers the weights from that table
-    (``_lattice_rows``), with the same bits.  Neither holds an M x C or an
-    M x M array: ``Kernel.w_interior`` is built on its first read
-    (``_line_interior``, ``_lattice_interior``), by the dense p = 2
-    stiffness and the chain's ``support_solve``, the p != 2 passes and the
-    one-node bound of ``embedding_constant``.
+    (``_line_rows``).  A 2D grid gathers its first row from one power per
+    class pair of per-axis squared differences, with the same bits, and
+    convolves the collar indicator by FFT for the collar sums
+    (``_lattice_rows``).  Neither holds an M x C or an M x M array:
+    ``Kernel.w_interior`` is built on its first read (``_line_interior``,
+    ``_lattice_interior``), by the dense p = 2 stiffness and the chain's
+    ``support_solve`` and by the p != 2 passes.
     """
     if params.n_dim != grid.n_dim:
         raise FieldMismatchError(

@@ -356,7 +356,8 @@ def embedding_constant(theta: float, kernel: Kernel,
     For theta > p there is no global method; the value returned is the
     larger of the iteration's and the best one-node field's,
     m^(p/theta) / [e_i]^p with [e_i]^p = 2 (sum_j w_ij + B_i), and it is
-    a lower bound on S_theta.
+    a lower bound on S_theta.  Those row sums are read from
+    ``Kernel.offset_spectrum``, so the bound builds no M x M table.
 
     ``theta`` must satisfy 1 <= theta <= p_star (finite); the critical
     exponent itself is allowed since every discrete embedding is a finite
@@ -394,7 +395,7 @@ def embedding_constant(theta: float, kernel: Kernel,
     else:
         exact = False
     one_node = grid.measure ** (p / theta) / (
-        2.0 * (kernel.w_interior.sum(axis=1) + kernel.boundary_weight))
+        2.0 * kernel.offset_spectrum[3])
     node = int(one_node.argmax())
     if one_node[node] > value:
         value = one_node[node]

@@ -302,6 +302,30 @@ class TestEmbeddingConstant:
             assert not embedding_constant(theta, kernel_1d).exact
         assert not embedding_constant(3.5, _kernel_2d()).exact
 
+    def test_one_node_bound_builds_no_interior_table(self):
+        # The one-node bound reads the row sums of W plus B from the
+        # offset spectrum, so above FFT_NODES a p = 2 constant never
+        # builds the M x M table.
+        grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 48, 0.25)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2))
+        assert kernel.interior_count > grid_module.FFT_NODES
+        embedding_constant(2.0, kernel)
+        assert "offset_spectrum" in kernel.__dict__
+        assert "w_interior" not in kernel.__dict__
+
+    def test_one_node_field_at_critical_exponent(self):
+        # At theta = p_star on the h = 1/11 square the best one-node field
+        # beats the iteration.  Its quotient m^(p/theta) / [e_i]^p, with
+        # [e_i]^p = 2 (sum_j w_ij + B_i), is read from the spectrum's row
+        # sums, equal to the dense ones to rounding.
+        kernel = _kernel_2d()
+        theta = kernel.params.p_star
+        result = embedding_constant(theta, kernel)
+        one_node = kernel.grid.measure ** (2.0 / theta) / (
+            2.0 * (kernel.w_interior.sum(axis=1) + kernel.boundary_weight))
+        assert np.count_nonzero(result.extremizer.values) == 1
+        assert result.value == pytest.approx(one_node.max(), rel=1e-13)
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_exact_at_theta_one(self, grid_1d, p, monkeypatch):
         # S_1 = ||u||_1^(p-1) for the torsion field u (A u = m * 1),
