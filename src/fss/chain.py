@@ -363,8 +363,16 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         embedding = embedding_for_existence_bound(kernel, opts.solve)
     bound = _existence_bound(omega, alpha, kernel, embedding)
 
-    probes = residual_probes(kernel, _RESIDUAL_TRIALS, _RESIDUAL_SEED)
-    norms = probes.energies ** (1.0 / params.p)
+    # The probes depend only on the kernel, so one draw serves every chain
+    # on it (a sweep runs several).  The kernel keeps their arrays, not the
+    # TrialProbes, whose reference back to the kernel would make a cycle
+    # that only the garbage collector frees.
+    key = (_RESIDUAL_TRIALS, _RESIDUAL_SEED)
+    if key not in kernel._residual_probes:
+        probes = residual_probes(kernel, *key)
+        kernel._residual_probes[key] = (probes.fields,
+                                        probes.energies ** (1.0 / params.p))
+    fields, norms = kernel._residual_probes[key]
     levels: list[LevelRecord] = []
     power_seminorms: list[float] = []
     prev: Field | None = None
@@ -380,7 +388,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         source = kernel.grid.measure * problem.omega_n.values / (
             u_n.values + problem.shift
         ) ** problem.alpha
-        residual = _level_residual(au, source, probes.fields, norms)
+        residual = _level_residual(au, source, fields, norms)
         levels.append(LevelRecord(
             n=n,
             u=u_n,

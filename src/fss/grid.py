@@ -218,7 +218,9 @@ class Kernel:
     on the first such evaluation.  The p != 2 energy visits each unordered
     pair once, against the ``folded_weights`` table: M^2 / 2 doubles
     (19.5 MB at M = 2209), built by the first p != 2 seminorm, never by
-    ``build_kernel`` and never at p = 2.
+    ``build_kernel`` and never at p = 2.  The approximation chain keeps
+    its per-level residual probes here too (``chain.run_chain``), so that
+    every chain on one kernel draws and evaluates them once.
     """
 
     grid: Grid
@@ -227,6 +229,8 @@ class Kernel:
     boundary_weight: np.ndarray
     _schur_complements: dict = field(init=False, default_factory=dict,
                                      repr=False, compare=False)
+    _residual_probes: dict = field(init=False, default_factory=dict,
+                                   repr=False, compare=False)
 
     @property
     def interior_count(self) -> int:

@@ -1,12 +1,17 @@
 """Deterministic random test fields for residual checks, certification and
 the lemma checkers, drawn as blocks with one field per row.
 
-Trial ``index`` draws from its own generator seeded by (seed, index), so
-every trial is reproducible independently of the block it lands in and of
-evaluation order.  Nine out of ten trials are rough fields (independent
-uniform values in [-1, 1] per node); every tenth is a smooth bump profile
-with random center, width, and amplitude, covering extremal-like
-candidates as well.
+Trials come in tens: trial ``index`` of ``seed`` is row ``index % 10`` of
+a (10, M) block drawn from its own generator, seeded by
+(seed, index // 10).  A trial therefore depends only on (seed, index), not
+on the block, chunk or caller it lands in, nor on evaluation order, and
+one generator serves ten trials (seeding a generator costs more than the
+values drawn from it).  The block's rows are rough fields (independent
+uniform values in [-1, 1] per node); its last row is then replaced by a
+smooth bump profile whose center, width, and amplitude come from the same
+generator after the rough rows, so every tenth trial covers extremal-like
+candidates as well.  A bump that is zero at every node keeps the rough
+row.
 
 The checks draw and evaluate their trials in chunks (``trial_chunks``) of
 at most ``grid.PAIR_BLOCK_ELEMENTS`` values, one row per field, so their
@@ -22,28 +27,30 @@ from .grid import PAIR_BLOCK_ELEMENTS, Grid
 
 def trial_field(grid: Grid, seed: int, index: int) -> np.ndarray:
     """Nodal values of trial ``index`` of the sequence for ``seed``."""
-    rng = np.random.default_rng([int(seed), int(index)])
-    if index % 10 == 9:
-        lo = np.array([b[0] for b in grid.box])
-        hi = np.array([b[1] for b in grid.box])
+    return trial_block(grid, seed, index, 1)[0]
+
+
+def trial_block(grid: Grid, seed: int, start: int, count: int) -> np.ndarray:
+    """Trials ``start`` to ``start + count - 1`` as a (count, M) array,
+    sliced from the tens of trials that cover them."""
+    m = grid.interior_count
+    first = start // 10
+    tens = range(first, (start + count + 9) // 10)
+    block = np.empty((10 * len(tens), m))
+    lo = np.array([b[0] for b in grid.box])
+    hi = np.array([b[1] for b in grid.box])
+    for row, ten in zip(range(0, block.shape[0], 10), tens):
+        rng = np.random.default_rng([int(seed), ten])
+        block[row:row + 10] = rng.uniform(-1.0, 1.0, (10, m))
         center = lo + rng.uniform(0.2, 0.8, size=grid.n_dim) * (hi - lo)
         width = rng.uniform(0.1, 0.5) * float((hi - lo).max())
         amplitude = rng.uniform(-2.0, 2.0)
         d2 = ((grid.interior - center) ** 2).sum(axis=1)
-        values = amplitude * np.exp(-d2 / (2.0 * width**2))
-        if np.all(values == 0.0):
-            values = rng.uniform(-1.0, 1.0, grid.interior_count)
-    else:
-        values = rng.uniform(-1.0, 1.0, grid.interior_count)
-    return values
-
-
-def trial_block(grid: Grid, seed: int, start: int, count: int) -> np.ndarray:
-    """Trials ``start`` to ``start + count - 1`` as a (count, M) array."""
-    block = np.empty((count, grid.interior_count))
-    for row in range(count):
-        block[row] = trial_field(grid, seed, start + row)
-    return block
+        bump = amplitude * np.exp(-d2 / (2.0 * width**2))
+        if np.any(bump != 0.0):
+            block[row + 9] = bump
+    offset = start - 10 * first
+    return block[offset:offset + count]
 
 
 def trial_chunks(grid: Grid, seed: int, count: int, group: int = 1,

@@ -198,9 +198,15 @@ def fixed_point_step(problem, kernel, w, opts=None):
 
 
 def trial_field(grid, seed: int, index: int) -> Field:
-    """Trial ``index`` for ``seed`` drawn on its own: the reference for the
-    package's block draw."""
-    rng = np.random.default_rng([int(seed), int(index)])
+    """Trial ``index`` for ``seed`` drawn on its own, the reference for the
+    package's block draw: the generator of its ten, seeded by
+    (seed, index // 10), gives ten rough rows one after the other, then
+    the bump's center, width and amplitude; the trial is rough row
+    ``index % 10``, or the bump in place of row 9 unless the bump is zero
+    at every node."""
+    rng = np.random.default_rng([int(seed), int(index) // 10])
+    rough = [rng.uniform(-1.0, 1.0, grid.interior_count) for _ in range(10)]
+    values = rough[index % 10]
     if index % 10 == 9:
         lo = np.array([b[0] for b in grid.box])
         hi = np.array([b[1] for b in grid.box])
@@ -208,11 +214,9 @@ def trial_field(grid, seed: int, index: int) -> Field:
         width = rng.uniform(0.1, 0.5) * float((hi - lo).max())
         amplitude = rng.uniform(-2.0, 2.0)
         d2 = ((grid.interior - center) ** 2).sum(axis=1)
-        values = amplitude * np.exp(-d2 / (2.0 * width**2))
-        if np.all(values == 0.0):
-            values = rng.uniform(-1.0, 1.0, grid.interior_count)
-    else:
-        values = rng.uniform(-1.0, 1.0, grid.interior_count)
+        bump = amplitude * np.exp(-d2 / (2.0 * width**2))
+        if not np.all(bump == 0.0):
+            values = bump
     return Field(values, grid)
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +41,7 @@ from oracles import (
     scalar_level_solution,
     scalar_singular_solution,
 )
+from test_sampling import count_draws
 
 
 class TestTruncateWeight:
@@ -546,6 +550,42 @@ class TestRunChain:
         assert all(rec.fp_delta <= ChainOptions().fixed_point_tol
                    for rec in chain.levels)
         assert all(rec.residual <= 1e-7 for rec in chain.levels)
+
+
+class TestChainProbes:
+    """The per-level residual's probes depend only on the kernel, so they
+    are drawn and evaluated once per kernel and kept with it."""
+
+    def test_drawn_once_per_kernel(self, grid_1d, bump_weight, monkeypatch):
+        params = FracParams(s=0.5, p=3.0, n_dim=1)
+        kernel = build_kernel(grid_1d, params)
+        draws = count_draws(monkeypatch)
+        run_chain(bump_weight, 1.0, kernel)
+        kept = kernel._residual_probes[(100, 7)]
+        shared = run_chain(bump_weight, 0.5, kernel)
+        assert draws == [100]
+        assert list(kernel._residual_probes) == [(100, 7)]
+        assert kernel._residual_probes[(100, 7)] is kept
+        fresh = run_chain(bump_weight, 0.5, build_kernel(grid_1d, params))
+        assert draws == [200]
+        assert ([level.to_json_record() for level in shared.levels]
+                == [level.to_json_record() for level in fresh.levels])
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_kernel_freed_without_the_collector(self, grid_1d, bump_weight,
+                                                p):
+        # The kept probes hold no reference back to the kernel, so a
+        # dropped kernel and its tables go at once, not at the collector's
+        # next pass.
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
+        run_chain(bump_weight, 1.0, kernel)
+        gone = weakref.ref(kernel)
+        gc.disable()
+        try:
+            del kernel
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 class TestWeakResidual:

@@ -38,6 +38,72 @@ class TestTrialBlock:
     def test_empty(self, grid_1d):
         assert trial_block(grid_1d, 0, 4, 0).shape == (0, 16)
 
+    def test_trial_depends_only_on_its_index(self, grid_2d):
+        whole = trial_block(grid_2d, 3, 0, 500)
+        for start in (7, 9, 61, 200):
+            assert np.array_equal(trial_block(grid_2d, 3, start, 13),
+                                  whole[start:start + 13])
+            assert np.array_equal(sampling.trial_field(grid_2d, 3, start),
+                                  whole[start])
+            singles = np.concatenate(list(trial_chunks(grid_2d, 3, 500,
+                                                       start=start)))
+            assert np.array_equal(singles, whole[start:])
+            pairs = np.concatenate(list(trial_chunks(grid_2d, 3, 250, 2,
+                                                     start=start)))
+            assert np.array_equal(pairs, whole[2 * start:])
+
+    def test_every_tenth_trial_is_the_bump(self, grid_1d):
+        # A bump a exp(-|x - c|^2 / (2 w^2)) keeps one sign, and on the
+        # line its log has the constant second difference -h^2 / w^2.
+        block = trial_block(grid_1d, 5, 0, 60)
+        for index, row in enumerate(block):
+            if index % 10 == 9:
+                assert np.all(row > 0.0) or np.all(row < 0.0)
+                curvature = np.diff(np.log(np.abs(row)), 2)
+                assert np.ptp(curvature) <= 1e-12 * np.abs(curvature).max()
+                assert curvature.max() < 0.0
+            else:
+                assert row.min() < 0.0 < row.max()
+                assert np.abs(row).max() <= 1.0
+
+    def test_zero_bump_keeps_its_rough_row(self, grid_1d, monkeypatch):
+        # A width of 1e-100 makes exp underflow to 0 at every node.
+        generator = np.random.default_rng
+
+        class NarrowBumps:
+            def __init__(self, seed):
+                self.rng = generator(seed)
+
+            def uniform(self, low=0.0, high=1.0, size=None):
+                drawn = self.rng.uniform(low, high, size)
+                return 1e-100 if (low, high) == (0.1, 0.5) else drawn
+
+        monkeypatch.setattr(np.random, "default_rng", NarrowBumps)
+        block = trial_block(grid_1d, 5, 0, 20)
+        monkeypatch.setattr(np.random, "default_rng", generator)
+        m = grid_1d.interior_count
+        rough = np.concatenate([generator([5, ten]).uniform(-1.0, 1.0, (10, m))
+                                for ten in (0, 1)])
+        assert np.array_equal(block, rough)
+        assert not np.array_equal(trial_block(grid_1d, 5, 0, 20), rough)
+
+    @pytest.mark.parametrize("start,count,generators", [
+        (0, 100, 10), (7, 13, 2), (9, 1, 1), (9, 2, 2), (10, 10, 1),
+        (0, 0, 0)])
+    def test_one_generator_per_ten_trials(self, grid_1d, monkeypatch, start,
+                                          count, generators):
+        seeds = []
+        generator = np.random.default_rng
+
+        def counted(seed):
+            seeds.append(seed)
+            return generator(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        trial_block(grid_1d, 5, start, count)
+        assert seeds == [[5, ten] for ten in range(start // 10,
+                                                    start // 10 + generators)]
+
 
 class TestTrialChunks:
     @pytest.mark.parametrize("count,group", [(1000, 1), (300, 2), (61, 1),
@@ -84,15 +150,15 @@ def record_chunks(monkeypatch, elements):
 
 
 def count_draws(monkeypatch):
-    """Count every trial field drawn from now on, in a one-item list."""
+    """Count every trial row drawn from now on, in a one-item list."""
     draws = [0]
-    draw = sampling.trial_field
+    draw = sampling.trial_block
 
-    def counted(grid, seed, index):
-        draws[0] += 1
-        return draw(grid, seed, index)
+    def counted(grid, seed, start, count):
+        draws[0] += count
+        return draw(grid, seed, start, count)
 
-    monkeypatch.setattr(sampling, "trial_field", counted)
+    monkeypatch.setattr(sampling, "trial_block", counted)
     return draws
 
 

@@ -9,16 +9,20 @@ fresh kernel.  It reports the median ``build_kernel`` and solve wall
 times, the solve's conjugate-gradient iterations, whether the kernel
 holds the dense stiffness matrix K and the M x M interior table W after
 the solve, the ``tracemalloc`` peak of one more build, and the process's
-peak RSS (builds, solves and chains).  At h = 1/24 and 1/48 it
-also times ``CHAINS`` p = 2, alpha = 1 approximation chains
-(``run_chain``), each on a fresh kernel so that the one-time work on the
-weight's support counts, with the compact bump of
-``configs/solve_2d.json`` (centre (1/2, 1/2), radius 0.3, r = 3), and
-reports their median wall time, levels and support size.  The BLAS
-thread counts are pinned to 1.  At h = 1/96 (M = 9025) W alone is
-650 MB, and K as much again; at h = 1/128 (M = 16129) W would be 2.1 GB.
-So a package whose kernel held W at its previous point is not run where
-W would exceed ``TABLE_LIMIT_MB``, and the point records why.
+peak RSS (builds and solves).  At h = 1/24 and 1/48 it also times
+p = 2, alpha = 1 approximation chains (``run_chain``), each on a fresh
+kernel so that the one-time work on the weight's support counts, with
+the compact bump of ``configs/solve_2d.json`` (centre (1/2, 1/2), radius
+0.3, r = 3).  The chains run in ``CHAIN_PROCESSES`` fresh processes per
+package of ``CHAINS`` chains each, and the packages take turns process
+by process, the first of each round alternating, so that a drift in
+machine speed falls on all of them alike.  The point reports the
+chains' median wall time with its quartiles over all of them, their
+levels and the support size.  The BLAS thread counts are pinned to 1.
+At h = 1/96 (M = 9025) W alone is 650 MB, and K as much again; at
+h = 1/128 (M = 16129) W would be 2.1 GB.  So a package whose kernel held
+W at its previous point is not run where W would exceed
+``TABLE_LIMIT_MB``, and the point records why.
 
 Usage, from the root of a checkout:
 
@@ -53,21 +57,29 @@ MAX_BUILDS = 100
 SECONDS = 2.0
 CHAIN_SPACINGS = (24, 48)
 CHAINS = 3
+CHAIN_PROCESSES = 10
 BUMP_RADIUS = 0.3
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def measure(package: Path, n: int) -> dict:
-    """Build the h = 1/n kernel and solve on it with the fss of
-    ``package`` in this process."""
+def import_fss(package: Path, n: int):
+    """The fss of ``package``, imported in this process, with the h = 1/n
+    grid and the p = 2 parameters."""
     sys.path.insert(0, str(package.resolve().parent))
-    import numpy
     import fss
 
     if not Path(fss.__file__).resolve().is_relative_to(package.resolve()):
         raise SystemExit(f"fss was imported from {fss.__file__}, not {package}")
     grid = fss.build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / n, COLLAR)
-    params = fss.FracParams(s=S, p=P, n_dim=2)
+    return fss, grid, fss.FracParams(s=S, p=P, n_dim=2)
+
+
+def measure(package: Path, n: int) -> dict:
+    """Build the h = 1/n kernel and solve on it with the fss of
+    ``package`` in this process."""
+    import numpy
+
+    fss, grid, params = import_fss(package, n)
     datum = numpy.ones(grid.interior_count)
     # solve_nonsingular returns only the field, so the iteration count is
     # read from the conjugate-gradient routine it calls.
@@ -99,7 +111,6 @@ def measure(package: Path, n: int) -> dict:
     fss.build_kernel(grid, params)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    chains = time_chains(fss, grid, params) if n in CHAIN_SPACINGS else {}
     return {
         "h": f"1/{n}",
         "M": grid.interior_count,
@@ -113,7 +124,7 @@ def measure(package: Path, n: int) -> dict:
         "tracemalloc_peak_mb": peak / 1e6,
         "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3,
         "interior_table_mb": table_mb(n),
-    } | chains
+    }
 
 
 def table_mb(n: int) -> float:
@@ -121,12 +132,13 @@ def table_mb(n: int) -> float:
     return 8 * (n - 1) ** 4 / 1e6
 
 
-def time_chains(fss, grid, params) -> dict:
-    """Median wall time of ``CHAINS`` alpha = 1 chains with the compact
-    bump weight, each on a fresh kernel, with their levels and the
-    number of nodes the weight covers."""
+def time_chains(package: Path, n: int) -> dict:
+    """Wall times of ``CHAINS`` alpha = 1 chains with the compact bump
+    weight on the h = 1/n grid, each on a fresh kernel, with their levels
+    and the number of nodes the weight covers."""
     import numpy
 
+    fss, grid, params = import_fss(package, n)
     t2 = ((grid.interior - 0.5) ** 2).sum(axis=1) / BUMP_RADIUS**2
     values = numpy.zeros(grid.interior_count)
     inside = t2 < 1.0
@@ -140,9 +152,18 @@ def time_chains(fss, grid, params) -> dict:
         times.append(time.perf_counter() - t)
         levels.add(len(result.levels))
         del kernel, result
-    return {"chain_s_median": statistics.median(times),
-            "chain_levels": sorted(levels),
+    return {"times": times, "levels": sorted(levels),
             "support_nodes": int(inside.sum())}
+
+
+def chain_summary(runs: list[dict]) -> dict:
+    """The median and quartiles of the chain times of all ``runs``."""
+    times = [t for run in runs for t in run["times"]]
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"chain_s_median": median, "chain_s_q1": q1, "chain_s_q3": q3,
+            "chains": len(times), "chain_processes": len(runs),
+            "chain_levels": sorted({k for run in runs for k in run["levels"]}),
+            "support_nodes": runs[0]["support_nodes"]}
 
 
 def environment() -> dict:
@@ -154,14 +175,21 @@ def environment() -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if argv and argv[0] == "--one":
-        print(json.dumps(measure(Path(argv[1]), int(argv[2]))))
+    if argv and argv[0] in ("--one", "--chains"):
+        run = measure if argv[0] == "--one" else time_chains
+        print(json.dumps(run(Path(argv[1]), int(argv[2]))))
         return 0
     packages = {}
     for arg in argv or ["src/fss"]:
         name, _, path = arg.rpartition("=")
         packages[name or path] = Path(path)
     env = dict(os.environ, **{name: "1" for name in _THREAD_VARS})
+
+    def run(mode: str, package: Path, n: int) -> dict:
+        return json.loads(subprocess.run(
+            [sys.executable, __file__, mode, str(package), str(n)],
+            env=env, check=True, capture_output=True, text=True).stdout)
+
     points: dict[str, list] = {name: [] for name in packages}
     for n in SPACINGS:
         for name, package in packages.items():
@@ -173,11 +201,18 @@ def main(argv: list[str]) -> int:
                                         f"W is {table_mb(n):.0f} MB"})
                 print(f"{name} h=1/{n} skipped", file=sys.stderr)
                 continue
-            out = subprocess.run(
-                [sys.executable, __file__, "--one", str(package), str(n)],
-                env=env, check=True, capture_output=True, text=True).stdout
-            done.append(json.loads(out))
+            done.append(run("--one", package, n))
             print(f"{name} h=1/{n} done", file=sys.stderr)
+        if n in CHAIN_SPACINGS:
+            runs: dict[str, list] = {name: [] for name in packages}
+            order = list(packages)
+            for _ in range(CHAIN_PROCESSES):
+                for name in order:
+                    runs[name].append(run("--chains", packages[name], n))
+                order.reverse()
+            for name in packages:
+                points[name][-1] |= chain_summary(runs[name])
+            print(f"h=1/{n} chains done", file=sys.stderr)
     print(json.dumps({"environment": environment(), "collar": COLLAR,
                       "s": S, "p": P, "seconds": SECONDS, "points": points},
                      indent=1))
