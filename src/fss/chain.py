@@ -367,12 +367,11 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     # on it (a sweep runs several).  The kernel keeps their arrays, not the
     # TrialProbes, whose reference back to the kernel would make a cycle
     # that only the garbage collector frees.
-    key = (_RESIDUAL_TRIALS, _RESIDUAL_SEED)
-    if key not in kernel._residual_probes:
-        probes = residual_probes(kernel, *key)
-        kernel._residual_probes[key] = (probes.fields,
-                                        probes.energies ** (1.0 / params.p))
-    fields, norms = kernel._residual_probes[key]
+    def draw_probes():
+        probes = residual_probes(kernel, _RESIDUAL_TRIALS, _RESIDUAL_SEED)
+        return probes.fields, probes.energies ** (1.0 / params.p)
+
+    fields, norms = kernel.chain_probes(draw_probes)
     levels: list[LevelRecord] = []
     power_seminorms: list[float] = []
     prev: Field | None = None

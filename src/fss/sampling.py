@@ -31,26 +31,35 @@ def trial_field(grid: Grid, seed: int, index: int) -> np.ndarray:
 
 
 def trial_block(grid: Grid, seed: int, start: int, count: int) -> np.ndarray:
-    """Trials ``start`` to ``start + count - 1`` as a (count, M) array,
-    sliced from the tens of trials that cover them."""
+    """Trials ``start`` to ``start + count - 1`` as a (count, M) array.
+
+    Each ten's generator draws only the rows asked of it: the rows before
+    them are skipped by advancing the generator one step per value (a
+    uniform double takes one 64-bit output), and the bump is drawn only
+    when row 9 is asked for.
+    """
     m = grid.interior_count
-    first = start // 10
-    tens = range(first, (start + count + 9) // 10)
-    block = np.empty((10 * len(tens), m))
+    block = np.empty((count, m))
     lo = np.array([b[0] for b in grid.box])
     hi = np.array([b[1] for b in grid.box])
-    for row, ten in zip(range(0, block.shape[0], 10), tens):
+    first = start
+    while first < start + count:
+        ten = first // 10
+        stop = min(10 * ten + 10, start + count)
         rng = np.random.default_rng([int(seed), ten])
-        block[row:row + 10] = rng.uniform(-1.0, 1.0, (10, m))
-        center = lo + rng.uniform(0.2, 0.8, size=grid.n_dim) * (hi - lo)
-        width = rng.uniform(0.1, 0.5) * float((hi - lo).max())
-        amplitude = rng.uniform(-2.0, 2.0)
-        d2 = ((grid.interior - center) ** 2).sum(axis=1)
-        bump = amplitude * np.exp(-d2 / (2.0 * width**2))
-        if np.any(bump != 0.0):
-            block[row + 9] = bump
-    offset = start - 10 * first
-    return block[offset:offset + count]
+        rng.bit_generator.advance((first - 10 * ten) * m)
+        rows = block[first - start:stop - start]
+        rows[...] = rng.uniform(-1.0, 1.0, rows.shape)
+        if stop == 10 * ten + 10:
+            center = lo + rng.uniform(0.2, 0.8, size=grid.n_dim) * (hi - lo)
+            width = rng.uniform(0.1, 0.5) * float((hi - lo).max())
+            amplitude = rng.uniform(-2.0, 2.0)
+            d2 = ((grid.interior - center) ** 2).sum(axis=1)
+            bump = amplitude * np.exp(-d2 / (2.0 * width**2))
+            if np.any(bump != 0.0):
+                rows[-1] = bump
+        first = stop
+    return block
 
 
 def trial_chunks(grid: Grid, seed: int, count: int, group: int = 1,

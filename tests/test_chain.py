@@ -561,11 +561,10 @@ class TestChainProbes:
         kernel = build_kernel(grid_1d, params)
         draws = count_draws(monkeypatch)
         run_chain(bump_weight, 1.0, kernel)
-        kept = kernel._residual_probes[(100, 7)]
+        kept = kernel._chain_probes
         shared = run_chain(bump_weight, 0.5, kernel)
         assert draws == [100]
-        assert list(kernel._residual_probes) == [(100, 7)]
-        assert kernel._residual_probes[(100, 7)] is kept
+        assert kernel._chain_probes is kept
         fresh = run_chain(bump_weight, 0.5, build_kernel(grid_1d, params))
         assert draws == [200]
         assert ([level.to_json_record() for level in shared.levels]

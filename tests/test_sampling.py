@@ -70,12 +70,12 @@ class TestTrialBlock:
         # A width of 1e-100 makes exp underflow to 0 at every node.
         generator = np.random.default_rng
 
-        class NarrowBumps:
+        class NarrowBumps(np.random.Generator):
             def __init__(self, seed):
-                self.rng = generator(seed)
+                super().__init__(np.random.PCG64(seed))
 
             def uniform(self, low=0.0, high=1.0, size=None):
-                drawn = self.rng.uniform(low, high, size)
+                drawn = super().uniform(low, high, size)
                 return 1e-100 if (low, high) == (0.1, 0.5) else drawn
 
         monkeypatch.setattr(np.random, "default_rng", NarrowBumps)
@@ -103,6 +103,29 @@ class TestTrialBlock:
         trial_block(grid_1d, 5, start, count)
         assert seeds == [[5, ten] for ten in range(start // 10,
                                                     start // 10 + generators)]
+
+
+    @pytest.mark.parametrize("start,count,bumps", [
+        (7, 5, 1), (11, 3, 0), (0, 20, 2), (3, 1, 0), (19, 1, 1)])
+    def test_draws_only_the_rows_asked(self, grid_1d, monkeypatch, start,
+                                       count, bumps):
+        # Rows before the first asked are skipped, not drawn, and a ten
+        # draws its bump (center, width, amplitude) only when its row 9
+        # is asked for.
+        drawn = []
+
+        class Counted(np.random.Generator):
+            def __init__(self, seed):
+                super().__init__(np.random.PCG64(seed))
+
+            def uniform(self, low=0.0, high=1.0, size=None):
+                values = super().uniform(low, high, size)
+                drawn.append(np.size(values))
+                return values
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        trial_block(grid_1d, 5, start, count)
+        assert sum(drawn) == count * grid_1d.interior_count + 3 * bumps
 
 
 class TestTrialChunks:
