@@ -39,12 +39,17 @@ only the |S| x |S| matrix C + D.  Every other p factors H_p + D by
 Cholesky at each step.  For p > 2, H_p vanishes at u = 0, so the walk
 starts from the barrier.
 
-Levels are walked along a geometric schedule with warm starts, the first
-from the barrier psi.  The level solutions increase in n, their energies
-increase, and they dominate the barrier m_alpha * psi built from the
-capped weight.  Once consecutive levels agree to the chain tolerance the
-limit is polished: the same Newton routine on the unregularized energy
-removes the residual O(1/n) regularization error.
+Levels are walked along the schedule n = 16^k with warm starts, the
+first from the barrier psi.  The level solutions increase in n, their
+energies increase, and they dominate the barrier m_alpha * psi built from
+the capped weight.  Once consecutive levels agree to the chain tolerance
+the limit is polished: the same Newton routine on the unregularized
+energy removes the residual O(1/n) regularization error.  The sparse
+schedule is safe because of that rate: if u_alpha - u_n is about c/n,
+the increment from u_n to u_16n is 15 times the distance of u_16n to the
+limit, so the last increment bounds how far the polish has to go.  (With
+n = 2^k the two are about equal.)  The polish starts from the last level,
+where Newton takes a step or two; from psi it would take several more.
 """
 
 from __future__ import annotations
@@ -116,7 +121,8 @@ class ChainOptions:
 
     ``fixed_point_tol`` bounds the Newton step max-norm at every level and
     ``polish_tol`` at the limit.  ``solve`` sets the barrier and
-    embedding-constant solves.
+    embedding-constant solves.  ``max_levels`` is the number of levels
+    n = 16^k in the default schedule.
     """
 
     solve: SolveOptions = dc_field(default_factory=SolveOptions)
@@ -312,8 +318,9 @@ def _validate_alpha(omega: WeightField, alpha: float, kernel: Kernel):
             )
 
 
-def default_schedule(max_levels: int, base: int = 2):
-    return [base**k for k in range(max_levels)]
+def default_schedule(max_levels: int) -> list[int]:
+    """The levels n = 16^k, k = 0 ... max_levels - 1."""
+    return [16**k for k in range(max_levels)]
 
 
 def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
@@ -322,9 +329,11 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
               init: Field | None = None) -> ChainResult:
     """Walk the approximation levels and extract the singular limit.
 
-    ``schedule`` is an increasing sequence of levels (default: powers of
-    two).  The first level starts from ``init`` (default: the barrier),
-    every later one from its predecessor, and the walk stops once
+    ``schedule`` is an increasing sequence of levels (default: the
+    ``opts.max_levels`` levels n = 16^k, whose increments bound each
+    level's distance to the limit).  The first level starts from
+    ``init`` (default: the barrier), every later one from its
+    predecessor, and the walk stops once
     consecutive level solutions differ by at most the chain tolerance in
     the max norm, then polishes the limit; exhausting the
     schedule yields an unpolished result flagged as non-converged.  For

@@ -17,6 +17,7 @@ from fss import (
     WeightField,
     build_grid,
     build_kernel,
+    default_schedule,
     embedding_constant,
     linfty_bound_report,
     make_level,
@@ -486,11 +487,30 @@ class TestRunChain:
 
     def test_schedule_independence(self, kernel_1d, bump_weight):
         opts = ChainOptions(chain_tol=1e-8)
-        doubling = run_chain(bump_weight, 0.5, kernel_1d, opts=opts)
+        default = run_chain(bump_weight, 0.5, kernel_1d, opts=opts)
+        doubling = run_chain(bump_weight, 0.5, kernel_1d,
+                             schedule=[2**k for k in range(40)], opts=opts)
         tripling = run_chain(bump_weight, 0.5, kernel_1d,
                              schedule=[3**k for k in range(30)], opts=opts)
-        assert doubling.converged and tripling.converged
-        assert (doubling.u_alpha - tripling.u_alpha).max_norm() <= 1e-6
+        assert default.converged and doubling.converged and tripling.converged
+        assert (default.u_alpha - doubling.u_alpha).max_norm() <= 1e-12
+        assert (default.u_alpha - tripling.u_alpha).max_norm() <= 1e-12
+
+    def test_default_schedule(self):
+        assert default_schedule(3) == [1, 16, 256]
+
+    def test_sparse_schedule_takes_half_the_steps(self, kernel_1d,
+                                                  bump_weight):
+        # Newton steps do not depend on the machine: 26 against 67.
+        def steps(chain):
+            return (sum(rec.fp_sweeps for rec in chain.levels)
+                    + chain.polish_sweeps)
+
+        default = run_chain(bump_weight, 0.5, kernel_1d)
+        doubling = run_chain(bump_weight, 0.5, kernel_1d,
+                             schedule=[2**k for k in range(40)])
+        assert default.converged and doubling.converged
+        assert 2 * steps(default) <= steps(doubling)
 
     def test_init_independence(self, kernel_1d, bump_weight):
         opts = ChainOptions()

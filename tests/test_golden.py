@@ -54,3 +54,12 @@ def test_scaled_constants_sweep_1d():
     sweep = sweep_alpha(omega, cfg.alpha_grid, kernel, cfg.chain_options)
     assert [rec.scaled for rec in sweep.records] == pytest.approx(
         SCALED_SWEEP_1D, rel=RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["solve_1d.json", "solve_2d.json"])
+def test_last_level_within_final_increment(name):
+    # Levels 16 apart: the last increment bounds the polish's distance.
+    *_, chain = _chain(name)
+    assert chain.converged
+    distance = (chain.u_alpha - chain.levels[-1].u).max_norm()
+    assert distance <= chain.final_increment
