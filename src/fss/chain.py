@@ -65,11 +65,10 @@ from .operators import (
     Field,
     WeightField,
     apply_operator,
-    block_seminorm_p,
     norm_r,
     seminorm_p,
 )
-from .sampling import trial_chunks
+from .sampling import trial_energies
 from .solver import (
     EmbeddingConstant,
     SolveOptions,
@@ -232,43 +231,6 @@ class ChainResult:
         return worst
 
 
-@dataclass(frozen=True, eq=False)
-class TrialProbes:
-    """Trials 0 to ``count - 1`` of ``seed`` on ``kernel``: the test fields
-    phi, one per row, and their energies [phi]^p.
-
-    They depend only on the kernel, so a chain draws them once for all
-    levels, and ``fss verify`` certifies on the ones its weak residual
-    used.  Whoever takes them in place of drawing the same trials checks
-    the kernel and the seed with ``require``.
-    """
-
-    kernel: Kernel
-    seed: int
-    fields: np.ndarray
-    energies: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.energies.size
-
-    def require(self, kernel: Kernel, seed: int) -> None:
-        """Raise ValueError unless these are trials of ``seed`` on
-        ``kernel``."""
-        if kernel is not self.kernel:
-            raise ValueError("probes were drawn on another kernel")
-        if seed != self.seed:
-            raise ValueError(f"probes of seed {self.seed} for seed {seed}")
-
-
-def residual_probes(kernel: Kernel, trials: int, seed: int) -> TrialProbes:
-    """Draw trials 0 to ``trials - 1`` of ``seed`` and evaluate their
-    energies chunk by chunk."""
-    chunks = list(trial_chunks(kernel.grid, seed, trials))
-    energies = np.concatenate([block_seminorm_p(c, kernel) for c in chunks])
-    return TrialProbes(kernel, seed, np.concatenate(chunks), energies)
-
-
 def _level_residual(au: np.ndarray, source: np.ndarray, probes: np.ndarray,
                     norms: np.ndarray) -> float:
     """Weak residual max |<A u, phi> - source . phi| / (1 + [phi]) over the
@@ -373,14 +335,9 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     bound = _existence_bound(omega, alpha, kernel, embedding)
 
     # The probes depend only on the kernel, so one draw serves every chain
-    # on it (a sweep runs several).  The kernel keeps their arrays, not the
-    # TrialProbes, whose reference back to the kernel would make a cycle
-    # that only the garbage collector frees.
-    def draw_probes():
-        probes = residual_probes(kernel, _RESIDUAL_TRIALS, _RESIDUAL_SEED)
-        return probes.fields, probes.energies ** (1.0 / params.p)
-
-    fields, norms = kernel.chain_probes(draw_probes)
+    # on it (a sweep runs several).
+    fields, energies = trial_energies(kernel, _RESIDUAL_SEED, _RESIDUAL_TRIALS)
+    norms = energies ** (1.0 / params.p)
     levels: list[LevelRecord] = []
     power_seminorms: list[float] = []
     prev: Field | None = None
@@ -464,32 +421,24 @@ class ResidualReport:
 
 
 def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
-                  trials: int = 100, seed: int = 0,
-                  probes: TrialProbes | None = None) -> ResidualReport:
+                  trials: int = 100, seed: int = 0) -> ResidualReport:
     """Certify the weak form of the singular equation against test fields.
 
     For each of the ``trials`` (at least one) seeded fields v this measures
     |pairing(u, v) - sum m w v / u^alpha| / (1 + [v]), and also the slack
     of the duality estimate |sum m w v / u^alpha| <= [u]^(p-1) [v].
-    ``probes``, when given, must hold exactly these ``trials`` of
-    ``seed`` on ``kernel`` (``residual_probes``); they are then not drawn
-    again.
+    The fields are kept on the kernel (``sampling.trial_energies``), so
+    a later check of the same trials does not draw them again.
     Requires u strictly positive at every interior node.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if probes is not None:
-        probes.require(kernel, seed)
-        if probes.count != trials:
-            raise ValueError(f"{probes.count} probes for {trials} trials")
     if u.values.min() <= 0.0:
         raise FssError("not an interior-positive field")
-    if probes is None:
-        probes = residual_probes(kernel, trials, seed)
     p = kernel.params.p
     source = kernel.grid.measure * omega.values / u.values**alpha
-    fields = probes.fields
-    norms = probes.energies ** (1.0 / p)
+    fields, energies = trial_energies(kernel, seed, trials)
+    norms = energies ** (1.0 / p)
     bound = seminorm_p(u, kernel) ** ((p - 1.0) / p) * norms
     return ResidualReport(
         max_residual=_level_residual(apply_operator(u, kernel), source,

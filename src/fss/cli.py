@@ -25,9 +25,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain import residual_probes, run_chain, weak_residual
+from .chain import run_chain, weak_residual
 from .config import build_geometry, build_weight, load_config
 from .constants import (
+    SHARED_TRIALS,
     check_valfa_limit,
     estimate_mu,
     estimate_mu_direct,
@@ -201,10 +202,9 @@ def _cmd_verify(args) -> int:
     u = Field(stored.values, grid)
 
     # The weak residual's test fields are the certification's first trials,
-    # drawn and evaluated once.
-    probes = residual_probes(kernel, min(trials, 200), seed)
-    residual = weak_residual(u, omega, alpha, kernel, probes.count, seed,
-                             probes=probes)
+    # drawn and evaluated once and kept on the kernel.
+    residual = weak_residual(u, omega, alpha, kernel,
+                             min(trials, SHARED_TRIALS), seed)
     report = {
         "alpha": alpha,
         "trials": trials,
@@ -215,12 +215,11 @@ def _cmd_verify(args) -> int:
     ok = residual.max_residual <= 1e-6 and residual.aux_min_slack >= -1e-10
     if alpha < 1.0:
         sol = solution_from_field(u, omega, kernel, alpha)
-        cert = verify_sobolev(sol, trials=trials, seed=seed, probes=probes)
+        cert = verify_sobolev(sol, trials=trials, seed=seed)
         report["lambda"] = sol.lam
     elif alpha == 1.0:
         est = mu_from_field(u, omega, kernel)
-        cert = verify_log_sobolev(est, trials=trials, seed=seed,
-                                  probes=probes)
+        cert = verify_log_sobolev(est, trials=trials, seed=seed)
         report["mu"] = est.mu_direct
         report["log_mean_residual"] = est.log_mean_residual
         ok = ok and abs(est.log_mean_residual) <= 1e-8

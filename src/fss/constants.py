@@ -27,13 +27,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ChainOptions, ChainResult, TrialProbes, run_chain
+from .chain import ChainOptions, ChainResult, run_chain
 from .exceptions import FssError
 from .grid import Kernel, r_alpha
 from .operators import (Field, WeightField, block_seminorm_p, log_functional,
                         seminorm_p)
-from .sampling import trial_chunks
+from .sampling import trial_chunks, trial_energies
 from .solver import EmbeddingConstant, embedding_for_existence_bound
+
+# The first trials of a certification, shared with the weak residual that
+# ``fss verify`` runs before it (``sampling.trial_energies``).
+SHARED_TRIALS = 200
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,7 @@ class CertificationReport:
 def verify_sobolev(solution: SingularSolution, trials: int = 1000,
                    seed: int = 0, constant: float | None = None,
                    extremal_scales=(-2.0, 0.5, 1.0),
-                   extra_fields=(), probes: TrialProbes | None = None
-                   ) -> CertificationReport:
+                   extra_fields=()) -> CertificationReport:
     """Check the power-mean inequality on random fields and on extremal
     multiples.
 
@@ -163,10 +166,7 @@ def verify_sobolev(solution: SingularSolution, trials: int = 1000,
     -1e-8 relative) on every trial, and zero at scalar multiples of the
     extremal; any larger constant must be caught violating at the
     extremal itself.  ``extra_fields`` lets callers inject adversarial
-    candidates beyond the seeded trials.  ``probes``, when given, must be
-    the first trials of ``seed`` on the solution's kernel, already drawn
-    and evaluated (``chain.residual_probes``); only the later trials are
-    drawn.
+    candidates beyond the seeded trials.
     """
     alpha = solution.alpha
     kernel, omega = solution.kernel, solution.omega
@@ -178,7 +178,7 @@ def verify_sobolev(solution: SingularSolution, trials: int = 1000,
         return np.exp(log_c + p / (1.0 - alpha) * _log_or_minus_inf(mass))
 
     return _certify(term, math.exp(log_c), kernel, solution.extremal, trials,
-                    seed, extremal_scales, extra_fields, probes)
+                    seed, extremal_scales, extra_fields)
 
 
 def _log_or_minus_inf(x: np.ndarray) -> np.ndarray:
@@ -188,13 +188,13 @@ def _log_or_minus_inf(x: np.ndarray) -> np.ndarray:
 
 def _certify(term, constant: float, kernel: Kernel, extremal: Field,
              trials: int, seed: int, extremal_scales,
-             extra_fields, probes) -> CertificationReport:
+             extra_fields) -> CertificationReport:
     """Summarize the slack [v]^p - term(v) over the seeded trial fields,
     then ``extra_fields``, then the nonzero multiples of the extremal.
 
     ``term`` maps a block of fields, one per row, to the array of its
-    right-hand sides.  The first trials are the ``probes`` when given
-    (checked against ``kernel`` and ``seed``); the rest are drawn and
+    right-hand sides.  The first ``SHARED_TRIALS`` trials are those kept
+    on the kernel (``sampling.trial_energies``); the rest are drawn and
     evaluated in the chunks of ``sampling.trial_chunks``.  The extra
     fields and the multiples form one last block.
     """
@@ -203,16 +203,14 @@ def _certify(term, constant: float, kernel: Kernel, extremal: Field,
     multiples = np.multiply.outer(extremal_scales, extremal.values)
     multiples = multiples[multiples.any(axis=1)]
     tail = np.array([v.values for v in extra_fields] + list(multiples))
-    energy, rhs, drawn = [], [], 0
-    if probes is not None:
-        probes.require(kernel, seed)
-        drawn = probes.count
-        if drawn > trials:
-            raise ValueError(f"{drawn} probes for {trials} trials")
-        energy.append(probes.energies)
-        rhs.append(term(probes.fields))
+    shared = min(trials, SHARED_TRIALS)
+    energy, rhs = [], []
+    if shared:
+        fields, energies = trial_energies(kernel, seed, shared)
+        energy.append(energies)
+        rhs.append(term(fields))
     for block in itertools.chain(trial_chunks(kernel.grid, seed, trials,
-                                              start=drawn),
+                                              start=shared),
                                  [tail.reshape(-1, extremal.values.size)]):
         energy.append(block_seminorm_p(block, kernel))
         rhs.append(term(block))
@@ -437,14 +435,13 @@ def estimate_mu(omega: WeightField, alpha_grid, kernel: Kernel,
 def verify_log_sobolev(estimate: MuEstimate, trials: int = 1000,
                        seed: int = 0, constant: float | None = None,
                        extremal_scales=(-2.0, 0.5, 1.0),
-                       extra_fields=(), probes: TrialProbes | None = None
-                       ) -> CertificationReport:
+                       extra_fields=()) -> CertificationReport:
     """Check the exponential-log inequality on random fields and at
     multiples of the extremal V.
 
     Fields vanishing on the support of the weight make the exponential
     term zero, so the inequality holds with slack equal to the full
-    energy.  ``probes`` is as for ``verify_sobolev``.
+    energy.
     """
     kernel, omega = estimate.kernel, estimate.omega
     p = kernel.params.p
@@ -458,7 +455,7 @@ def verify_log_sobolev(estimate: MuEstimate, trials: int = 1000,
         return np.exp(log_mu + p / omega.norm_1 * li)
 
     return _certify(term, mu, kernel, estimate.extremal, trials, seed,
-                    extremal_scales, extra_fields, probes)
+                    extremal_scales, extra_fields)
 
 
 @dataclass(frozen=True)

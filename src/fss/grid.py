@@ -218,9 +218,11 @@ class Kernel:
     on the first such evaluation.  The p != 2 energy visits each unordered
     pair once, against the ``folded_weights`` table: M^2 / 2 doubles
     (19.5 MB at M = 2209), built by the first p != 2 seminorm, never by
-    ``build_kernel`` and never at p = 2.  The approximation chain's
-    per-level residual probes are kept here too (``chain_probes``), so
-    that every chain on one kernel draws and evaluates them once.
+    ``build_kernel`` and never at p = 2.  The seeded trial fields that
+    several checks share (the approximation chain's per-level residual
+    probes and the weak residual's trials) are kept here too, with their
+    energies, keyed by (seed, count) (``sampling.trial_energies``), so
+    that each is drawn and evaluated once per kernel.
     """
 
     grid: Grid
@@ -229,8 +231,8 @@ class Kernel:
     boundary_weight: np.ndarray
     _schur_complements: dict = field(init=False, default_factory=dict,
                                      repr=False, compare=False)
-    _chain_probes: tuple | None = field(init=False, default=None,
-                                        repr=False, compare=False)
+    _trials: dict = field(init=False, default_factory=dict, repr=False,
+                          compare=False)
 
     @property
     def interior_count(self) -> int:
@@ -334,15 +336,6 @@ class Kernel:
             schur = k[np.ix_(support, support)] + k_rs.T @ extension
             self._schur_complements[key] = rest, schur, extension
         return self._schur_complements[key]
-
-    def chain_probes(self, draw) -> tuple[np.ndarray, np.ndarray]:
-        """The approximation chain's residual probe arrays, from ``draw()``
-        on the first call and kept after.  They must hold no reference to
-        the kernel, or a dropped kernel would wait for the garbage
-        collector."""
-        if self._chain_probes is None:
-            object.__setattr__(self, "_chain_probes", draw())
-        return self._chain_probes
 
     @cached_property
     def pair_buffers(self) -> tuple[np.ndarray, np.ndarray]:

@@ -16,13 +16,19 @@ row.
 The checks draw and evaluate their trials in chunks (``trial_chunks``) of
 at most ``grid.PAIR_BLOCK_ELEMENTS`` values, one row per field, so their
 scratch memory does not grow with the number of trials.
+
+The trials that several checks share are kept on the kernel
+(``trial_energies``): the approximation chain's per-level residual
+probes, and the weak residual's trials, which ``fss verify`` also
+certifies as its first ones.  Each is drawn and evaluated once per kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import PAIR_BLOCK_ELEMENTS, Grid
+from .grid import PAIR_BLOCK_ELEMENTS, Grid, Kernel
+from .operators import block_seminorm_p
 
 
 def trial_field(grid: Grid, seed: int, index: int) -> np.ndarray:
@@ -80,3 +86,21 @@ def trial_chunks(grid: Grid, seed: int, count: int, group: int = 1,
         stop = min(first - first % step + step, count)
         yield trial_block(grid, seed, group * first, group * (stop - first))
         first = stop
+
+
+def trial_energies(kernel: Kernel, seed: int,
+                   count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trials 0 to ``count - 1`` of ``seed`` (at least one), one field per
+    row, and their energies [phi]^p on ``kernel``.
+
+    They are drawn and evaluated chunk by chunk on the first call for
+    (``seed``, ``count``) and kept on the kernel after.  The kernel keeps
+    the arrays only, so they hold no reference back to it, and a dropped
+    kernel is freed at once rather than by the garbage collector.
+    """
+    key = (seed, count)
+    if key not in kernel._trials:
+        chunks = list(trial_chunks(kernel.grid, seed, count))
+        energies = [block_seminorm_p(chunk, kernel) for chunk in chunks]
+        kernel._trials[key] = np.concatenate(chunks), np.concatenate(energies)
+    return kernel._trials[key]

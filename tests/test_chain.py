@@ -574,17 +574,19 @@ class TestRunChain:
 
 class TestChainProbes:
     """The per-level residual's probes depend only on the kernel, so they
-    are drawn and evaluated once per kernel and kept with it."""
+    are drawn and evaluated once per kernel and kept with it
+    (``sampling.trial_energies``)."""
 
     def test_drawn_once_per_kernel(self, grid_1d, bump_weight, monkeypatch):
         params = FracParams(s=0.5, p=3.0, n_dim=1)
         kernel = build_kernel(grid_1d, params)
         draws = count_draws(monkeypatch)
         run_chain(bump_weight, 1.0, kernel)
-        kept = kernel._chain_probes
+        kept = kernel._trials[(7, 100)]
         shared = run_chain(bump_weight, 0.5, kernel)
         assert draws == [100]
-        assert kernel._chain_probes is kept
+        assert list(kernel._trials) == [(7, 100)]
+        assert kernel._trials[(7, 100)] is kept
         fresh = run_chain(bump_weight, 0.5, build_kernel(grid_1d, params))
         assert draws == [200]
         assert ([level.to_json_record() for level in shared.levels]
@@ -640,23 +642,6 @@ class TestWeakResidual:
         with pytest.raises(ValueError, match="trials"):
             weak_residual(Field.constant(kernel_1d.grid, 1.0), bump_weight,
                           0.5, kernel_1d, trials=trials)
-
-    def test_probes_must_be_its_trials(self, kernel_1d, kernel_1d_p3,
-                                       bump_weight):
-        u = Field(np.linspace(0.2, 1.0, kernel_1d.interior_count),
-                  kernel_1d.grid)
-        probes = chain_module.residual_probes(kernel_1d, 30, 4)
-        drawn = weak_residual(u, bump_weight, 0.5, kernel_1d, 30, 4)
-        shared = weak_residual(u, bump_weight, 0.5, kernel_1d, 30, 4,
-                               probes=probes)
-        assert shared == drawn
-        with pytest.raises(ValueError, match="seed 4 for seed 5"):
-            weak_residual(u, bump_weight, 0.5, kernel_1d, 30, 5, probes=probes)
-        with pytest.raises(ValueError, match="30 probes for 20 trials"):
-            weak_residual(u, bump_weight, 0.5, kernel_1d, 20, 4, probes=probes)
-        with pytest.raises(ValueError, match="another kernel"):
-            weak_residual(u, bump_weight, 0.5, kernel_1d_p3, 30, 4,
-                          probes=probes)
 
     @pytest.mark.parametrize("fixture", ["kernel_1d", "kernel_1d_p3"])
     def test_matches_per_field_loop(self, fixture, request, bump_weight):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from fss import (
     Field,
     FssError,
     WeightField,
+    build_kernel,
     check_valfa_limit,
     closest_extremal_distance,
     estimate_mu,
@@ -22,8 +24,6 @@ from fss import (
     verify_sobolev,
     weak_residual,
 )
-
-from fss.chain import residual_probes
 
 from conftest import synthetic_unit_kernel, tight_chain_options
 from oracles import (
@@ -431,32 +431,26 @@ class TestBlockCertification:
     def test_probes_stand_for_the_first_trials(self, bump_solution_05,
                                                bump_mu, monkeypatch,
                                                inequality):
-        subject, verify = ((bump_solution_05, verify_sobolev)
-                           if inequality == "power-mean"
-                           else (bump_mu, verify_log_sobolev))
-        whole = verify(subject, trials=100, seed=42)
-        probes = residual_probes(subject.kernel, 30, 42)
+        # The weak residual's trials are kept on the kernel, and a
+        # certification of the same seed takes them as its first trials.
+        subject, verify, u, alpha = (
+            (bump_solution_05, verify_sobolev, bump_solution_05.u,
+             bump_solution_05.alpha) if inequality == "power-mean"
+            else (bump_mu, verify_log_sobolev, bump_mu.u_star, 1.0))
+        whole = verify(subject, trials=300, seed=42)
+        kernel = build_kernel(subject.kernel.grid, subject.kernel.params)
+        subject = replace(subject, kernel=kernel)
         draws = count_draws(monkeypatch)
-        shared = verify(subject, trials=100, seed=42, probes=probes)
-        assert draws == [70]
+        weak_residual(u, subject.omega, alpha, kernel, 100, 42)
+        verify(subject, trials=100, seed=42)
+        assert draws == [100]
+        weak_residual(u, subject.omega, alpha, kernel, 200, 42)
+        draws[0] = 0
+        shared = verify(subject, trials=300, seed=42)
+        assert draws == [100]
         assert shared.violations == whole.violations
         assert shared.min_slack_rel == pytest.approx(whole.min_slack_rel,
                                                      abs=1e-13)
-        with pytest.raises(ValueError, match="30 probes for 20 trials"):
-            verify(subject, trials=20, seed=42, probes=probes)
-
-    @pytest.mark.parametrize("inequality", ["power-mean", "log"])
-    def test_probes_of_another_seed_or_kernel_rejected(
-            self, bump_solution_05, bump_mu, kernel_1d_p3, inequality):
-        subject, verify = ((bump_solution_05, verify_sobolev)
-                           if inequality == "power-mean"
-                           else (bump_mu, verify_log_sobolev))
-        probes = residual_probes(subject.kernel, 30, 42)
-        with pytest.raises(ValueError, match="seed 42 for seed 43"):
-            verify(subject, trials=100, seed=43, probes=probes)
-        elsewhere = residual_probes(kernel_1d_p3, 30, 42)
-        with pytest.raises(ValueError, match="another kernel"):
-            verify(subject, trials=100, seed=42, probes=elsewhere)
 
     @pytest.mark.parametrize("inequality", ["power-mean", "log"])
     def test_rejects_negative_trials(self, bump_solution_05, bump_mu,
@@ -476,7 +470,9 @@ class TestBlockCertification:
         whole = verify(subject, trials=100, seed=42)
         bound = 7 * subject.kernel.interior_count
         sizes = record_chunks(monkeypatch, bound)
-        chunked = verify(subject, trials=100, seed=42)
+        # On a fresh kernel, which keeps no trials yet.
+        fresh = build_kernel(subject.kernel.grid, subject.kernel.params)
+        chunked = verify(replace(subject, kernel=fresh), trials=100, seed=42)
         assert len(sizes) == 15 and max(sizes) <= bound
         assert chunked.violations == whole.violations
         assert chunked.min_slack_rel == pytest.approx(whole.min_slack_rel,

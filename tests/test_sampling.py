@@ -7,6 +7,7 @@ from fss import (
     Field,
     WeightField,
     build_grid,
+    build_kernel,
     check_q_identity,
     check_strong_monotonicity,
     weak_residual,
@@ -214,6 +215,8 @@ class TestChunkedChecks:
         whole = CHECKS[name](kernel_1d_p3)
         bound = rows * 2 * kernel_1d_p3.interior_count
         sizes = record_chunks(monkeypatch, bound)
-        assert CHECKS[name](kernel_1d_p3) == whole
+        # On a fresh kernel, which keeps no trials yet.
+        fresh = build_kernel(kernel_1d_p3.grid, kernel_1d_p3.params)
+        assert CHECKS[name](fresh) == whole
         assert len(sizes) > 1
         assert max(sizes) <= bound
