@@ -33,7 +33,6 @@ from .constants import (
     SweepRecord,
     SweepResult,
     check_valfa_limit,
-    closest_extremal_distance,
     estimate_mu,
     estimate_mu_direct,
     lambda_alpha,
@@ -69,9 +68,7 @@ from .operators import (
     norm_r,
     pairing,
     phi_p,
-    poincare_constant,
     seminorm_p,
-    weighted_qmean,
 )
 from .solution_io import (
     SolutionFile,

@@ -208,7 +208,6 @@ class ChainResult:
     m_alpha: float
     barrier: Field
     polish_sweeps: int  # Newton steps at the limit
-    polish_delta: float  # max-norm of the step that produced u_alpha
     energy_identity_gap: float
     power_seminorms: tuple[float, ...] | None
 
@@ -380,9 +379,9 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         prev = u_n
 
     m_alpha = (levels[0].max_value + 1.0) ** (-alpha / (params.p - 1.0))
-    u_final, polish_sweeps, polish_delta = prev, 0, math.inf
+    u_final, polish_sweeps = prev, 0
     if converged:
-        values, polish_sweeps, polish_delta = newton(
+        values, polish_sweeps, _ = newton(
             prev.values, omega.values, 0.0, alpha, kernel, opts.polish_tol,
             f"polish (alpha {alpha:g})")
         u_final = Field(values, kernel.grid)
@@ -405,7 +404,6 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         m_alpha=float(m_alpha),
         barrier=m_alpha * psi,
         polish_sweeps=polish_sweeps,
-        polish_delta=polish_delta,
         energy_identity_gap=float(gap),
         power_seminorms=tuple(power_seminorms) if power_seminorms else None,
     )

@@ -22,8 +22,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .chain import run_chain, weak_residual
 from .config import build_geometry, build_weight, load_config
@@ -41,7 +39,6 @@ from .constants import (
 from .exceptions import ConfigError, FssError, GridError, SolutionFileError
 from .lemmas import (
     check_q_identity,
-    check_stampacchia,
     check_strong_monotonicity,
     check_vector_inequalities,
 )
@@ -233,27 +230,6 @@ def _cmd_verify(args) -> int:
     return 0 if ok else CHECK_FAILED
 
 
-def _synthetic_decay_samples(k0: float, C: float, theta: float, b: float):
-    """Step family satisfying the decay hypothesis for every sample pair.
-
-    g = g0 on [k0, k1) and 0 beyond, with the step narrower than
-    (C g0^(b-1))^(1/theta): pairs inside the step then satisfy
-    (h-k)^theta <= C g0^(b-1) directly, and pairs reaching past k1 are
-    trivial since g vanishes there.
-    """
-    g0 = 1.0
-    width = 0.9 * (C * g0 ** (b - 1.0)) ** (1.0 / theta)
-    d = (C * g0 ** (b - 1.0) * 2.0 ** (theta * b / (b - 1.0))) ** (1.0 / theta)
-    ks = np.concatenate([
-        np.linspace(k0, k0 + width, 12, endpoint=False),
-        np.linspace(k0 + width, k0 + 1.25 * d, 20),
-        [k0 + d - d / 2.0**n for n in range(1, 20)],
-    ])
-    ks = np.unique(ks)
-    gs = np.where(ks < k0 + width, g0, 0.0)
-    return (ks, gs), d
-
-
 def _cmd_props(args) -> int:
     cfg = load_config(args.config)
     grid, params, kernel = build_geometry(cfg)
@@ -265,8 +241,6 @@ def _cmd_props(args) -> int:
         check_q_identity(cfg.p, trials=min(trials, 300), seed=seed,
                          kernel=kernel),
     ]
-    samples, _ = _synthetic_decay_samples(k0=1.0, C=1.0, theta=1.0, b=2.0)
-    reports.append(check_stampacchia(samples, k0=1.0, C=1.0, theta=1.0, b=2.0))
     payload = {"reports": [r.to_json_record() for r in reports]}
     ok = all(r.passed for r in reports)
     payload["passed"] = ok

@@ -230,14 +230,6 @@ def _certify(term, constant: float, kernel: Kernel, extremal: Field,
     )
 
 
-def closest_extremal_distance(v: Field, solution: SingularSolution) -> float:
-    """Max-norm distance from v to its best scalar multiple of the extremal."""
-    e = solution.extremal.values
-    denom = float(e @ e)
-    c = float(v.values @ e) / denom
-    return float(np.abs(v.values - c * e).max())
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     """Best-constant data at one sweep exponent."""

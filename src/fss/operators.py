@@ -336,20 +336,6 @@ def energy_hessian(values: np.ndarray, kernel: Kernel) -> np.ndarray:
     return h
 
 
-def weighted_qmean(v: Field, omega: WeightField, q: float) -> float:
-    """Weighted power mean ((1/|w|_1) sum m w |v|^q)^(1/q).
-
-    Nondecreasing in q; tends to the geometric mean exp(<log|v|>_w) as
-    q -> 0+.
-    """
-    if q <= 0.0:
-        raise ValueError(f"exponent q must be positive, got {q}")
-    _check_same_grid(v.grid, omega.grid)
-    m = v.grid.measure
-    total = float(m * (omega.values * np.abs(v.values) ** q).sum())
-    return (total / omega.norm_1) ** (1.0 / q)
-
-
 def log_functional(v: Field, omega: WeightField) -> float:
     """Weighted log integral sum_i m w_i log|v_i|.
 
@@ -370,16 +356,3 @@ def norm_r(x: Field | WeightField, r: float) -> float:
     if r < 1.0:
         raise ValueError(f"norm exponent must be >= 1, got {r}")
     return _lr_norm(x.values, x.grid.measure, r)
-
-
-def poincare_constant(kernel: Kernel) -> float:
-    """Grid constant C_h with ||u||_p^p <= C_h [u]^p for every field.
-
-    Evaluated on the canonical basis fields: the energy of e_i contains
-    the exterior-coupling term 2 B_i, and dropping the nonnegative pair
-    terms gives [u]^p >= 2 min_i B_i * sum |u_i|^p for arbitrary u.  The
-    resulting constant max_i ||e_i||_p^p / (2 B_i) is therefore valid for
-    the whole discrete space, not just the basis.
-    """
-    m = kernel.grid.measure
-    return float(m / (2.0 * kernel.boundary_weight.min()))

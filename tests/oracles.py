@@ -2,7 +2,9 @@
 algebra for p = 2, plain double sums for the energy, pairing, gradient
 and Hessian, finite differences for gradients, the frozen-datum map T of
 the approximation chain, the one-field-at-a-time trial draw and
-certification loop, and the one-trial-at-a-time vector inequality check.
+certification loop, the one-trial-at-a-time vector inequality check, and
+the weighted power means and the distance to a field's best multiple of
+an extremal, which the tests measure the package's output with.
 
 These never call the solver paths they certify: T solves by conjugate
 gradients at p = 2, the only p its comparisons use, while the chain
@@ -253,6 +255,22 @@ def certify_per_field(slack, grid, extremal, trials: int, seed: int,
     return {"trials": trials, "min_slack": min_slack,
             "min_slack_rel": min_rel, "violations": violations,
             "extremal_max_rel": extremal_max_rel}
+
+
+def weighted_qmean(v: Field, omega, q: float) -> float:
+    """Weighted power mean ((1/|w|_1) sum m w |v|^q)^(1/q), q > 0:
+    nondecreasing in q, and tending to the geometric mean
+    exp(<log|v|>_w) as q -> 0+."""
+    total = v.grid.measure * (omega.values * np.abs(v.values) ** q).sum()
+    return float((total / omega.norm_1) ** (1.0 / q))
+
+
+def extremal_distance(v: Field, extremal: Field) -> float:
+    """Max-norm distance from v to its best (least-squares) scalar
+    multiple of ``extremal``."""
+    e = extremal.values
+    c = float(v.values @ e) / float(e @ e)
+    return float(np.abs(v.values - c * e).max())
 
 
 def _vector_phi(x: np.ndarray, p: float) -> np.ndarray:

@@ -249,7 +249,7 @@ class TestPropsAndConstant:
         assert run_command(["props", "--config", path, "--out", out]) == 0
         payload = json.load(open(out))
         assert payload["passed"] is True
-        assert len(payload["reports"]) == 4
+        assert len(payload["reports"]) == 3
 
     def test_constant(self, tmp_path):
         path, _ = cli_config(tmp_path)

@@ -11,7 +11,6 @@ from fss import (
     WeightField,
     build_kernel,
     check_valfa_limit,
-    closest_extremal_distance,
     estimate_mu,
     estimate_mu_direct,
     lambda_alpha,
@@ -28,9 +27,11 @@ from fss import (
 from conftest import synthetic_unit_kernel, tight_chain_options
 from oracles import (
     certify_per_field,
+    extremal_distance,
     scalar_lambda,
     scalar_mu,
     scalar_singular_solution,
+    weighted_qmean,
 )
 from test_sampling import count_draws, record_chunks
 
@@ -180,7 +181,7 @@ class TestVerifySobolev:
                             * np.abs(v.values) ** (1 - alpha)).sum())
             slack = sn - sol.lam * mass ** (p / (1 - alpha))
             assert abs(slack) <= 1e-6 * sn
-            assert closest_extremal_distance(v, sol) <= 1e-3
+            assert extremal_distance(v, sol.extremal) <= 1e-3
         # a genuinely different field with small slack does not exist among
         # random candidates: slack stays bounded away from zero
         for _ in range(50):
@@ -193,7 +194,7 @@ class TestVerifySobolev:
             slack = sn - sol.lam * mass ** (p / (1 - alpha))
             if slack > 1e-6 * sn:
                 continue
-            assert closest_extremal_distance(v, sol) <= 1e-3
+            assert extremal_distance(v, sol.extremal) <= 1e-3
 
 
 class TestSweep:
@@ -484,8 +485,6 @@ class TestExtremalPowerMeans:
                                     kernel_1d, bump_weight):
         # every produced extremal obeys the power-mean monotonicity and
         # approaches its geometric mean as q -> 0+
-        from fss import log_functional, weighted_qmean
-
         for field in (bump_solution_05.extremal,
                       bump_solution_05.scaled_extremal,
                       bump_mu.extremal):

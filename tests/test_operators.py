@@ -15,10 +15,8 @@ from fss import (
     log_functional,
     norm_r,
     pairing,
-    poincare_constant,
     seminorm_p,
     solve_nonsingular,
-    weighted_qmean,
 )
 from fss import grid as grid_module
 from fss.grid import PAIR_BLOCK_ELEMENTS
@@ -39,6 +37,7 @@ from oracles import (
     double_sum_seminorm,
     full_matrix_gradient,
     full_matrix_hessian,
+    weighted_qmean,
 )
 
 
@@ -516,36 +515,6 @@ class TestHessian:
             <= 1e-7 * np.abs(hv).max()
 
 
-class TestWeightedQMean:
-    def test_constant_field(self, grid_1d, bump_weight):
-        c = 3.7
-        v = Field.constant(grid_1d, c)
-        for q in (0.1, 1.0, 2.0, 5.0):
-            assert weighted_qmean(v, bump_weight, q) == pytest.approx(c, rel=1e-12)
-
-    def test_nondecreasing_in_q(self, grid_1d, bump_weight):
-        rng = np.random.default_rng(31)
-        qs = [0.05, 0.3, 1.0, 2.0, 4.0]
-        for _ in range(20):
-            v = rand_field(grid_1d, rng)
-            means = [weighted_qmean(v, bump_weight, q) for q in qs]
-            for a, b in zip(means, means[1:]):
-                assert a <= b * (1.0 + 1e-12)
-
-    def test_vanishing_on_support(self, grid_1d, bump_weight):
-        values = np.ones(grid_1d.interior_count)
-        values[np.argmax(bump_weight.values)] = 0.0
-        v = Field(values, grid_1d)
-        qs = [1.0, 0.1, 0.01, 0.001]
-        means = [weighted_qmean(v, bump_weight, q) for q in qs]
-        assert all(b < a for a, b in zip(means, means[1:]))
-        assert means[-1] < 0.5
-
-    def test_invalid_q(self, grid_1d, bump_weight):
-        with pytest.raises(ValueError):
-            weighted_qmean(Field.constant(grid_1d, 1.0), bump_weight, 0.0)
-
-
 class TestLogFunctional:
     def test_constant(self, grid_1d, bump_weight):
         c = 2.5
@@ -608,26 +577,6 @@ class TestNormR:
                 lhs = norm_r(u, 1.0)
                 rhs = volume ** (1.0 - 1.0 / r) * norm_r(u, r)
                 assert lhs <= rhs + 1e-12 * (1.0 + rhs)
-
-
-class TestPoincare:
-    def test_random_fields(self, kernel_1d, kernel_1d_p3, kernel_1d_p15):
-        for kernel in (kernel_1d, kernel_1d_p3, kernel_1d_p15):
-            p = kernel.params.p
-            c_h = poincare_constant(kernel)
-            rng = np.random.default_rng(61)
-            for _ in range(1000):
-                u = Field(rng.uniform(-1.0, 1.0, kernel.grid.interior_count),
-                          kernel.grid)
-                assert norm_r(u, p) ** p <= c_h * seminorm_p(u, kernel) \
-                    * (1.0 + 1e-12)
-
-    def test_holds_for_constant_field(self, kernel_1d):
-        # The bound is energy-based, not basis-restricted, so even the
-        # hardest (flattest) fields satisfy it.
-        c_h = poincare_constant(kernel_1d)
-        u = Field.constant(kernel_1d.grid, 1.0)
-        assert norm_r(u, 2.0) ** 2 <= c_h * seminorm_p(u, kernel_1d)
 
 
 class TestWeightField:
