@@ -55,6 +55,7 @@ where Newton takes a step or two; from psi it would take several more.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -279,6 +280,13 @@ def _validate_alpha(omega: WeightField, alpha: float, kernel: Kernel):
             )
 
 
+# The largest level: float(n) in ``truncate_weight`` overflows for n
+# from 2**1024 - 2**970 on.  n = 16^k stays below it for MAX_LEVELS
+# levels.
+LARGEST_LEVEL = int(sys.float_info.max)
+MAX_LEVELS = 256
+
+
 def default_schedule(max_levels: int) -> list[int]:
     """The levels n = 16^k, k = 0 ... max_levels - 1."""
     return [16**k for k in range(max_levels)]
@@ -313,6 +321,9 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         raise ValueError("schedule must contain at least one level")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
+    if schedule[-1] > LARGEST_LEVEL:
+        raise ValueError(f"level {schedule[-1]} overflows a float: no level "
+                         "may exceed the largest float, about 1.8e308")
 
     params = kernel.params
     x0 = None

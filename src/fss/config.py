@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainOptions
+from .chain import LARGEST_LEVEL, MAX_LEVELS, ChainOptions
 from .exceptions import ConfigError
 from .grid import FracParams, Grid, Kernel, build_grid, build_kernel, r_alpha
 from .operators import WeightField
@@ -251,9 +251,17 @@ def load_config(path: str) -> RunConfig:
         if any(b <= a for a, b in zip(schedule, schedule[1:])):
             raise ConfigError("n_schedule must be strictly increasing",
                               "problem.n_schedule")
+        if schedule[-1] > LARGEST_LEVEL:
+            raise ConfigError("n_schedule entries must not exceed the "
+                              "largest float, about 1.8e308",
+                              "problem.n_schedule")
         schedule = tuple(schedule)
 
     max_levels = _integer(problem_block, "problem.max_levels", 40, 1)
+    if max_levels > MAX_LEVELS:
+        raise ConfigError(f"must be at most {MAX_LEVELS}: level 16**"
+                          f"{max_levels - 1} overflows a float",
+                          "problem.max_levels")
 
     tol_block = _block(problem_block, "problem.tolerances")
     tol = {"grad": 1e-10, "fixed_point": 1e-9, "chain": 1e-7, "polish": 1e-13}

@@ -499,6 +499,19 @@ class TestRunChain:
     def test_default_schedule(self):
         assert default_schedule(3) == [1, 16, 256]
 
+    @pytest.mark.parametrize("schedule,max_levels,level", [
+        ([1, 2**1024 - 1], 40, 2**1024 - 1),
+        (None, chain_module.MAX_LEVELS + 1, 16**chain_module.MAX_LEVELS),
+    ], ids=["schedule", "max-levels"])
+    def test_rejects_levels_beyond_float_range(self, kernel_1d, bump_weight,
+                                               schedule, max_levels, level):
+        # float(n) overflows for such a level; the chain names it before
+        # solving anything.
+        with pytest.raises(ValueError, match="overflows a float") as err:
+            run_chain(bump_weight, 0.5, kernel_1d, schedule=schedule,
+                      opts=ChainOptions(max_levels=max_levels))
+        assert f"level {level} " in str(err.value)
+
     def test_sparse_schedule_takes_half_the_steps(self, kernel_1d,
                                                   bump_weight):
         # Newton steps do not depend on the machine: 26 against 67.

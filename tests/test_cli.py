@@ -67,6 +67,12 @@ class TestSolveCommand:
         open(path, "w").write(json.dumps(cfg))
         assert run_command(["solve", "--config", path]) == 1
 
+    def test_level_beyond_float_range(self, tmp_path, capsys):
+        path, _ = cli_config(tmp_path, n_schedule=[1, 2**1024])
+        assert run_command(["solve", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: problem.n_schedule: ")
+
 
 class TestSingleNodeOracle:
     def test_solve_lambda_matches_scalar_oracle(self, tmp_path):

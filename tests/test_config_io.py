@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert err.value.field == "problem.max_levels"
+
+    @pytest.mark.parametrize("key,value,ok", [
+        ("n_schedule", [1, int(sys.float_info.max)], True),
+        ("n_schedule", [1, 2**1024 - 2**970], False),
+        ("max_levels", 256, True),
+        ("max_levels", 257, False),
+    ], ids=["largest-float", "past-largest-float", "256-levels", "257-levels"])
+    def test_levels_within_float_range(self, tmp_path, key, value, ok):
+        # float(n) overflows from 2**1024 - 2**970 on, and 16**256 is
+        # 2**1024.
+        path = write_config(tmp_path, {"problem": {key: value}})
+        if ok:
+            load_config(path)
+            return
+        with pytest.raises(ConfigError, match="float") as err:
+            load_config(path)
+        assert err.value.field == f"problem.{key}"
 
     def test_accepts_max_levels(self, tmp_path):
         path = write_config(tmp_path, {"problem": {"max_levels": 12}})
