@@ -14,14 +14,10 @@ from .chain import (
     ChainOptions,
     ChainResult,
     LevelRecord,
-    RegularizedProblem,
     ResidualReport,
-    default_schedule,
     linfty_bound_report,
-    make_level,
     run_chain,
     solve_level,
-    truncate_weight,
     weak_residual,
 )
 from .config import RunConfig, build_geometry, build_weight, load_config

@@ -27,7 +27,7 @@ most 0.995 of the way to the boundary u + 1/n = 0 and then backtracked
 until it passes the Armijo test on J_n (Nocedal & Wright, Numerical
 Optimization, 2006, ch. 3 and 19).  A solve stops once the max-norm of
 its Newton step is at most its tolerance (``fixed_point_tol`` at a level,
-``polish_tol`` at the limit), or, when that tolerance lies below the
+``POLISH_TOL`` at the limit), or, when that tolerance lies below the
 double-precision floor, after three steps that neither shrink the step
 nor promise a measurable energy decrease; it returns its best iterate.
 
@@ -39,12 +39,13 @@ only the |S| x |S| matrix C + D.  Every other p factors H_p + D by
 Cholesky at each step.  For p > 2, H_p vanishes at u = 0, so the walk
 starts from the barrier.
 
-Levels are walked along the schedule n = 16^k with warm starts, the
-first from the barrier psi.  The level solutions increase in n, their
-energies increase, and they dominate the barrier m_alpha * psi built from
-the capped weight.  Once consecutive levels agree to the chain tolerance
-the limit is polished: the same Newton routine on the unregularized
-energy removes the residual O(1/n) regularization error.  The sparse
+Levels are walked along the schedule n = 16^k, k < 40
+(``DEFAULT_SCHEDULE``), with warm starts, the first from the barrier psi.
+The level solutions increase in n, their energies increase, and they
+dominate the barrier m_alpha * psi built from the capped weight.  Once
+consecutive levels agree to the chain tolerance the limit is polished:
+the same Newton routine on the unregularized energy removes the residual
+O(1/n) regularization error.  The sparse
 schedule is safe because of that rate: if u_alpha - u_n is about c/n,
 the increment from u_n to u_16n is 15 times the distance of u_16n to the
 limit, so the last increment bounds how far the polish has to go.  (With
@@ -79,57 +80,26 @@ from .solver import (
 )
 
 
-@dataclass(frozen=True)
-class RegularizedProblem:
-    """One level of the approximation chain."""
-
-    level: int
-    alpha: float
-    omega_n: WeightField
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValueError(f"level must be at least 1, got {self.level}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-    @property
-    def shift(self) -> float:
-        return 1.0 / self.level
-
-
-def truncate_weight(omega: WeightField, n: int) -> WeightField:
-    """Nodewise min(omega, n) with norms recomputed."""
-    if n < 1:
-        raise ValueError(f"truncation level must be at least 1, got {n}")
-    return WeightField(np.minimum(omega.values, float(n)), omega.grid, omega.r)
-
-
-def make_level(omega: WeightField, n: int, alpha: float) -> RegularizedProblem:
-    return RegularizedProblem(level=int(n), alpha=float(alpha),
-                              omega_n=truncate_weight(omega, n))
-
-
 # Seeded test fields of the per-level weak residual.
 _RESIDUAL_TRIALS = 100
 _RESIDUAL_SEED = 7
+# The Newton step max-norm that ends the polish of the limit.
+POLISH_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class ChainOptions:
-    """Tolerances of the chain's Newton solves and of the n-schedule.
+    """Tolerances of the chain's solves.
 
-    ``fixed_point_tol`` bounds the Newton step max-norm at every level and
-    ``polish_tol`` at the limit.  ``solve`` sets the barrier and
-    embedding-constant solves.  ``max_levels`` is the number of levels
-    n = 16^k in the default schedule.
+    ``solve`` sets the barrier and embedding-constant solves,
+    ``fixed_point_tol`` bounds the Newton step max-norm at every level, and
+    the walk stops once consecutive levels differ by at most ``chain_tol``
+    in the max norm.
     """
 
     solve: SolveOptions = dc_field(default_factory=SolveOptions)
     fixed_point_tol: float = 1e-9
     chain_tol: float = 1e-7
-    max_levels: int = 40
-    polish_tol: float = 1e-13
 
 
 def _located(err: SolverError, where: str, **context) -> SolverError:
@@ -140,9 +110,11 @@ def _located(err: SolverError, where: str, **context) -> SolverError:
                        **context)
 
 
-def solve_level(problem: RegularizedProblem, kernel: Kernel, init: Field,
-                opts: ChainOptions | None = None) -> tuple[Field, int, float]:
-    """Minimize the level energy J_n by damped Newton from ``init``.
+def solve_level(omega: WeightField, n: int, alpha: float, kernel: Kernel,
+                init: Field, opts: ChainOptions | None = None
+                ) -> tuple[Field, int, float]:
+    """Minimize the energy J_n of level ``n`` by damped Newton from
+    ``init``: the weight truncated to min(omega, n), the shift 1/n.
 
     Returns the level solution (strictly positive at every interior node),
     the number of Newton steps, and the max-norm of the step that produced
@@ -155,14 +127,16 @@ def solve_level(problem: RegularizedProblem, kernel: Kernel, init: Field,
     a step fails, and its ``StagnationError`` subclass when the step
     budget runs out.
     """
-    opts = opts or ChainOptions()
+    if n < 1:
+        raise ValueError(f"level must be at least 1, got {n}")
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     if init.values.min() < 0.0:
         raise ValueError("initial field must be nonnegative")
-    u, steps, delta = newton(init.values, problem.omega_n.values,
-                             problem.shift, problem.alpha, kernel,
-                             opts.fixed_point_tol,
-                             f"level {problem.level} (alpha {problem.alpha:g})",
-                             level=problem.level)
+    opts = opts or ChainOptions()
+    u, steps, delta = newton(init.values, np.minimum(omega.values, float(n)),
+                             1.0 / n, alpha, kernel, opts.fixed_point_tol,
+                             f"level {n} (alpha {alpha:g})", level=n)
     return Field(u, kernel.grid), steps, delta
 
 
@@ -207,10 +181,13 @@ class ChainResult:
     final_increment: float
     psi: Field
     m_alpha: float
-    barrier: Field
     polish_sweeps: int  # Newton steps at the limit
     energy_identity_gap: float
     power_seminorms: tuple[float, ...] | None
+
+    @property
+    def barrier(self) -> Field:
+        return self.m_alpha * self.psi
 
     @property
     def seminorms(self) -> list[float]:
@@ -249,21 +226,18 @@ def _existence_bound(omega: WeightField, alpha: float, kernel: Kernel,
     """A-priori ceiling for [u_n]^p along the chain, when available.
 
     alpha = 1 gives the plain mass bound; alpha < 1 combines the weight
-    norm at the threshold exponent with the embedding constant; alpha > 1
-    has no such bound (handled by the compact-support diagnostic instead).
+    norm at the threshold exponent with the embedding constant, which it
+    then needs; alpha > 1 has no such bound (handled by the
+    compact-support diagnostic instead).
     """
     p = kernel.params.p
     if alpha == 1.0:
         return omega.norm_1
     if alpha > 1.0:
         return None
-    r_min = r_alpha(alpha, kernel.params)
-    weight_norm = norm_r(omega, r_min)
-    s_value = embedding.value if embedding is not None else None
-    if s_value is None:
-        return None
+    weight_norm = norm_r(omega, r_alpha(alpha, kernel.params))
     # [u]^(p-(1-a)) <= |w|_{r_a} S^((1-a)/p), stated for the seminorm itself.
-    rhs = weight_norm * s_value ** ((1.0 - alpha) / p)
+    rhs = weight_norm * embedding.value ** ((1.0 - alpha) / p)
     return rhs ** (p / (p - (1.0 - alpha)))
 
 
@@ -280,16 +254,10 @@ def _validate_alpha(omega: WeightField, alpha: float, kernel: Kernel):
             )
 
 
-# The largest level: float(n) in ``truncate_weight`` overflows for n
-# from 2**1024 - 2**970 on.  n = 16^k stays below it for MAX_LEVELS
-# levels.
+# The largest level: float(n) in ``solve_level`` overflows for n from
+# 2**1024 - 2**970 on.
 LARGEST_LEVEL = int(sys.float_info.max)
-MAX_LEVELS = 256
-
-
-def default_schedule(max_levels: int) -> list[int]:
-    """The levels n = 16^k, k = 0 ... max_levels - 1."""
-    return [16**k for k in range(max_levels)]
+DEFAULT_SCHEDULE = tuple(16**k for k in range(40))
 
 
 def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
@@ -298,9 +266,9 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
               init: Field | None = None) -> ChainResult:
     """Walk the approximation levels and extract the singular limit.
 
-    ``schedule`` is an increasing sequence of levels (default: the
-    ``opts.max_levels`` levels n = 16^k, whose increments bound each
-    level's distance to the limit).  The first level starts from
+    ``schedule`` is an increasing sequence of integer levels, floats and
+    bools refused (default: ``DEFAULT_SCHEDULE``, whose increments bound
+    each level's distance to the limit).  The first level starts from
     ``init`` (default: the barrier), every later one from its
     predecessor, and the walk stops once
     consecutive level solutions differ by at most the chain tolerance in
@@ -314,8 +282,10 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     """
     opts = opts or ChainOptions()
     _validate_alpha(omega, alpha, kernel)
-    if schedule is None:
-        schedule = default_schedule(opts.max_levels)
+    schedule = DEFAULT_SCHEDULE if schedule is None else list(schedule)
+    for n in schedule:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"level {n!r} is not an integer")
     schedule = [int(n) for n in schedule]
     if not schedule:
         raise ValueError("schedule must contain at least one level")
@@ -354,15 +324,13 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     converged = False
     final_increment = math.inf
     for n in schedule:
-        problem = make_level(omega, n, alpha)
         start = prev if prev is not None else (init or psi)
-        u_n, sweeps, delta = solve_level(problem, kernel, start, opts)
+        u_n, sweeps, delta = solve_level(omega, n, alpha, kernel, start, opts)
         # One pairwise pass: [u_n]^p = <A u_n, u_n> and the residual.
         au = apply_operator(u_n, kernel)
         sn = float(u_n.values @ au)
-        source = kernel.grid.measure * problem.omega_n.values / (
-            u_n.values + problem.shift
-        ) ** problem.alpha
+        source = kernel.grid.measure * np.minimum(omega.values, float(n)) / (
+            u_n.values + 1.0 / n) ** alpha
         residual = _level_residual(au, source, fields, norms)
         levels.append(LevelRecord(
             n=n,
@@ -393,7 +361,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     u_final, polish_sweeps = prev, 0
     if converged:
         values, polish_sweeps, _ = newton(
-            prev.values, omega.values, 0.0, alpha, kernel, opts.polish_tol,
+            prev.values, omega.values, 0.0, alpha, kernel, POLISH_TOL,
             f"polish (alpha {alpha:g})")
         u_final = Field(values, kernel.grid)
 
@@ -413,7 +381,6 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         final_increment=final_increment,
         psi=psi,
         m_alpha=float(m_alpha),
-        barrier=m_alpha * psi,
         polish_sweeps=polish_sweeps,
         energy_identity_gap=float(gap),
         power_seminorms=tuple(power_seminorms) if power_seminorms else None,

@@ -114,8 +114,7 @@ def _cmd_solve(args) -> int:
         raise ConfigError("solve needs problem.alpha", "problem.alpha")
     grid, params, kernel = build_geometry(cfg)
     omega = build_weight(cfg, grid)
-    chain = run_chain(omega, cfg.alpha, kernel, schedule=cfg.schedule,
-                      opts=cfg.chain_options)
+    chain = run_chain(omega, cfg.alpha, kernel, opts=cfg.chain_options)
     meta = {
         "config_hash": cfg.config_hash(),
         "grid_shape": grid_shape_of(grid),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import LARGEST_LEVEL, MAX_LEVELS, ChainOptions
+from .chain import ChainOptions
 from .exceptions import ConfigError
 from .grid import FracParams, Grid, Kernel, build_grid, build_kernel, r_alpha
 from .operators import WeightField
@@ -45,7 +45,6 @@ class RunConfig:
     weight_params: dict
     alpha: float | None
     alpha_grid: tuple | None
-    schedule: tuple | None
     chain_options: ChainOptions
     trials: int
     seed: int
@@ -79,9 +78,8 @@ _KEYS = {
     "params": {"s", "p"},
     "weight": {"kind", "r", "value", "center", "sigma", "radius",
                "amplitude", "path"},
-    "problem": {"alpha", "alpha_grid", "n_schedule", "max_levels",
-                "tolerances"},
-    "problem.tolerances": {"grad", "fixed_point", "chain", "polish"},
+    "problem": {"alpha", "alpha_grid", "tolerances"},
+    "problem.tolerances": {"grad", "fixed_point", "chain"},
     "verification": {"trials", "seed"},
     "output": {"solution", "diagnostics", "sweep_csv", "mu_report"},
 }
@@ -120,16 +118,11 @@ def _text(value, path: str):
         raise ConfigError(f"expected a string, got {value!r}", path)
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; true and false are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _integer(block: dict, path: str, default: int, least: int) -> int:
     """The optional integer at dotted ``path`` within ``block``, at least
-    ``least``."""
+    ``least``; true and false are not integers here."""
     value = block.get(path.rpartition(".")[2], default)
-    if not _is_int(value) or value < least:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ConfigError(f"must be an integer >= {least}, got {value!r}", path)
     return value
 
@@ -242,29 +235,8 @@ def load_config(path: str) -> RunConfig:
                     f"r_alpha = {needed:.6g} at alpha = {a}",
                     "problem.alpha_grid",
                 )
-    schedule = problem_block.get("n_schedule")
-    if schedule is not None:
-        if (not isinstance(schedule, list) or len(schedule) == 0
-                or not all(_is_int(n) and n >= 1 for n in schedule)):
-            raise ConfigError("n_schedule must be a list of integers >= 1",
-                              "problem.n_schedule")
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise ConfigError("n_schedule must be strictly increasing",
-                              "problem.n_schedule")
-        if schedule[-1] > LARGEST_LEVEL:
-            raise ConfigError("n_schedule entries must not exceed the "
-                              "largest float, about 1.8e308",
-                              "problem.n_schedule")
-        schedule = tuple(schedule)
-
-    max_levels = _integer(problem_block, "problem.max_levels", 40, 1)
-    if max_levels > MAX_LEVELS:
-        raise ConfigError(f"must be at most {MAX_LEVELS}: level 16**"
-                          f"{max_levels - 1} overflows a float",
-                          "problem.max_levels")
-
     tol_block = _block(problem_block, "problem.tolerances")
-    tol = {"grad": 1e-10, "fixed_point": 1e-9, "chain": 1e-7, "polish": 1e-13}
+    tol = {"grad": 1e-10, "fixed_point": 1e-9, "chain": 1e-7}
     for key, val in tol_block.items():
         tol[key] = _finite(val, f"problem.tolerances.{key}")
         if tol[key] <= 0:
@@ -274,8 +246,6 @@ def load_config(path: str) -> RunConfig:
         solve=SolveOptions(grad_tol=tol["grad"]),
         fixed_point_tol=tol["fixed_point"],
         chain_tol=tol["chain"],
-        polish_tol=tol["polish"],
-        max_levels=max_levels,
     )
 
     verif_block = _block(raw, "verification")
@@ -304,7 +274,6 @@ def load_config(path: str) -> RunConfig:
         weight_params=weight_params,
         alpha=alpha,
         alpha_grid=alpha_grid,
-        schedule=schedule,
         chain_options=chain_opts,
         trials=trials,
         seed=seed,

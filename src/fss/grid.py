@@ -137,12 +137,16 @@ def build_grid(box, h: float, collar_width: float) -> Grid:
 
     ``box`` is a sequence of (lo, hi) pairs, one per axis (1 or 2 axes).
     Raises ``GridError`` if no lattice node falls strictly inside the box
-    ("degenerate grid") or the collar is narrower than one cell.
+    ("degenerate grid"), the collar is narrower than one cell, or ``h``,
+    ``collar_width`` or a box bound is not finite.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     n_dim = len(box)
     if n_dim not in (1, 2):
         raise GridError(f"only 1D and 2D boxes supported, got {n_dim} axes")
+    for name, value in (("spacing h", h), ("collar width", collar_width)):
+        if not math.isfinite(value):
+            raise GridError(f"{name} must be finite, got {value}")
     if h <= 0.0:
         raise GridError(f"spacing must be positive, got {h}")
     if collar_width < h:
@@ -150,6 +154,8 @@ def build_grid(box, h: float, collar_width: float) -> Grid:
             f"collar width {collar_width} must be at least one cell ({h})"
         )
     for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise GridError(f"box axis ({lo}, {hi}) has a non-finite bound")
         if not hi > lo:
             raise GridError(f"box axis ({lo}, {hi}) has nonpositive length")
 

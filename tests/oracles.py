@@ -189,13 +189,12 @@ def full_matrix_hessian(kernel, u: np.ndarray, p: float) -> np.ndarray:
     return hess
 
 
-def fixed_point_step(problem, kernel, w, opts=None):
-    """One application of the frozen-datum map T: the nonsingular solve,
-    started from w, with datum omega_n / (|w| + 1/n)^alpha.  A level
-    solution is the fixed point of T."""
-    datum = problem.omega_n.values / (
-        np.abs(w.values) + problem.shift
-    ) ** problem.alpha
+def fixed_point_step(omega, n, alpha, kernel, w, opts=None):
+    """One application of the frozen-datum map T of level n: the
+    nonsingular solve, started from w, with datum
+    min(omega, n) / (|w| + 1/n)^alpha.  A level solution is the fixed
+    point of T."""
+    datum = np.minimum(omega.values, n) / (np.abs(w.values) + 1.0 / n) ** alpha
     return solve_nonsingular(datum, kernel, opts, x0=w)
 
 

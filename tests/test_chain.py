@@ -17,15 +17,12 @@ from fss import (
     WeightField,
     build_grid,
     build_kernel,
-    default_schedule,
     embedding_constant,
     linfty_bound_report,
-    make_level,
     pairing,
     run_chain,
     seminorm_p,
     solve_level,
-    truncate_weight,
     weak_residual,
 )
 from fss import chain as chain_module, solver as solver_module
@@ -46,30 +43,45 @@ from test_sampling import count_draws
 
 
 class TestTruncateWeight:
-    def test_clips(self, grid_1d):
-        omega = WeightField(np.full(grid_1d.interior_count, 5.0), grid_1d)
-        cut = truncate_weight(omega, 4)
-        assert np.all(cut.values == 4.0)
+    """The weight min(omega, n) that ``solve_level`` solves level n with."""
 
-    def test_inactive_when_large(self, grid_1d, bump_weight):
-        cut = truncate_weight(bump_weight, 10)
-        assert np.array_equal(cut.values, bump_weight.values)
+    def test_clips(self, kernel_1d, grid_1d):
+        # Weight 5 at level 4 is the level of weight 4, bit for bit.
+        start = Field.zero(grid_1d)
+        cut, _, _ = solve_level(
+            WeightField(np.full(grid_1d.interior_count, 5.0), grid_1d),
+            4, 0.5, kernel_1d, start)
+        four, _, _ = solve_level(
+            WeightField(np.full(grid_1d.interior_count, 4.0), grid_1d),
+            4, 0.5, kernel_1d, start)
+        assert np.array_equal(cut.values, four.values)
+
+    def test_inactive_when_large(self, kernel_1d, bump_weight):
+        # The bump stays below 10, so level 10 solves with it unchanged.
+        start = Field.zero(kernel_1d.grid)
+        u, _, _ = solve_level(bump_weight, 10, 0.5, kernel_1d, start)
+        ref, _, _ = solver_module.newton(start.values, bump_weight.values,
+                                         0.1, 0.5, kernel_1d,
+                                         ChainOptions().fixed_point_tol)
+        assert np.array_equal(u.values, ref)
 
     @given(level=st.integers(1, 12))
     @settings(max_examples=12, deadline=None, derandomize=True)
-    def test_nondecreasing_in_level(self, grid_1d, level):
+    def test_nondecreasing_in_level(self, kernel_1d, grid_1d, level):
+        # A larger cut and a smaller shift give a larger level solution.
         rng = np.random.default_rng(17)
         omega = WeightField(rng.uniform(0.0, 20.0, grid_1d.interior_count)
                             + 1e-3, grid_1d)
-        lo = truncate_weight(omega, level)
-        hi = truncate_weight(omega, level + 1)
-        assert np.all(lo.values <= hi.values)
-        assert np.all(lo.values <= omega.values)
-        assert np.all(lo.values <= level)
+        start = Field.zero(grid_1d)
+        lo, _, _ = solve_level(omega, level, 0.5, kernel_1d, start)
+        hi, _, _ = solve_level(omega, level + 1, 0.5, kernel_1d, start)
+        assert np.all(lo.values <= hi.values + 1e-9)
 
-    def test_rejects_zero_level(self, bump_weight):
-        with pytest.raises(ValueError):
-            truncate_weight(bump_weight, 0)
+    def test_rejects_zero_level(self, kernel_1d, bump_weight):
+        with pytest.raises(ValueError, match="^level must be at least 1, "
+                                             "got 0$"):
+            solve_level(bump_weight, 0, 0.5, kernel_1d,
+                        Field.zero(kernel_1d.grid))
 
 
 class TestFixedPointStep:
@@ -79,8 +91,7 @@ class TestFixedPointStep:
         # the solve returns 1/2.
         kernel = synthetic_unit_kernel(p=2.0, pair_weight=1.0)
         omega = WeightField(np.array([1.0]), kernel.grid)
-        problem = make_level(omega, 1, 1.0)
-        out = fixed_point_step(problem, kernel, Field.zero(kernel.grid),
+        out = fixed_point_step(omega, 1, 1.0, kernel, Field.zero(kernel.grid),
                                SolveOptions(grad_tol=1e-13))
         assert out.values[0] == pytest.approx(0.5, rel=1e-11)
 
@@ -90,10 +101,9 @@ class TestFixedPointStep:
         rng = np.random.default_rng(23)
         w = Field(rng.uniform(-1.0, 1.0, kernel_1d.interior_count),
                   kernel_1d.grid)
-        problem = make_level(bump_weight, 3, 0.5)
         opts = SolveOptions(grad_tol=1e-12)
-        a = fixed_point_step(problem, kernel_1d, w, opts)
-        b = fixed_point_step(problem, kernel_1d, -1.0 * w, opts)
+        a = fixed_point_step(bump_weight, 3, 0.5, kernel_1d, w, opts)
+        b = fixed_point_step(bump_weight, 3, 0.5, kernel_1d, -1.0 * w, opts)
         assert (a - b).max_norm() <= 1e-9
 
     def test_apriori_image_bound(self, kernel_1d, bump_weight):
@@ -103,13 +113,18 @@ class TestFixedPointStep:
         s1 = embedding_constant(1.0, kernel_1d).value
         rng = np.random.default_rng(24)
         for n in (1, 2, 8):
-            problem = make_level(bump_weight, n, 0.5)
             w = Field(rng.uniform(-2.0, 2.0, kernel_1d.interior_count),
                       kernel_1d.grid)
-            image = fixed_point_step(problem, kernel_1d, w)
+            image = fixed_point_step(bump_weight, n, 0.5, kernel_1d, w)
             sn = seminorm_p(image, kernel_1d) ** (1.0 / p)
             cap = (s1 ** (1.0 / p) * n ** (0.5 + 1.0)) ** (1.0 / (p - 1.0))
             assert sn <= cap * (1.0 + 1e-9)
+
+
+def level_source(omega, n, alpha, u):
+    """The level's right-hand side m min(omega, n) / (u + 1/n)^alpha."""
+    return (u.grid.measure * np.minimum(omega.values, n)
+            / (u.values + 1.0 / n) ** alpha)
 
 
 class TestSolveLevel:
@@ -120,18 +135,31 @@ class TestSolveLevel:
         kernel = synthetic_unit_kernel(p=2.0, pair_weight=1.0)
         omega = WeightField(np.array([1.0]), kernel.grid)
         opts = tight_chain_options()
-        problem = make_level(omega, 2**20, 1.0)
-        u, _, _ = solve_level(problem, kernel, Field.zero(kernel.grid), opts)
+        u, _, _ = solve_level(omega, 2**20, 1.0, kernel,
+                              Field.zero(kernel.grid), opts)
         assert u.values[0] == pytest.approx(0.7071067811865476, rel=1e-5)
         oracle = scalar_level_solution(2.0, 1.0, 1.0, 2**20, 1.0, 2.0)
         assert u.values[0] == pytest.approx(oracle, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5])
+    def test_rejects_nonpositive_alpha(self, kernel_1d, bump_weight, alpha):
+        with pytest.raises(ValueError, match="^alpha must be positive"):
+            solve_level(bump_weight, 4, alpha, kernel_1d,
+                        Field.zero(kernel_1d.grid))
+
+    def test_rejects_negative_init(self, kernel_1d, bump_weight):
+        values = np.full(kernel_1d.interior_count, 0.1)
+        values[3] = -1e-12
+        init = Field(values, kernel_1d.grid)
+        with pytest.raises(ValueError, match="^initial field must be "
+                                             "nonnegative$"):
+            solve_level(bump_weight, 4, 0.5, kernel_1d, init)
+
     def test_init_independence(self, kernel_1d, bump_weight):
         opts = ChainOptions(fixed_point_tol=1e-10)
-        problem = make_level(bump_weight, 4, 0.5)
-        a, _, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
-                              opts)
-        b, _, _ = solve_level(problem, kernel_1d,
+        a, _, _ = solve_level(bump_weight, 4, 0.5, kernel_1d,
+                              Field.zero(kernel_1d.grid), opts)
+        b, _, _ = solve_level(bump_weight, 4, 0.5, kernel_1d,
                               Field.constant(kernel_1d.grid, 10.0), opts)
         assert (a - b).max_norm() <= 1e-7
 
@@ -142,18 +170,18 @@ class TestSolveLevel:
         # backtracked (p = 3 from 1e-6), and cut short of the boundary
         # u + 1/n = 0, which a full step crosses at alpha = 3 from 1e-6.
         kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
-        problem = make_level(bump_weight, n, alpha)
-        ref, _, _ = solve_level(problem, kernel, Field.constant(grid_1d, 0.1))
+        ref, _, _ = solve_level(bump_weight, n, alpha, kernel,
+                                Field.constant(grid_1d, 0.1))
         for c in (1e-6, 1e3):
-            u, _, _ = solve_level(problem, kernel, Field.constant(grid_1d, c))
+            u, _, _ = solve_level(bump_weight, n, alpha, kernel,
+                                  Field.constant(grid_1d, c))
             assert (u - ref).max_norm() <= 1e-9
 
     def test_tolerance_below_the_floor(self, kernel_1d, bump_weight):
         # No step reaches 1e-30: the floor rule returns the best iterate.
-        problem = make_level(bump_weight, 8, 1.0)
         start = Field.zero(kernel_1d.grid)
-        ref, _, ref_delta = solve_level(problem, kernel_1d, start)
-        u, steps, delta = solve_level(problem, kernel_1d, start,
+        ref, _, ref_delta = solve_level(bump_weight, 8, 1.0, kernel_1d, start)
+        u, steps, delta = solve_level(bump_weight, 8, 1.0, kernel_1d, start,
                                       ChainOptions(fixed_point_tol=1e-30))
         assert (u - ref).max_norm() <= 1e-12
         assert steps < solver_module._NEWTON_STEPS
@@ -163,22 +191,19 @@ class TestSolveLevel:
         assert ref_delta <= ChainOptions().fixed_point_tol
 
     def test_positivity(self, kernel_1d, bump_weight):
-        problem = make_level(bump_weight, 2, 0.5)
-        u, _, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
-                              ChainOptions())
+        u, _, _ = solve_level(bump_weight, 2, 0.5, kernel_1d,
+                              Field.zero(kernel_1d.grid), ChainOptions())
         assert u.values.min() > 0.0
 
     def test_tied_start_below_p2(self, kernel_1d_p15, bump_weight):
         # The constant start ties every pair, where the Hessian of the pair
         # terms is infinite at p < 2; clipped, it is finite and the level
         # solve converges to the weak form.
-        problem = make_level(bump_weight, 4, 0.5)
-        u, steps, delta = solve_level(problem, kernel_1d_p15,
+        u, steps, delta = solve_level(bump_weight, 4, 0.5, kernel_1d_p15,
                                       Field.constant(kernel_1d_p15.grid, 0.3))
         assert delta <= ChainOptions().fixed_point_tol
         assert steps < solver_module._NEWTON_STEPS
-        source = kernel_1d_p15.grid.measure * problem.omega_n.values / (
-            u.values + problem.shift) ** problem.alpha
+        source = level_source(bump_weight, 4, 0.5, u)
         residual = apply_operator(u, kernel_1d_p15) - source
         assert np.abs(residual).max() <= 1e-7
 
@@ -187,29 +212,25 @@ class TestSolveLevel:
         # [u]^p <= [phi]^p + p sum m w_n (u - phi)/(u + 1/n)^a for any phi.
         opts = ChainOptions(fixed_point_tol=1e-11)
         n, alpha = 4, 0.5
-        problem = make_level(bump_weight, n, alpha)
-        u, _, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
-        m = kernel_1d.grid.measure
+        u, _, _ = solve_level(bump_weight, n, alpha, kernel_1d,
+                              Field.zero(kernel_1d.grid), opts)
+        source = level_source(bump_weight, n, alpha, u)
         rng = np.random.default_rng(31)
         sn_u = seminorm_p(u, kernel_1d)
         p = kernel_1d.params.p
         for _ in range(20):
             phi = Field(np.abs(rng.standard_normal(kernel_1d.interior_count)),
                         kernel_1d.grid)
-            coupling = float(
-                (m * problem.omega_n.values * (u.values - phi.values)
-                 / (u.values + problem.shift) ** alpha).sum()
-            )
+            coupling = float(source @ (u.values - phi.values))
             assert sn_u <= seminorm_p(phi, kernel_1d) + p * coupling + 1e-8
 
     def test_weak_form_residual(self, kernel_1d, bump_weight):
         opts = ChainOptions(fixed_point_tol=1e-11)
         n, alpha = 8, 0.5
-        problem = make_level(bump_weight, n, alpha)
-        u, _, _ = solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid), opts)
-        m = kernel_1d.grid.measure
+        u, _, _ = solve_level(bump_weight, n, alpha, kernel_1d,
+                              Field.zero(kernel_1d.grid), opts)
         rng = np.random.default_rng(32)
-        source = m * problem.omega_n.values / (u.values + problem.shift) ** alpha
+        source = level_source(bump_weight, n, alpha, u)
         for _ in range(100):
             phi = Field(rng.uniform(-1, 1, kernel_1d.interior_count),
                         kernel_1d.grid)
@@ -217,12 +238,14 @@ class TestSolveLevel:
             assert gap <= 1e-7
 
 
-def plain_averaged_level(problem, kernel, init, opts, max_sweeps=500):
+def plain_averaged_level(omega, n, alpha, kernel, init, opts,
+                         max_sweeps=500):
     """Reference loop: w <- (w + T w)/2 until the sweep difference is at
     most the fixed-point tolerance."""
     w = init
     for sweep in range(1, max_sweeps + 1):
-        new = 0.5 * (w + fixed_point_step(problem, kernel, w, opts.solve))
+        new = 0.5 * (w + fixed_point_step(omega, n, alpha, kernel, w,
+                                          opts.solve))
         delta = (new - w).max_norm()
         w = new
         if delta <= opts.fixed_point_tol:
@@ -237,11 +260,11 @@ class TestAndersonLevel:
     def test_matches_plain_averaged_loop(self, kernel_1d, bump_weight, n,
                                          alpha):
         opts = ChainOptions()
-        problem = make_level(bump_weight, n, alpha)
         start = Field.zero(kernel_1d.grid)
-        newton, steps, _ = solve_level(problem, kernel_1d, start, opts)
-        plain, plain_sweeps = plain_averaged_level(problem, kernel_1d, start,
-                                                   opts)
+        newton, steps, _ = solve_level(bump_weight, n, alpha, kernel_1d,
+                                       start, opts)
+        plain, plain_sweeps = plain_averaged_level(bump_weight, n, alpha,
+                                                   kernel_1d, start, opts)
         assert (newton - plain).max_norm() <= 1e-8
         assert steps < plain_sweeps
 
@@ -251,9 +274,8 @@ class TestChainErrors:
     def test_solver_error_names_level_sweep_alpha(self, kernel_1d_p3,
                                                   bump_weight, monkeypatch):
         monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
-        problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
-            solve_level(problem, kernel_1d_p3,
+            solve_level(bump_weight, 4, 0.5, kernel_1d_p3,
                         Field.constant(kernel_1d_p3.grid, 0.3), ChainOptions())
         exc = err.value
         assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
@@ -265,10 +287,9 @@ class TestChainErrors:
                                                       bump_weight,
                                                       monkeypatch):
         monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 2)
-        problem = make_level(bump_weight, 8, 1.0)
         with pytest.raises(StagnationError) as err:
-            solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
-                        ChainOptions())
+            solve_level(bump_weight, 8, 1.0, kernel_1d,
+                        Field.zero(kernel_1d.grid), ChainOptions())
         exc = err.value
         assert (exc.level, exc.sweep, exc.alpha) == (8, 2, 1.0)
         assert len(exc.history) == 2
@@ -278,19 +299,17 @@ class TestChainErrors:
                                                           bump_weight,
                                                           monkeypatch):
         monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
-        problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
-            fixed_point_step(problem, kernel_1d_p3,
+            fixed_point_step(bump_weight, 4, 0.5, kernel_1d_p3,
                              Field.zero(kernel_1d_p3.grid))
         assert err.value.level is None and err.value.sweep is None
 
     def test_p2_solver_error_names_level_sweep_alpha(self, kernel_1d,
                                                      bump_weight, monkeypatch):
         monkeypatch.setattr(solver_module, "_NEWTON_STEPS", 1)
-        problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
-            solve_level(problem, kernel_1d, Field.zero(kernel_1d.grid),
-                        ChainOptions())
+            solve_level(bump_weight, 4, 0.5, kernel_1d,
+                        Field.zero(kernel_1d.grid), ChainOptions())
         exc = err.value
         assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
         assert "level 4" in str(exc) and "sweep 1" in str(exc)
@@ -300,9 +319,8 @@ class TestChainErrors:
                                                     bump_weight):
         # At p < 2 the zero field gives c_ij = w_ij 0^(p-2) with nothing to
         # clip (eps = 1e-13 max|u| = 0): a non-finite Hessian.
-        problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
-            solve_level(problem, kernel_1d_p15,
+            solve_level(bump_weight, 4, 0.5, kernel_1d_p15,
                         Field.zero(kernel_1d_p15.grid))
         exc = err.value
         assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
@@ -314,9 +332,9 @@ class TestChainErrors:
                                                        bump_weight):
         # At p > 2 the Hessian of (1/p)[u]^p vanishes at u = 0, and the
         # weight's curvature covers only its support.
-        problem = make_level(bump_weight, 4, 0.5)
         with pytest.raises(SolverError) as err:
-            solve_level(problem, kernel_1d_p3, Field.zero(kernel_1d_p3.grid))
+            solve_level(bump_weight, 4, 0.5, kernel_1d_p3,
+                        Field.zero(kernel_1d_p3.grid))
         exc = err.value
         assert (exc.level, exc.sweep, exc.alpha) == (4, 1, 0.5)
         assert "Hessian is not positive definite" in str(exc)
@@ -497,20 +515,43 @@ class TestRunChain:
         assert (default.u_alpha - tripling.u_alpha).max_norm() <= 1e-12
 
     def test_default_schedule(self):
-        assert default_schedule(3) == [1, 16, 256]
+        schedule = chain_module.DEFAULT_SCHEDULE
+        assert schedule == tuple(16**k for k in range(40))
+        assert schedule[-1] <= chain_module.LARGEST_LEVEL
 
-    @pytest.mark.parametrize("schedule,max_levels,level", [
-        ([1, 2**1024 - 1], 40, 2**1024 - 1),
-        (None, chain_module.MAX_LEVELS + 1, 16**chain_module.MAX_LEVELS),
-    ], ids=["schedule", "max-levels"])
+    @pytest.mark.parametrize("schedule,level", [
+        ([1, 2**1024 - 1], 2**1024 - 1),
+        ([1, 2**1024 - 2**970], 2**1024 - 2**970),
+    ], ids=["schedule", "past-largest-float"])
     def test_rejects_levels_beyond_float_range(self, kernel_1d, bump_weight,
-                                               schedule, max_levels, level):
+                                               schedule, level):
         # float(n) overflows for such a level; the chain names it before
         # solving anything.
         with pytest.raises(ValueError, match="overflows a float") as err:
-            run_chain(bump_weight, 0.5, kernel_1d, schedule=schedule,
-                      opts=ChainOptions(max_levels=max_levels))
+            run_chain(bump_weight, 0.5, kernel_1d, schedule=schedule)
         assert f"level {level} " in str(err.value)
+
+    @pytest.mark.parametrize("level", [1.5, True, float("inf"),
+                                       float("nan"), 16.0],
+                             ids=["fraction", "bool", "inf", "nan",
+                                  "integral-float"])
+    def test_rejects_levels_that_are_not_integers(self, kernel_1d,
+                                                  bump_weight, monkeypatch,
+                                                  level):
+        # Refused before the barrier or any level is solved.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the schedule was checked")
+
+        monkeypatch.setattr(chain_module, "solve_barrier", no_solve)
+        with pytest.raises(ValueError) as err:
+            run_chain(bump_weight, 0.5, kernel_1d, schedule=[level, 256])
+        assert str(err.value) == f"level {level!r} is not an integer"
+
+    def test_accepts_numpy_integer_levels(self, kernel_1d, bump_weight):
+        chain = run_chain(bump_weight, 0.5, kernel_1d,
+                          schedule=np.array([1, 16]))
+        assert [rec.n for rec in chain.levels] == [1, 16]
+        assert all(type(rec.n) is int for rec in chain.levels)
 
     def test_sparse_schedule_takes_half_the_steps(self, kernel_1d,
                                                   bump_weight):

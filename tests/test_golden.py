@@ -32,7 +32,6 @@ def _problem(name):
 def _chain(name):
     cfg, omega, kernel = _problem(name)
     return cfg, omega, kernel, run_chain(omega, cfg.alpha, kernel,
-                                         schedule=cfg.schedule,
                                          opts=cfg.chain_options)
 
 

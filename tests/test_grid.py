@@ -39,6 +39,22 @@ class TestBuildGrid:
         with pytest.raises(GridError):
             build_grid([(0.0, 1.0)], 0.25, 0.1)
 
+    @pytest.mark.parametrize("box,h,collar,message", [
+        ([(0.0, 1.0)], math.nan, 0.5, "spacing h must be finite, got nan"),
+        ([(0.0, 1.0)], math.inf, 0.5, "spacing h must be finite, got inf"),
+        ([(0.0, 1.0)], 0.1, math.nan, "collar width must be finite, got nan"),
+        ([(0.0, 1.0)], 0.1, math.inf, "collar width must be finite, got inf"),
+        ([(0.0, math.inf)], 0.1, 0.5,
+         "box axis (0.0, inf) has a non-finite bound"),
+        ([(0.0, 1.0), (math.nan, 1.0)], 0.1, 0.5,
+         "box axis (nan, 1.0) has a non-finite bound"),
+    ], ids=["h-nan", "h-inf", "collar-nan", "collar-inf", "box-inf",
+            "box-nan"])
+    def test_rejects_non_finite_input(self, box, h, collar, message):
+        with pytest.raises(GridError) as err:
+            build_grid(box, h, collar)
+        assert str(err.value) == message
+
     def test_interior_strictly_inside(self):
         grid = build_grid([(0.0, 1.0)], 0.1, 0.3)
         x = grid.interior[:, 0]
