@@ -32,12 +32,13 @@ double-precision floor, after three steps that neither shrink the step
 nor promise a measurable energy decrease; it returns its best iterate.
 
 At p = 2, H_p is the stiffness matrix K and D lives only on S.  Each
-step, and the barrier's start, is one solve with K + D on S
-(``Kernel.support_solve``): the other nodes are eliminated once per
-support through the Schur complement C of K on S, and a step factors
-only the |S| x |S| matrix C + D.  Every other p factors H_p + D by
-Cholesky at each step.  For p > 2, H_p vanishes at u = 0, so the walk
-starts from the barrier.
+step is one solve with K + D on S (``Kernel.support_solve``): the other
+nodes are eliminated once per support through the Schur complement C of
+K on S, and a step factors only the |S| x |S| matrix C + D.  The
+barrier's start is the same solve with D = 0, formed by
+``solver.solve_barrier``, so the barrier and every level share one C.
+Every other p factors H_p + D by Cholesky at each step.  For p > 2, H_p
+vanishes at u = 0, so the walk starts from the barrier.
 
 Levels are walked along the schedule n = 16^k, k < 40
 (``DEFAULT_SCHEDULE``), with warm starts, the first from the barrier psi.
@@ -74,6 +75,7 @@ from .sampling import trial_energies
 from .solver import (
     EmbeddingConstant,
     SolveOptions,
+    embedding_constant,
     embedding_for_existence_bound,
     newton,
     solve_barrier,
@@ -266,13 +268,14 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
               init: Field | None = None) -> ChainResult:
     """Walk the approximation levels and extract the singular limit.
 
-    ``schedule`` is an increasing sequence of integer levels, floats and
-    bools refused (default: ``DEFAULT_SCHEDULE``, whose increments bound
-    each level's distance to the limit).  The first level starts from
-    ``init`` (default: the barrier), every later one from its
-    predecessor, and the walk stops once
-    consecutive level solutions differ by at most the chain tolerance in
-    the max norm, then polishes the limit; exhausting the
+    ``schedule`` is an increasing sequence of integer levels from 1 on,
+    floats and bools refused (default: ``DEFAULT_SCHEDULE``, whose
+    increments bound each level's distance to the limit).  The first
+    level starts from ``init`` (default: the barrier; nonnegative), every
+    later one from its predecessor, and a schedule or ``init`` that
+    breaks these rules is refused before anything is solved.  The walk
+    stops once consecutive level solutions differ by at most the chain
+    tolerance in the max norm, then polishes the limit; exhausting the
     schedule yields an unpolished result flagged as non-converged.  For
     alpha <= 1 the a-priori energy ceiling is recorded per level; alpha > 1
     requires a compactly supported weight and records the auxiliary power
@@ -294,20 +297,14 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     if schedule[-1] > LARGEST_LEVEL:
         raise ValueError(f"level {schedule[-1]} overflows a float: no level "
                          "may exceed the largest float, about 1.8e308")
+    if schedule[0] < 1:
+        raise ValueError(f"level must be at least 1, got {schedule[0]}")
+    if init is not None and init.values.min() < 0.0:
+        raise ValueError("initial field must be nonnegative")
 
     params = kernel.params
-    x0 = None
-    if params.p == 2.0:
-        # The direct solution of K u = m min(omega, 1), which conjugate
-        # gradients certify without an iteration.  The datum lives on the
-        # weight's support, as in the levels.
-        support = np.flatnonzero(omega.values)
-        x0 = Field(kernel.support_solve(
-            support, 0.0,
-            kernel.grid.measure * np.minimum(omega.values[support], 1.0)),
-            kernel.grid)
     try:
-        psi = solve_barrier(omega, kernel, opts.solve, x0=x0)
+        psi = solve_barrier(omega, kernel, opts.solve)
     except SolverError as err:
         raise _located(err, f"barrier (alpha {alpha:g})", alpha=alpha) from err
     if alpha < 1.0 and embedding is None:
@@ -437,15 +434,15 @@ class BoundReport:
 
 
 def linfty_bound_report(u: Field, omega: WeightField, kernel: Kernel,
-                        theta: float, s_theta: float,
-                        alpha: float) -> BoundReport:
+                        theta: float, alpha: float) -> BoundReport:
     """Evaluate the closed-form sup-norm bound and compare it to max(u).
 
-    ``s_theta`` is the embedding constant in the convention
-    ||v||_theta^p <= s_theta * [v]^p; the level-set argument needs its
-    reciprocal, which is substituted internally.  Requires
-    p * conj(r) < theta (<= p_star when finite); the induced exponent
-    b = (theta/conj(r) - 1)/(p - 1) must exceed 1.
+    Requires p * conj(r) < theta (<= p_star when finite); the induced
+    exponent b = (theta/conj(r) - 1)/(p - 1) must exceed 1.  Once theta
+    passes those checks, the bound takes the embedding constant s_theta,
+    in the convention ||v||_theta^p <= s_theta * [v]^p, from
+    ``embedding_constant``; the level-set argument needs its reciprocal,
+    which is substituted internally.
     """
     params = kernel.params
     p = params.p
@@ -460,6 +457,7 @@ def linfty_bound_report(u: Field, omega: WeightField, kernel: Kernel,
         raise FssError(
             f"theta {theta} exceeds the critical exponent {params.p_star}"
         )
+    s_theta = embedding_constant(theta, kernel).value
     pma = p - 1.0 + alpha
     c_alpha = (alpha / (p - 1.0)) ** ((p - 1.0) / pma) * (1.0 + (p - 1.0) / alpha)
     weight_norm = norm_r(omega, r)

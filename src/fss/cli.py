@@ -157,7 +157,7 @@ def _cmd_sweep(args) -> int:
     write_sweep_csv(csv_path, sweep.records)
     mu_path = args.mu_report or cfg.output.get("mu_report", "mu.json")
     write_mu_report(mu_path, estimate)
-    limit = check_valfa_limit(sweep, estimate, tol=math.inf)
+    limit = check_valfa_limit(sweep, estimate)
     print(f"wrote {csv_path} and {mu_path} (trend={estimate.trend}, "
           f"final gap={limit.final_gap:.3e})")
     ok = all(rec.converged for rec in sweep.records)
@@ -237,8 +237,7 @@ def _cmd_props(args) -> int:
     reports = [
         check_vector_inequalities(cfg.p, trials=trials, seed=seed),
         check_strong_monotonicity(kernel, trials=min(trials, 300), seed=seed),
-        check_q_identity(cfg.p, trials=min(trials, 300), seed=seed,
-                         kernel=kernel),
+        check_q_identity(kernel, trials=min(trials, 300), seed=seed),
     ]
     payload = {"reports": [r.to_json_record() for r in reports]}
     ok = all(r.passed for r in reports)

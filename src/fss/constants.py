@@ -33,7 +33,7 @@ from .grid import Kernel, r_alpha
 from .operators import (Field, WeightField, block_seminorm_p, log_functional,
                         seminorm_p)
 from .sampling import trial_chunks, trial_energies
-from .solver import EmbeddingConstant, embedding_for_existence_bound
+from .solver import embedding_for_existence_bound
 
 # The first trials of a certification, shared with the weak residual that
 # ``fss verify`` runs before it (``sampling.trial_energies``).
@@ -263,11 +263,11 @@ class SweepResult:
 
 
 def sweep_alpha(omega: WeightField, alpha_grid, kernel: Kernel,
-                opts: ChainOptions | None = None,
-                embedding: EmbeddingConstant | None = None) -> SweepResult:
+                opts: ChainOptions | None = None) -> SweepResult:
     """Solve the singular problem along an increasing alpha grid.
 
-    Each point is chain-solved (warm-started from the previous exponent)
+    Each point is chain-solved (warm-started from the previous exponent,
+    with the one embedding constant of the a-priori bound computed here)
     and reduced to its best constant.  Validates r >= r_alpha at every
     grid point, asserts that the scaled constants are nondecreasing
     (1e-8 relative slack), and cross-checks [V_alpha]^p against the
@@ -288,8 +288,7 @@ def sweep_alpha(omega: WeightField, alpha_grid, kernel: Kernel,
                 f"weight integrability r = {omega.r} is below the "
                 f"threshold r_alpha = {needed:.6g} at alpha = {a}"
             )
-    if embedding is None:
-        embedding = embedding_for_existence_bound(kernel, opts.solve)
+    embedding = embedding_for_existence_bound(kernel, opts.solve)
 
     records: list[SweepRecord] = []
     warm: Field | None = None
@@ -457,15 +456,13 @@ class LimitReport:
     gaps: tuple[float, ...]
     gaps_decreasing: bool
     final_gap: float
-    tol: float
     upper_bound: float          # M with V_alpha <= M across the sweep
     lower_scale: float          # m with m * psi <= V_alpha across the sweep
     barrier_ok: bool
-    passed: bool
 
 
-def check_valfa_limit(sweep: SweepResult, estimate: MuEstimate,
-                      tol: float) -> LimitReport:
+def check_valfa_limit(sweep: SweepResult,
+                      estimate: MuEstimate) -> LimitReport:
     """Report how the sweep extremals approach the direct extremal.
 
     Also certifies the uniform sandwich: a single pair (m, M) with
@@ -476,8 +473,8 @@ def check_valfa_limit(sweep: SweepResult, estimate: MuEstimate,
     recs = sweep.converged_records
     if not recs:
         return LimitReport(gaps=(), gaps_decreasing=False, final_gap=math.inf,
-                           tol=tol, upper_bound=math.nan, lower_scale=math.nan,
-                           barrier_ok=False, passed=False)
+                           upper_bound=math.nan, lower_scale=math.nan,
+                           barrier_ok=False)
     v = estimate.extremal
     gaps = tuple(
         float(np.abs(r.solution.scaled_extremal.values - v.values).max())
@@ -509,9 +506,7 @@ def check_valfa_limit(sweep: SweepResult, estimate: MuEstimate,
         gaps=gaps,
         gaps_decreasing=decreasing,
         final_gap=float(final_gap),
-        tol=float(tol),
         upper_bound=float(big_m),
         lower_scale=float(lower_scale),
         barrier_ok=barrier_ok,
-        passed=bool(final_gap <= tol),
     )

@@ -20,6 +20,9 @@ from .grid import Kernel
 from .operators import Field, block_gradient, phi_p
 from .sampling import trial_chunks
 
+# Random field pairs of the field-level half of ``check_q_identity``.
+_FIELD_TRIALS = 100
+
 
 @dataclass(frozen=True)
 class LemmaReport:
@@ -170,21 +173,18 @@ def _power_kernel_integral(a: float, b: float, p: float) -> float:
     return value
 
 
-def check_q_identity(p: float, trials: int = 1000, seed: int = 0,
-                     kernel: Kernel | None = None,
-                     field_trials: int = 100) -> LemmaReport:
+def check_q_identity(kernel: Kernel, trials: int = 1000,
+                     seed: int = 0) -> LemmaReport:
     """Integral form of the difference of odd powers, plus its field-level
-    consequence.
+    consequence, at the exponent p of ``kernel``.
 
     Scalars: |b|^(p-2)b - |a|^(p-2)a = (p-1)(b-a) * int_0^1 |a+t(b-a)|^(p-2) dt,
     with the integral evaluated by adaptive quadrature (tolerance 1e-10).
-    Fields: <A v1 - A v2, (v1 - v2)_+> >= 0 up to 1e-10, checked on random
-    pairs over ``kernel`` (a small default grid is built when omitted).
+    Fields: <A v1 - A v2, (v1 - v2)_+> >= 0 up to 1e-10, checked on
+    ``_FIELD_TRIALS`` random pairs over ``kernel``.
     """
-    if p <= 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
     _require_count("trials", trials)
-    _require_count("field_trials", field_trials)
+    p = kernel.params.p
     rng = np.random.default_rng(seed)
     tol = 1e-10
     worst = math.inf
@@ -197,10 +197,8 @@ def check_q_identity(p: float, trials: int = 1000, seed: int = 0,
         if slack < worst:
             worst = slack
             witness = {"a": float(a), "b": float(b), "gap": abs(lhs - rhs)}
-    if kernel is None:
-        kernel = _default_kernel(p)
     field_worst = math.inf
-    for block in trial_chunks(kernel.grid, seed + 1, field_trials, 2):
+    for block in trial_chunks(kernel.grid, seed + 1, _FIELD_TRIALS, 2):
         g = block_gradient(block, kernel)
         pos = np.maximum(block[0::2] - block[1::2], 0.0)
         val = np.vecdot(g[0::2], pos) - np.vecdot(g[1::2], pos)
@@ -212,13 +210,6 @@ def check_q_identity(p: float, trials: int = 1000, seed: int = 0,
         witness=witness or {},
         constants={"quadrature_tol": tol},
     )
-
-
-def _default_kernel(p: float) -> Kernel:
-    from .grid import FracParams, build_grid, build_kernel
-
-    grid = build_grid([(0.0, 1.0)], 1.0 / 9.0, 0.5)
-    return build_kernel(grid, FracParams(s=0.5, p=p, n_dim=1))
 
 
 def level_set_sizes(u: Field, thresholds) -> np.ndarray:

@@ -10,7 +10,10 @@ K u = m f with the kernel's stiffness matrix K, which conjugate gradients
 solve with one product K v per iteration (K is symmetric positive
 definite).  The product is ``Kernel.stiffness_product``: a matvec against
 the dense K up to ``grid.FFT_NODES`` interior nodes, an FFT convolution
-above, where a stand-alone solve never builds K.
+above, where a stand-alone solve never builds K.  The barrier
+(``solve_barrier``) forms its p = 2 start itself, the direct solution on
+the weight's support (``Kernel.support_solve``), which conjugate
+gradients then certify.
 Every other p runs ``newton``, the damped Newton routine that also solves
 the levels of the approximation chain (``chain``): J is its energy at
 alpha = 0.  The energy is C^2 away from ties for every p > 1; at p < 2 the
@@ -299,16 +302,24 @@ def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
 
 
 def solve_barrier(omega: WeightField, kernel: Kernel,
-                  opts: SolveOptions | None = None,
-                  x0: Field | None = None) -> Field:
+                  opts: SolveOptions | None = None) -> Field:
     """Positive field driven by the capped weight min(omega, 1).
 
-    Solves the nonlocal p-problem with datum min(omega, 1), starting from
-    ``x0`` when given; the result is strictly positive at every interior
-    node (every node couples to the support of the datum), which makes it
-    usable as a lower barrier.
+    Solves the nonlocal p-problem with datum min(omega, 1); the result is
+    strictly positive at every interior node (every node couples to the
+    support of the datum), which makes it usable as a lower barrier.  At
+    p = 2 conjugate gradients start from the direct solution of
+    K u = m min(omega, 1), one ``Kernel.support_solve`` on the weight's
+    support S (the datum lives on S, as in the chain's levels), and
+    certify it, with no iteration when it already meets the gradient
+    tolerance.
     """
     datum = np.minimum(omega.values, 1.0)
+    x0 = None
+    if kernel.params.p == 2.0:
+        support = np.flatnonzero(omega.values)
+        x0 = Field(kernel.support_solve(
+            support, 0.0, kernel.grid.measure * datum[support]), kernel.grid)
     psi = solve_nonsingular(datum, kernel, opts, x0=x0)
     if psi.values.min() <= 0.0:
         raise SolverError(

@@ -9,7 +9,6 @@ Run with ``pytest tests/test_acceptance.py -v``.
 
 import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -178,17 +177,13 @@ def test_criterion_04_barrier_and_bounds(report, chain_05, chain_10, chain_2d,
     """Barrier below every level; sup-norm bound; alpha = 1 energy identity."""
     for chain in (chain_05, chain_10, chain_2d):
         assert chain.barrier_gap() <= 1e-8
-    s4 = embedding_constant(4.0, acc_kernel)
     for chain in (chain_05, chain_10):
         bound = linfty_bound_report(chain.u_alpha, acc_bump, acc_kernel,
-                                    theta=4.0, s_theta=s4.value,
-                                    alpha=chain.alpha)
+                                    theta=4.0, alpha=chain.alpha)
         assert bound.passed, bound
     # 2D subcritical regime: p r' = 3 < theta < p_star = 4
-    s2d = embedding_constant(3.5, kernel_2d)
     bound_2d = linfty_bound_report(chain_2d.u_alpha, chain_2d.omega, kernel_2d,
-                                   theta=3.5, s_theta=s2d.value,
-                                   alpha=chain_2d.alpha)
+                                   theta=3.5, alpha=chain_2d.alpha)
     assert bound_2d.passed, bound_2d
     sn = seminorm_p(chain_10.u_alpha, acc_kernel)
     assert abs(sn - acc_bump.norm_1) <= 1e-7 * acc_bump.norm_1
@@ -215,7 +210,7 @@ def test_criterion_06_sweep_consistency(report, acc_sweep, acc_mu):
     assert acc_sweep.monotonicity_gap() <= 1e-8
     final = acc_sweep.records[-1].scaled
     assert abs(final - acc_mu.mu_direct) <= 1e-2 * acc_mu.mu_direct
-    limit = check_valfa_limit(acc_sweep, acc_mu, tol=math.inf)
+    limit = check_valfa_limit(acc_sweep, acc_mu)
     assert limit.gaps_decreasing
     report(6, "sweep monotone, limit within 1e-2, extremal gaps shrink")
 
@@ -247,8 +242,7 @@ def test_criterion_08_lemma_suites(report, chain_05, acc_kernel, acc_bump,
         kernel_p = build_kernel(acc_grid, FracParams(s=0.5, p=p, n_dim=1))
         mono = check_strong_monotonicity(kernel_p, trials=1000, seed=42)
         assert mono.passed, p
-        qid = check_q_identity(p, trials=1000, seed=42, kernel=kernel_p,
-                               field_trials=100)
+        qid = check_q_identity(kernel_p, trials=1000, seed=42)
         assert qid.passed, p
         if p == 2.0:
             assert abs(vec.constants["c_p"] - 1.0) <= 1e-12

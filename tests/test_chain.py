@@ -547,6 +547,25 @@ class TestRunChain:
             run_chain(bump_weight, 0.5, kernel_1d, schedule=[level, 256])
         assert str(err.value) == f"level {level!r} is not an integer"
 
+    @pytest.mark.parametrize("schedule,init,message", [
+        ([0, 16], None, "level must be at least 1, got 0"),
+        (None, -1.0, "initial field must be nonnegative"),
+    ], ids=["level-below-one", "negative-init"])
+    def test_refuses_before_solving(self, kernel_1d, bump_weight, monkeypatch,
+                                    schedule, init, message):
+        # At alpha < 1 the embedding constant would be solved next.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the chain's input was checked")
+
+        monkeypatch.setattr(chain_module, "solve_barrier", no_solve)
+        monkeypatch.setattr(chain_module, "embedding_for_existence_bound",
+                            no_solve)
+        start = None if init is None else Field.constant(kernel_1d.grid, init)
+        with pytest.raises(ValueError) as err:
+            run_chain(bump_weight, 0.5, kernel_1d, schedule=schedule,
+                      init=start)
+        assert str(err.value) == message
+
     def test_accepts_numpy_integer_levels(self, kernel_1d, bump_weight):
         chain = run_chain(bump_weight, 0.5, kernel_1d,
                           schedule=np.array([1, 16]))
@@ -725,9 +744,8 @@ class TestLinftyBound:
         # alpha = 1, p = 2: C_alpha = 1^(1/2) * 2 = 2;
         # p = 2, r = 3 (conjugate 3/2), theta = 4: b = (8/3 - 1)/1 = 5/3.
         chain = run_chain(bump_weight, 1.0, kernel_1d, opts=ChainOptions())
-        s4 = embedding_constant(4.0, kernel_1d)
         report = linfty_bound_report(chain.u_alpha, bump_weight, kernel_1d,
-                                     theta=4.0, s_theta=s4.value, alpha=1.0)
+                                     theta=4.0, alpha=1.0)
         assert report.c_alpha == pytest.approx(2.0, rel=1e-12)
         assert report.b == pytest.approx(5.0 / 3.0, rel=1e-12)
         assert report.passed
@@ -736,10 +754,8 @@ class TestLinftyBound:
         for alpha in (0.5, 1.0):
             chain = run_chain(bump_weight, alpha, kernel_1d,
                               opts=ChainOptions())
-            s4 = embedding_constant(4.0, kernel_1d)
             report = linfty_bound_report(chain.u_alpha, bump_weight, kernel_1d,
-                                         theta=4.0, s_theta=s4.value,
-                                         alpha=alpha)
+                                         theta=4.0, alpha=alpha)
             assert report.sup_u <= report.bound
 
     def test_closed_form_is_optimal_threshold_value(self, kernel_1d,
@@ -754,7 +770,8 @@ class TestLinftyBound:
         s4 = embedding_constant(theta, kernel_1d)
         u = Field.constant(grid_1d, 0.01)
         rep = linfty_bound_report(u, bump_weight, kernel_1d, theta=theta,
-                                  s_theta=s4.value, alpha=alpha)
+                                  alpha=alpha)
+        assert rep.s_theta == s4.value
         a_factor = ((norm_r(bump_weight, bump_weight.r) * s4.value)
                     ** (1.0 / (p - 1.0))
                     * 2.0 ** (rep.b / (rep.b - 1.0))
@@ -769,10 +786,10 @@ class TestLinftyBound:
         u = Field.constant(grid_1d, 1.0)
         with pytest.raises(FssError, match="theta too small"):
             linfty_bound_report(u, bump_weight, kernel_1d,
-                                theta=2.0 * 1.5, s_theta=1.0, alpha=0.5)
+                                theta=2.0 * 1.5, alpha=0.5)
 
     def test_r_equal_one_rejected(self, kernel_1d, grid_1d):
         omega = WeightField(np.ones(grid_1d.interior_count), grid_1d, r=1.0)
         with pytest.raises(FssError, match="theta too small"):
             linfty_bound_report(Field.constant(grid_1d, 1.0), omega, kernel_1d,
-                                theta=4.0, s_theta=1.0, alpha=0.5)
+                                theta=4.0, alpha=0.5)

@@ -80,12 +80,10 @@ class TestTrialCounts:
     @pytest.mark.parametrize("kwargs,name", [
         ({"trials": 0}, "trials"),
         ({"trials": -3}, "trials"),
-        ({"field_trials": 0}, "field_trials"),
-        ({"field_trials": -1}, "field_trials"),
     ])
     def test_q_identity(self, kernel_1d, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
-            check_q_identity(2.0, kernel=kernel_1d, **kwargs)
+            check_q_identity(kernel_1d, **kwargs)
 
 
 class TestStrongMonotonicity:
@@ -162,7 +160,7 @@ class TestQIdentity:
             assert integral == pytest.approx(1.0 / (p - 1.0), rel=1e-10)
             assert (p - 1.0) * 1.0 * integral == pytest.approx(1.0, rel=1e-10)
 
-    def test_equal_endpoints(self):
+    def test_equal_endpoints(self, kernel_1d):
         from fss import phi_p
         from fss.lemmas import _power_kernel_integral
 
@@ -172,17 +170,18 @@ class TestQIdentity:
             lhs = float(phi_p(np.array(a), p) - phi_p(np.array(a), p))
             rhs = (p - 1.0) * 0.0 * _power_kernel_integral(a, a, p)
             assert lhs == rhs == 0.0
-        report = check_q_identity(2.0, trials=10, seed=0, field_trials=5)
+        report = check_q_identity(kernel_1d, trials=10, seed=0)
         assert report.passed
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    def test_passes(self, p):
-        report = check_q_identity(p, trials=1000, seed=42, field_trials=100)
+    def test_passes(self, p, request):
+        kernel = request.getfixturevalue(
+            {1.5: "kernel_1d_p15", 2.0: "kernel_1d", 3.0: "kernel_1d_p3"}[p])
+        report = check_q_identity(kernel, trials=1000, seed=42)
         assert report.passed
 
     def test_field_conclusion_nonnegative(self, kernel_1d_p3):
-        report = check_q_identity(3.0, trials=50, seed=7,
-                                  kernel=kernel_1d_p3, field_trials=200)
+        report = check_q_identity(kernel_1d_p3, trials=50, seed=7)
         assert report.passed
 
 

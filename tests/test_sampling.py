@@ -197,8 +197,7 @@ CHECKS = {
     "strong-monotonicity": lambda kernel: check_strong_monotonicity(
         kernel, trials=100, seed=4).to_json_record(),
     "q-identity": lambda kernel: check_q_identity(
-        3.0, trials=5, seed=4, kernel=kernel,
-        field_trials=100).to_json_record(),
+        kernel, trials=5, seed=4).to_json_record(),
     "weak-residual": _residual,
 }
 

@@ -25,7 +25,8 @@ from fss import grid as grid_module
 from fss import solver as solver_module
 from fss.operators import block_gradient, block_seminorm_p
 
-from conftest import single_node_kernel, synthetic_unit_kernel
+from conftest import (compact_bump_values, single_node_kernel,
+                      synthetic_unit_kernel)
 from oracles import dense_p2_matrix, double_sum_gradient
 
 
@@ -203,6 +204,35 @@ class TestSolveBarrier:
     def test_strictly_positive(self, kernel_1d, bump_weight):
         psi = solve_barrier(bump_weight, kernel_1d)
         assert psi.values.min() > 0.0
+
+    @pytest.mark.parametrize("weight", ["1d bump", "2d bump", "constant"])
+    def test_p2_is_the_direct_solution(self, kernel_1d, bump_weight,
+                                       constant_weight, monkeypatch, weight):
+        # At p = 2 the barrier is the direct solution of K u = m min(w, 1)
+        # on the weight's support, which conjugate gradients certify
+        # without an iteration.
+        if weight == "2d bump":
+            kernel = _kernel_2d()
+            omega = WeightField(compact_bump_values(kernel.grid), kernel.grid)
+        else:
+            kernel = kernel_1d
+            omega = bump_weight if weight == "1d bump" else constant_weight
+        iterations = []
+        solve = solver_module._conjugate_gradients
+
+        def counted(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            iterations.append(result[1])
+            return result
+
+        monkeypatch.setattr(solver_module, "_conjugate_gradients", counted)
+        psi = solve_barrier(omega, kernel)
+        support = np.flatnonzero(omega.values)
+        direct = kernel.support_solve(
+            support, 0.0,
+            kernel.grid.measure * np.minimum(omega.values[support], 1.0))
+        assert np.array_equal(psi.values, direct)
+        assert iterations == [0]
 
     def test_operator_homogeneity(self, kernel_1d_p3):
         # Scaling the datum by 2^(p-1) doubles the solution.

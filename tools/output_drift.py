@@ -8,8 +8,8 @@ benchmark workload configs that ``perfbench/workloads.make_config``
 builds for ``SEED``.  Both checkouts read the same config files, taken
 from NEW_CHECKOUT, with their outputs redirected into ``--workdir``.  A
 config with ``problem.alpha`` runs ``solve`` then ``verify`` on the
-solution it wrote; one with ``problem.alpha_grid`` runs ``sweep`` then
-``props``; every config runs ``constant`` at each theta of ``THETAS``.
+solution it wrote; one with ``problem.alpha_grid`` runs ``sweep``; every
+config runs ``props`` and ``constant`` at each theta of ``THETAS``.
 Each config runs in its own directory, emptied first, so a reused
 ``--workdir`` holds no output of an earlier run.  BLAS runs on one
 thread, as in the benchmark.
@@ -86,8 +86,8 @@ def _run_config(checkout: Path, workdir: Path,
             "--report", "verify.json"])
     if "alpha_grid" in problem:
         codes["sweep"] = _run(checkout, workdir, ["sweep", *base])
-        codes["props"] = _run(checkout, workdir,
-                              ["props", *base, "--out", "props.json"])
+    codes["props"] = _run(checkout, workdir,
+                          ["props", *base, "--out", "props.json"])
     for theta in THETAS:
         codes[f"constant {theta:g}"] = _run(checkout, workdir, [
             "constant", *base, "--theta", repr(theta),
