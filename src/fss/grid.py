@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .exceptions import FieldMismatchError, GridError
 
@@ -51,6 +51,8 @@ PAIR_BLOCK_ELEMENTS = 2**15
 #   M = 2209 (h = 1/48): 1.7-1.8 / 0.13-0.19; 14 fields 9.0-10.5 / 1.8-2.4
 # The FFT wins a single field from M = 961 on and a block from M = 1225 on.
 FFT_NODES = 1100
+
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 
 @dataclass(frozen=True)
@@ -318,8 +320,7 @@ class Kernel:
         # m is symmetric up to rounding, and its transpose is a Fortran-
         # ordered view that LAPACK factors in place: no second |S| x |S|
         # copy per solve.
-        x_s = cho_solve(cho_factor(m.T, overwrite_a=True, check_finite=False),
-                        rhs, check_finite=False)
+        x_s = _cholesky_solve(m.T, rhs)
         x = np.empty(self.interior_count)
         x[support] = x_s
         x[rest] = extension @ x_s
@@ -336,9 +337,7 @@ class Kernel:
                                 assume_unique=True)
             k = self.stiffness
             k_rs = k[np.ix_(rest, support)]
-            extension = -cho_solve(
-                cho_factor(k[np.ix_(rest, rest)], overwrite_a=True,
-                           check_finite=False), k_rs, check_finite=False)
+            extension = -_cholesky_solve(k[np.ix_(rest, rest)], k_rs)
             schur = k[np.ix_(support, support)] + k_rs.T @ extension
             self._schur_complements[key] = rest, schur, extension
         return self._schur_complements[key]
@@ -366,6 +365,22 @@ class Kernel:
         if m % 2 == 0:
             table[-1, m // 2:] = 0.0
         return table
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, for symmetric positive definite ``a``, by LAPACK's
+    potrf and potrs on the upper triangle: the calls of scipy's
+    ``cho_factor`` / ``cho_solve`` without their checks and wrappers.
+    ``a`` is factored in place when it is Fortran-ordered.  Raises
+    ``LinAlgError`` when ``a`` is not positive definite; a 0 x 0 ``a``
+    gives an empty x."""
+    if a.shape[0] == 0:
+        return np.empty(b.shape)
+    factor, info = _POTRF(a, lower=False, overwrite_a=True, clean=False)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not "
+                          "positive definite")
+    return _POTRS(factor, b, lower=False)[0]
 
 
 def _lattice_convolution(v: np.ndarray, shape: tuple[int, ...],

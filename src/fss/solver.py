@@ -35,10 +35,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
 
 from .exceptions import FieldMismatchError, SolverError, StagnationError
-from .grid import Kernel
+from .grid import Kernel, _cholesky_solve
 from .operators import (Field, WeightField, energy_and_gradient,
                         energy_hessian, norm_r, seminorm_p)
 
@@ -162,9 +162,7 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
                 h[support, support] += curvature
                 if not np.isfinite(h).all():
                     raise fail("Hessian has a non-finite entry")
-                d = cho_solve(cho_factor(h, overwrite_a=True,
-                                         check_finite=False),
-                              -grad, check_finite=False)
+                d = _cholesky_solve(h, -grad)
         except LinAlgError as err:
             raise fail("Hessian is not positive definite") from err
         if not np.isfinite(d).all():

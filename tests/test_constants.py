@@ -24,6 +24,10 @@ from fss import (
     weak_residual,
 )
 
+from fss import constants
+from fss.constants import SHARED_TRIALS
+from fss.sampling import trial_energies
+
 from conftest import synthetic_unit_kernel, tight_chain_options
 from oracles import (
     certify_per_field,
@@ -369,8 +373,8 @@ def log_sobolev_slack(estimate, constant):
 class TestBlockCertification:
     """The certifications evaluate their candidates in blocks; the loop one
     field at a time (``oracles.certify_per_field``) is the reference.  The
-    slacks agree to rounding (1e-13 of the largest [v]^p), the counts
-    exactly."""
+    slacks agree to rounding (1e-13 of the largest [v]^p, and relative
+    slacks below -1 in proportion), the counts exactly."""
 
     @pytest.fixture
     def extra_fields(self, kernel_1d, bump_weight):
@@ -388,6 +392,11 @@ class TestBlockCertification:
         "no-multiples": dict(trials=0, seed=0, extra=True,
                              extremal_scales=()),
         "nothing": dict(trials=0, seed=0, extremal_scales=()),
+        # both power-mean minima lie past the shared trials, the slack's on
+        # trial 339 and the relative slack's on trial 549
+        "seeded-minimum": dict(trials=1000, seed=2, extremal_scales=()),
+        # every slack is far below zero: the bound decides no trial
+        "nothing-decided": dict(trials=300, seed=42, factor=1e6),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -398,14 +407,32 @@ class TestBlockCertification:
         factor = spec.pop("factor", 1.0)
         if spec.pop("extra", False):
             spec["extra_fields"] = extra_fields
+        self.check_against_loop(bump_solution_05 if inequality == "power-mean"
+                                else bump_mu, inequality, factor, spec)
+
+    @pytest.mark.parametrize("inequality", ["power-mean", "log"])
+    def test_matches_per_field_loop_at_p3(self, kernel_1d_p3, bump_weight,
+                                          inequality):
+        # The exterior bound 2 sum_i B_i |v_i|^p at p != 2, where a row's
+        # energy does not depend on its block.
+        opts = ChainOptions()
+        subject = (lambda_alpha(run_chain(bump_weight, 0.5, kernel_1d_p3,
+                                          opts=opts))
+                   if inequality == "power-mean"
+                   else estimate_mu_direct(bump_weight, kernel_1d_p3, opts))
+        self.check_against_loop(subject, inequality, 1.0,
+                                dict(trials=1000, seed=0))
+
+    @staticmethod
+    def check_against_loop(subject, inequality, factor, spec):
         if inequality == "power-mean":
-            subject, verify = bump_solution_05, verify_sobolev
-            constant = factor * bump_solution_05.lam
-            slack = sobolev_slack(bump_solution_05, constant)
+            verify = verify_sobolev
+            constant = factor * subject.lam
+            slack = sobolev_slack(subject, constant)
         else:
-            subject, verify = bump_mu, verify_log_sobolev
-            constant = factor * bump_mu.mu_direct
-            slack = log_sobolev_slack(bump_mu, constant)
+            verify = verify_log_sobolev
+            constant = factor * subject.mu_direct
+            slack = log_sobolev_slack(subject, constant)
         energies = [0.0]
 
         def recorded(v):
@@ -425,8 +452,35 @@ class TestBlockCertification:
         for key in ("min_slack", "min_slack_rel", "extremal_max_rel"):
             if math.isinf(expected[key]):
                 assert getattr(report, key) == expected[key]
+            elif key == "min_slack":
+                assert abs(report.min_slack - expected[key]) <= tol
             else:
-                assert abs(getattr(report, key) - expected[key]) <= tol
+                # 1 - r / [v]^p carries the rounding of [v]^p times r / [v]^p
+                scale = max(1.0, abs(expected[key]))
+                assert abs(getattr(report, key) - expected[key]) <= tol * scale
+
+    @pytest.mark.parametrize("inequality", ["power-mean", "log"])
+    def test_bound_decides_most_trials(self, bump_solution_05, bump_mu,
+                                       monkeypatch, inequality):
+        # The shared trials, kept on the kernel, and the extremal multiples
+        # set the minima; the exterior lower bound on [v]^p then decides
+        # nearly all of the 800 later trials without their energy.
+        subject, verify = ((bump_solution_05, verify_sobolev)
+                           if inequality == "power-mean"
+                           else (bump_mu, verify_log_sobolev))
+        trial_energies(subject.kernel, 0, SHARED_TRIALS)
+        rows = []
+        evaluate = constants.block_seminorm_p
+
+        def counted(block, kernel):
+            rows.append(block.shape[0])
+            return evaluate(block, kernel)
+
+        monkeypatch.setattr(constants, "block_seminorm_p", counted)
+        report = verify(subject, trials=1000, seed=0)
+        assert rows[0] == 3      # the extremal multiples
+        assert sum(rows) <= 50
+        assert report.violations == 0
 
     @pytest.mark.parametrize("inequality", ["power-mean", "log"])
     def test_probes_stand_for_the_first_trials(self, bump_solution_05,
