@@ -15,7 +15,9 @@ from .chain import (
     ChainResult,
     LevelRecord,
     ResidualReport,
+    existence_bound,
     linfty_bound_report,
+    power_seminorms,
     run_chain,
     solve_level,
     weak_residual,
@@ -77,7 +79,6 @@ from .solver import (
     EmbeddingConstant,
     SolveOptions,
     embedding_constant,
-    embedding_for_existence_bound,
     solve_barrier,
     solve_nonsingular,
 )

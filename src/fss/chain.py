@@ -72,14 +72,7 @@ from .operators import (
     seminorm_p,
 )
 from .sampling import trial_energies
-from .solver import (
-    EmbeddingConstant,
-    SolveOptions,
-    embedding_constant,
-    embedding_for_existence_bound,
-    newton,
-    solve_barrier,
-)
+from .solver import SolveOptions, embedding_constant, newton, solve_barrier
 
 
 # Seeded test fields of the per-level weak residual.
@@ -93,7 +86,7 @@ POLISH_TOL = 1e-13
 class ChainOptions:
     """Tolerances of the chain's solves.
 
-    ``solve`` sets the barrier and embedding-constant solves,
+    ``solve`` sets the barrier solve,
     ``fixed_point_tol`` bounds the Newton step max-norm at every level, and
     the walk stops once consecutive levels differ by at most ``chain_tol``
     in the max norm.
@@ -144,7 +137,10 @@ def solve_level(omega: WeightField, n: int, alpha: float, kernel: Kernel,
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """Diagnostics stored per chain level."""
+    """Diagnostics stored per chain level.
+
+    The a-priori ceiling on ``seminorm`` is ``existence_bound``.
+    """
 
     n: int
     u: Field
@@ -154,8 +150,6 @@ class LevelRecord:
     residual: float
     min_value: float
     max_value: float
-    apriori_bound: float | None
-    apriori_ok: bool | None
 
     def to_json_record(self) -> dict:
         return {
@@ -185,7 +179,6 @@ class ChainResult:
     m_alpha: float
     polish_sweeps: int  # Newton steps at the limit
     energy_identity_gap: float
-    power_seminorms: tuple[float, ...] | None
 
     @property
     def barrier(self) -> Field:
@@ -223,24 +216,41 @@ def _level_residual(au: np.ndarray, source: np.ndarray, probes: np.ndarray,
     return float((np.abs(gap) / (1.0 + norms)).max())
 
 
-def _existence_bound(omega: WeightField, alpha: float, kernel: Kernel,
-                     embedding: EmbeddingConstant | None) -> float | None:
-    """A-priori ceiling for [u_n]^p along the chain, when available.
+def existence_bound(omega: WeightField, alpha: float,
+                    kernel: Kernel) -> float | None:
+    """A-priori ceiling for the energy [u_n]^p of every level of the chain
+    at ``alpha``, when there is one.
 
-    alpha = 1 gives the plain mass bound; alpha < 1 combines the weight
-    norm at the threshold exponent with the embedding constant, which it
-    then needs; alpha > 1 has no such bound (handled by the
-    compact-support diagnostic instead).
+    alpha = 1 gives the plain mass bound |w|_1.  alpha < 1 combines the
+    weight norm at the threshold exponent r_alpha with the embedding
+    constant at theta = (1 - alpha) * conjugate(r_alpha), which is the
+    critical exponent p_star when s*p < N and 1 otherwise, independently
+    of alpha; that constant is solved here (``embedding_constant``, exact
+    at theta = 1).  alpha > 1 has no such bound and gives None; its
+    chains are bounded through ``power_seminorms`` instead.
     """
-    p = kernel.params.p
+    params = kernel.params
+    p = params.p
     if alpha == 1.0:
         return omega.norm_1
     if alpha > 1.0:
         return None
-    weight_norm = norm_r(omega, r_alpha(alpha, kernel.params))
+    theta = params.p_star if params.sp < params.n_dim else 1.0
+    weight_norm = norm_r(omega, r_alpha(alpha, params))
     # [u]^(p-(1-a)) <= |w|_{r_a} S^((1-a)/p), stated for the seminorm itself.
-    rhs = weight_norm * embedding.value ** ((1.0 - alpha) / p)
+    rhs = weight_norm * embedding_constant(theta, kernel).value ** (
+        (1.0 - alpha) / p)
     return rhs ** (p / (p - (1.0 - alpha)))
+
+
+def power_seminorms(chain: ChainResult) -> list[float]:
+    """[u_n^((alpha - 1 + p)/p)]^p at each level of ``chain``, in level
+    order.  For alpha > 1 (compactly supported weight) the a-priori
+    estimates bound the energies of these powers, not those of u_n."""
+    kernel = chain.kernel
+    exponent = (chain.alpha - 1.0 + kernel.params.p) / kernel.params.p
+    return [seminorm_p(Field(rec.u.values**exponent, kernel.grid), kernel)
+            for rec in chain.levels]
 
 
 def _validate_alpha(omega: WeightField, alpha: float, kernel: Kernel):
@@ -264,7 +274,6 @@ DEFAULT_SCHEDULE = tuple(16**k for k in range(40))
 
 def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
               schedule=None, opts: ChainOptions | None = None,
-              embedding: EmbeddingConstant | None = None,
               init: Field | None = None) -> ChainResult:
     """Walk the approximation levels and extract the singular limit.
 
@@ -276,12 +285,14 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     breaks these rules is refused before anything is solved.  The walk
     stops once consecutive level solutions differ by at most the chain
     tolerance in the max norm, then polishes the limit; exhausting the
-    schedule yields an unpolished result flagged as non-converged.  For
-    alpha <= 1 the a-priori energy ceiling is recorded per level; alpha > 1
-    requires a compactly supported weight and records the auxiliary power
-    seminorms instead.  A ``SolverError`` of the barrier is re-raised
-    naming that stage and alpha; one of a level or of the polish names
-    it, the Newton step and alpha.
+    schedule yields an unpolished result flagged as non-converged.
+    alpha > 1 requires a weight that vanishes within one cell of the
+    boundary.  The chain solves only the barrier, the levels and the
+    polish: the a-priori ceiling of its energies is ``existence_bound``,
+    and the alpha > 1 power seminorms are ``power_seminorms``.  A
+    ``SolverError`` of the barrier is re-raised naming that stage and
+    alpha; one of a level or of the polish names it, the Newton step and
+    alpha.
     """
     opts = opts or ChainOptions()
     _validate_alpha(omega, alpha, kernel)
@@ -307,16 +318,12 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         psi = solve_barrier(omega, kernel, opts.solve)
     except SolverError as err:
         raise _located(err, f"barrier (alpha {alpha:g})", alpha=alpha) from err
-    if alpha < 1.0 and embedding is None:
-        embedding = embedding_for_existence_bound(kernel, opts.solve)
-    bound = _existence_bound(omega, alpha, kernel, embedding)
 
     # The probes depend only on the kernel, so one draw serves every chain
     # on it (a sweep runs several).
     fields, energies = trial_energies(kernel, _RESIDUAL_SEED, _RESIDUAL_TRIALS)
     norms = energies ** (1.0 / params.p)
     levels: list[LevelRecord] = []
-    power_seminorms: list[float] = []
     prev: Field | None = None
     converged = False
     final_increment = math.inf
@@ -338,14 +345,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
             residual=residual,
             min_value=float(u_n.values.min()),
             max_value=float(u_n.values.max()),
-            apriori_bound=bound,
-            apriori_ok=None if bound is None else bool(sn <= bound * (1.0 + 1e-8)),
         ))
-        if alpha > 1.0:
-            exponent = (alpha - 1.0 + params.p) / params.p
-            power_seminorms.append(
-                seminorm_p(Field(u_n.values**exponent, kernel.grid), kernel)
-            )
         if prev is not None:
             final_increment = (u_n - prev).max_norm()
             if final_increment <= opts.chain_tol:
@@ -380,7 +380,6 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         m_alpha=float(m_alpha),
         polish_sweeps=polish_sweeps,
         energy_identity_gap=float(gap),
-        power_seminorms=tuple(power_seminorms) if power_seminorms else None,
     )
 
 

@@ -127,6 +127,16 @@ def _integer(block: dict, path: str, default: int, least: int) -> int:
     return value
 
 
+def _integrable_enough(w_r: float, alpha: float, frac: FracParams,
+                       path: str) -> None:
+    """Refuse a weight exponent below the threshold r_alpha at ``alpha``."""
+    needed = r_alpha(alpha, frac)
+    if w_r < needed - 1e-12:
+        raise ConfigError(
+            f"weight.r = {w_r} is below the threshold "
+            f"r_alpha = {needed:.6g} at alpha = {alpha}", path)
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate a JSON config; every violation names its field."""
     try:
@@ -215,6 +225,8 @@ def load_config(path: str) -> RunConfig:
                 "the boundary and the singular problem may have no solution",
                 "problem.alpha",
             )
+        if alpha < 1.0:
+            _integrable_enough(w_r, alpha, frac, "problem.alpha")
     alpha_grid = problem_block.get("alpha_grid")
     if alpha_grid is not None:
         if not isinstance(alpha_grid, list) or len(alpha_grid) == 0:
@@ -228,13 +240,7 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("alpha_grid must be strictly increasing",
                               "problem.alpha_grid")
         for a in alpha_grid:
-            needed = r_alpha(a, frac)
-            if w_r < needed - 1e-12:
-                raise ConfigError(
-                    f"weight.r = {w_r} is below the threshold "
-                    f"r_alpha = {needed:.6g} at alpha = {a}",
-                    "problem.alpha_grid",
-                )
+            _integrable_enough(w_r, a, frac, "problem.alpha_grid")
     tol_block = _block(problem_block, "problem.tolerances")
     tol = {"grad": 1e-10, "fixed_point": 1e-9, "chain": 1e-7}
     for key, val in tol_block.items():

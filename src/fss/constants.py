@@ -32,7 +32,6 @@ from .grid import Kernel, r_alpha
 from .operators import (Field, WeightField, block_seminorm_p, log_functional,
                         seminorm_p)
 from .sampling import trial_chunks, trial_energies
-from .solver import embedding_for_existence_bound
 
 # The first trials of a certification, shared with the weak residual that
 # ``fss verify`` runs before it (``sampling.trial_energies``).
@@ -301,8 +300,7 @@ def sweep_alpha(omega: WeightField, alpha_grid, kernel: Kernel,
                 opts: ChainOptions | None = None) -> SweepResult:
     """Solve the singular problem along an increasing alpha grid.
 
-    Each point is chain-solved (warm-started from the previous exponent,
-    with the one embedding constant of the a-priori bound computed here)
+    Each point is chain-solved (warm-started from the previous exponent)
     and reduced to its best constant.  Validates r >= r_alpha at every
     grid point, asserts that the scaled constants are nondecreasing
     (1e-8 relative slack), and cross-checks [V_alpha]^p against the
@@ -323,13 +321,11 @@ def sweep_alpha(omega: WeightField, alpha_grid, kernel: Kernel,
                 f"weight integrability r = {omega.r} is below the "
                 f"threshold r_alpha = {needed:.6g} at alpha = {a}"
             )
-    embedding = embedding_for_existence_bound(kernel, opts.solve)
 
     records: list[SweepRecord] = []
     warm: Field | None = None
     for a in grid_points:
-        chain = run_chain(omega, a, kernel, opts=opts, embedding=embedding,
-                          init=warm)
+        chain = run_chain(omega, a, kernel, opts=opts, init=warm)
         if not chain.converged:
             records.append(SweepRecord(
                 alpha=a, lam=math.nan, log_lam=math.nan, scaled=math.nan,

@@ -411,18 +411,3 @@ def embedding_constant(theta: float, kernel: Kernel,
         field = Field(np.eye(1, grid.interior_count, node)[0], grid)
     return EmbeddingConstant(theta=float(theta), value=float(value),
                              extremizer=field, exact=exact)
-
-
-def embedding_for_existence_bound(kernel: Kernel,
-                                  opts: SolveOptions | None = None
-                                  ) -> EmbeddingConstant:
-    """Embedding constant at the exponent used by the a-priori energy bound.
-
-    The bound pairs the weight norm at the threshold exponent with the
-    embedding at theta = (1 - alpha) * conjugate(r_alpha), which is the
-    critical exponent p_star when s*p < N and 1 otherwise, independently
-    of alpha.  At theta = 1 the constant is exact.
-    """
-    params = kernel.params
-    theta = params.p_star if params.sp < params.n_dim else 1.0
-    return embedding_constant(theta, kernel, opts)

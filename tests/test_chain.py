@@ -18,8 +18,12 @@ from fss import (
     build_grid,
     build_kernel,
     embedding_constant,
+    existence_bound,
     linfty_bound_report,
+    norm_r,
     pairing,
+    power_seminorms,
+    r_alpha,
     run_chain,
     seminorm_p,
     solve_level,
@@ -495,13 +499,27 @@ class TestRunChain:
         chain = run_chain(bump_weight, 1.0, kernel_1d, opts=ChainOptions())
         sn = seminorm_p(chain.u_alpha, kernel_1d)
         assert sn == pytest.approx(bump_weight.norm_1, rel=1e-7)
+        bound = existence_bound(bump_weight, 1.0, kernel_1d)
         for rec in chain.levels:
             assert rec.seminorm <= bump_weight.norm_1 + 1e-8
-            assert rec.apriori_ok
+            assert rec.seminorm <= bound * (1.0 + 1e-8)
 
     def test_apriori_bound_alpha_below_one(self, kernel_1d, bump_weight):
         chain = run_chain(bump_weight, 0.5, kernel_1d, opts=ChainOptions())
-        assert all(rec.apriori_ok for rec in chain.levels)
+        bound = existence_bound(bump_weight, 0.5, kernel_1d)
+        assert all(rec.seminorm <= bound * (1.0 + 1e-8)
+                   for rec in chain.levels)
+
+    def test_solves_no_embedding_constant(self, kernel_1d, bump_weight,
+                                          monkeypatch):
+        # The a-priori bound is existence_bound's, read where it is used;
+        # the chain solves only the barrier, the levels and the polish.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the chain solved an embedding constant")
+
+        monkeypatch.setattr(solver_module, "embedding_constant", no_solve)
+        monkeypatch.setattr(chain_module, "embedding_constant", no_solve)
+        assert run_chain(bump_weight, 0.5, kernel_1d).converged
 
     def test_schedule_independence(self, kernel_1d, bump_weight):
         opts = ChainOptions(chain_tol=1e-8)
@@ -553,13 +571,10 @@ class TestRunChain:
     ], ids=["level-below-one", "negative-init"])
     def test_refuses_before_solving(self, kernel_1d, bump_weight, monkeypatch,
                                     schedule, init, message):
-        # At alpha < 1 the embedding constant would be solved next.
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the chain's input was checked")
 
         monkeypatch.setattr(chain_module, "solve_barrier", no_solve)
-        monkeypatch.setattr(chain_module, "embedding_for_existence_bound",
-                            no_solve)
         start = None if init is None else Field.constant(kernel_1d.grid, init)
         with pytest.raises(ValueError) as err:
             run_chain(bump_weight, 0.5, kernel_1d, schedule=schedule,
@@ -611,9 +626,10 @@ class TestRunChain:
         chain = run_chain(omega, 1.5, kernel_1d, opts=ChainOptions())
         assert chain.converged
         assert chain.monotone_gap() <= 1e-8
-        assert chain.power_seminorms is not None
-        assert all(v > 0.0 for v in chain.power_seminorms)
-        assert chain.levels[0].apriori_bound is None
+        powers = power_seminorms(chain)
+        assert len(powers) == len(chain.levels)
+        assert all(v > 0.0 for v in powers)
+        assert existence_bound(omega, 1.5, kernel_1d) is None
 
     def test_zero_weight_rejected_at_construction(self, grid_1d):
         with pytest.raises(ValueError):
@@ -643,6 +659,42 @@ class TestRunChain:
         assert all(rec.fp_delta <= ChainOptions().fixed_point_tol
                    for rec in chain.levels)
         assert all(rec.residual <= 1e-7 for rec in chain.levels)
+
+
+class TestExistenceBound:
+    """The a-priori ceiling on the energies of the chain's levels."""
+
+    @staticmethod
+    def closed_form(omega, alpha, kernel, theta):
+        p = kernel.params.p
+        s_theta = embedding_constant(theta, kernel).value
+        rhs = (norm_r(omega, r_alpha(alpha, kernel.params))
+               * s_theta ** ((1.0 - alpha) / p))
+        return rhs ** (p / (p - (1.0 - alpha)))
+
+    def test_alpha_one_is_the_mass(self, kernel_1d, bump_weight):
+        assert existence_bound(bump_weight, 1.0, kernel_1d) == \
+            bump_weight.norm_1
+
+    def test_none_above_one(self, kernel_1d, bump_weight):
+        assert existence_bound(bump_weight, 1.5, kernel_1d) is None
+
+    def test_below_one_at_theta_one_when_sp_reaches_n(self, kernel_1d,
+                                                       bump_weight):
+        # s p = 1 = N: the bound takes the exact constant S_1.
+        assert existence_bound(bump_weight, 0.5, kernel_1d) == \
+            pytest.approx(self.closed_form(bump_weight, 0.5, kernel_1d, 1.0),
+                          rel=1e-12)
+
+    def test_below_one_at_p_star_when_sp_below_n(self):
+        # s p = 1 < N = 2: the bound takes S at p_star = 4.
+        grid = build_grid([(0.0, 1.0), (0.0, 1.0)], 1.0 / 6, 0.25)
+        kernel = build_kernel(grid, FracParams(s=0.5, p=2.0, n_dim=2))
+        omega = WeightField(compact_bump_values(grid), grid, r=3.0)
+        theta = kernel.params.p_star
+        assert theta == pytest.approx(4.0)
+        assert existence_bound(omega, 0.5, kernel) == pytest.approx(
+            self.closed_form(omega, 0.5, kernel, theta), rel=1e-12)
 
 
 class TestChainProbes:

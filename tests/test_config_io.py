@@ -82,10 +82,24 @@ class TestLoadConfig:
     def test_alpha_grid_integrability(self, tmp_path):
         path = write_config(tmp_path, {
             "weight": {"kind": "constant", "value": 1.0, "r": 1.0},
-            "problem": {"alpha_grid": [0.5]},
+            "problem": {"alpha": 1.0, "alpha_grid": [0.5]},
         })
-        with pytest.raises(ConfigError, match="r_alpha"):
+        with pytest.raises(ConfigError, match="r_alpha") as err:
             load_config(path)
+        assert err.value.field == "problem.alpha_grid"
+
+    def test_alpha_integrability(self, tmp_path):
+        # s p = 1 < N = 2: r_alpha(1/2) = 8/7, so r = 1 is refused for
+        # problem.alpha exactly as it is for an alpha_grid entry.
+        path = write_config(tmp_path, {
+            "grid": {"box": [[0.0, 1.0], [0.0, 1.0]], "h": 0.25},
+            "weight": {"kind": "constant", "value": 1.0, "r": 1.0},
+            "problem": {"alpha": 0.5},
+        })
+        with pytest.raises(ConfigError, match="r_alpha = 1.14286") as err:
+            load_config(path)
+        assert err.value.field == "problem.alpha"
+        assert "at alpha = 0.5" in str(err.value)
 
     @pytest.mark.parametrize("key", ["n_shedule", "alpha0", "n_schedule"])
     def test_rejects_unknown_problem_key(self, tmp_path, key):

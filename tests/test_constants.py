@@ -24,7 +24,7 @@ from fss import (
     weak_residual,
 )
 
-from fss import constants
+from fss import chain as chain_module, constants, solver as solver_module
 from fss.constants import SHARED_TRIALS
 from fss.sampling import trial_energies
 
@@ -216,6 +216,17 @@ class TestSweep:
         result = sweep_alpha(bump_weight, [0.95], kernel_1d, ChainOptions())
         assert len(result.records) == 1
         assert result.monotonicity_gap() == 0.0
+
+    def test_solves_no_embedding_constant(self, kernel_1d, bump_weight,
+                                          monkeypatch):
+        # No chain of the sweep solves the constant of the a-priori bound.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the sweep solved an embedding constant")
+
+        monkeypatch.setattr(solver_module, "embedding_constant", no_solve)
+        monkeypatch.setattr(chain_module, "embedding_constant", no_solve)
+        result = sweep_alpha(bump_weight, [0.95], kernel_1d, ChainOptions())
+        assert result.records[0].converged
 
     def test_weight_doubling_homogeneity(self, kernel_1d, bump_weight):
         # lambda scales by 2^(-p/(1-a)) under w -> 2w while the scaled
