@@ -71,7 +71,7 @@ from .operators import (
     norm_r,
     seminorm_p,
 )
-from .sampling import trial_energies
+from .sampling import shared_trials
 from .solver import SolveOptions, embedding_constant, newton, solve_barrier
 
 
@@ -321,8 +321,8 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
 
     # The probes depend only on the kernel, so one draw serves every chain
     # on it (a sweep runs several).
-    fields, energies = trial_energies(kernel, _RESIDUAL_SEED, _RESIDUAL_TRIALS)
-    norms = energies ** (1.0 / params.p)
+    probes = shared_trials(kernel, _RESIDUAL_SEED, _RESIDUAL_TRIALS)
+    norms = probes.energies(kernel) ** (1.0 / params.p)
     levels: list[LevelRecord] = []
     prev: Field | None = None
     converged = False
@@ -335,7 +335,7 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         sn = float(u_n.values @ au)
         source = kernel.grid.measure * np.minimum(omega.values, float(n)) / (
             u_n.values + 1.0 / n) ** alpha
-        residual = _level_residual(au, source, fields, norms)
+        residual = _level_residual(au, source, probes.fields, norms)
         levels.append(LevelRecord(
             n=n,
             u=u_n,
@@ -399,9 +399,29 @@ def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
     For each of the ``trials`` (at least one) seeded fields v this measures
     |pairing(u, v) - sum m w v / u^alpha| / (1 + [v]), and also the slack
     of the duality estimate |sum m w v / u^alpha| <= [u]^(p-1) [v].
-    The fields are kept on the kernel (``sampling.trial_energies``), so
-    a later check of the same trials does not draw them again.
-    Requires u strictly positive at every interior node.
+    The fields are kept on the kernel (``sampling.shared_trials``), so a
+    later check of the same trials draws none of them again and reuses
+    the energies taken here.  Requires u strictly positive at every
+    interior node.
+
+    Only a few trials take their energy [v]^p.  The kept lower bound L(v)
+    (``operators.energy_lower_bound``) lies below the computed [v]^p by
+    far more than the rounding of a power, a sum or a division, and
+    those are monotone, so l = L(v)^(1/p) gives, in floating point too,
+
+        |gap| / (1 + l) >= |gap| / (1 + [v]),
+        [u]^(p-1) l - |sum m w v / u^alpha| <= the slack,
+
+    with gap = pairing(u, v) - sum m w v / u^alpha computed for every
+    trial, as the rest of each term is.  The trial with the largest first
+    bound and the trial with the smallest second bound take their energies
+    first.  Then every trial whose first bound exceeds the largest ratio
+    so far, or whose second bound lies below the smallest slack so far,
+    takes its energy, all of them together (``TrialSet.energies``).
+    Every other trial has a ratio and a slack within those, so the
+    maximum and the minimum are those of evaluating every trial: bitwise
+    at p != 2, where a trial's energy does not depend on its block, and
+    to rounding at p = 2 (``block_seminorm_p``).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -409,14 +429,27 @@ def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
         raise FssError("not an interior-positive field")
     p = kernel.params.p
     source = kernel.grid.measure * omega.values / u.values**alpha
-    fields, energies = trial_energies(kernel, seed, trials)
-    norms = energies ** (1.0 / p)
-    bound = seminorm_p(u, kernel) ** ((p - 1.0) / p) * norms
-    return ResidualReport(
-        max_residual=_level_residual(apply_operator(u, kernel), source,
-                                     fields, norms),
-        aux_min_slack=float((bound - np.abs(fields @ source)).min()),
-        trials=norms.size)
+    trial = shared_trials(kernel, seed, trials)
+    gap = np.abs(trial.fields @ (apply_operator(u, kernel) - source))
+    pull = np.abs(trial.fields @ source)
+    scale = seminorm_p(u, kernel) ** ((p - 1.0) / p)
+
+    def extremes(rows: np.ndarray) -> tuple[float, float]:
+        norms = trial.energies(kernel, rows) ** (1.0 / p)
+        return (float((gap[rows] / (1.0 + norms)).max()),
+                float((scale * norms - pull[rows]).min()))
+
+    floors = trial.bounds(kernel) ** (1.0 / p)
+    ratio_caps = gap / (1.0 + floors)
+    slack_floors = scale * floors - pull
+    ratio, slack = extremes(np.array([ratio_caps.argmax(),
+                                      slack_floors.argmin()]))
+    rest = np.flatnonzero((ratio_caps > ratio) | (slack_floors < slack))
+    if rest.size:
+        rest_ratio, rest_slack = extremes(rest)
+        ratio, slack = max(ratio, rest_ratio), min(slack, rest_slack)
+    return ResidualReport(max_residual=ratio, aux_min_slack=slack,
+                          trials=trials)
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,7 @@ def _cmd_verify(args) -> int:
     u = Field(stored.values, grid)
 
     # The weak residual's test fields are the certification's first trials,
-    # drawn and evaluated once and kept on the kernel.
+    # drawn once and kept on the kernel with every energy either takes.
     residual = weak_residual(u, omega, alpha, kernel,
                              min(trials, SHARED_TRIALS), seed)
     report = {

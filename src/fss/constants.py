@@ -21,6 +21,7 @@ scale factors are assembled in log space.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -31,10 +32,13 @@ from .exceptions import FssError
 from .grid import Kernel, r_alpha
 from .operators import (Field, WeightField, block_seminorm_p, log_functional,
                         seminorm_p)
-from .sampling import trial_chunks, trial_energies
+from .sampling import TrialSet, shared_trials, trial_chunks
 
 # The first trials of a certification, shared with the weak residual that
-# ``fss verify`` runs before it (``sampling.trial_energies``).
+# ``fss verify`` runs before it and kept on the kernel
+# (``sampling.shared_trials``).  Like the later trials, they take their
+# energy only when its lower bound cannot decide them, and an energy the
+# weak residual took is not taken again.
 SHARED_TRIALS = 200
 
 
@@ -203,54 +207,49 @@ def _certify(term, constant: float, kernel: Kernel, extremal: Field,
     right-hand sides, which are nonnegative.  The extra fields and the
     multiples form one block, evaluated first; then come the first
     ``SHARED_TRIALS`` trials, those kept on the kernel
-    (``sampling.trial_energies``).  The rest are drawn in the chunks of
-    ``sampling.trial_chunks``, and most of them are decided without their
+    (``sampling.shared_trials``), and the rest, drawn in the chunks of
+    ``sampling.trial_chunks``.  Most trials are decided without their
     energy.
 
-    Every term of [v]^p is nonnegative, so its exterior part
-    L(v) = 2 sum_i B_i |v_i|^p, one O(M) pass, bounds it from below.  The
-    computed [v]^p is a sum of at most M^2 terms (at p = 2 the form
-    <K v, v>), and its relative rounding error, of order M^2 times the
-    unit roundoff (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 3), lies far below the 1e-6 allowance in
-    L' = (1 - 1e-6) L, so it is at least L'.  The report keeps only minima and a count of relative
-    slacks below -1e-8.  A row with r = term(v) and L' > 0,
+    Every trial's energy is bounded from below by
+    L'(v) = ``operators.energy_lower_bound``, in O(M), and the computed
+    [v]^p is at least L'.  The report keeps only minima and a count of
+    relative slacks below -1e-8.  A trial with r = term(v) and L' > 0,
     L' - r > min_slack and 1 - r / L' > max(min_rel, -1e-8), against the
     minima of the rows evaluated so far, therefore has a slack and a
     relative slack that strictly exceed those minima, and it is no
     violation: it cannot change the report, and its energy is skipped.
-    Every other row of a chunk, with r infinite or NaN among them, is
-    evaluated in one block.  A decided row never lowers a minimum, so
+    The shared trials are decided so against the minima of the first
+    block, and each later chunk against those of every row evaluated
+    before it.  Every other trial of a chunk, with r infinite or NaN among
+    them, takes its energy in one block, or from the kernel when the weak
+    residual already took it.  A decided row never lowers a minimum, so
     the report equals that of evaluating every row: bitwise at p != 2,
     where a row's energy does not depend on its block, and to rounding
     at p = 2 (``block_seminorm_p``).
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    p = kernel.params.p
     multiples = np.multiply.outer(extremal_scales, extremal.values)
     multiples = multiples[multiples.any(axis=1)]
     tail = np.array([v.values for v in extra_fields] + list(multiples))
     tail = tail.reshape(-1, extremal.values.size)
     energy, rhs = [block_seminorm_p(tail, kernel)], [term(tail)]
     shared = min(trials, SHARED_TRIALS)
-    if shared:
-        fields, energies = trial_energies(kernel, seed, shared)
-        energy.append(energies)
-        rhs.append(term(fields))
-    for block in trial_chunks(kernel.grid, seed, trials, start=shared):
+    for trial in itertools.chain(
+            [shared_trials(kernel, seed, shared)] if shared else [],
+            (TrialSet(block) for block in
+             trial_chunks(kernel.grid, seed, trials, start=shared))):
         _, slack, rel = _slacks(energy, rhs)
-        r = term(block)
-        av = np.abs(block)
-        bound = (1.0 - 1e-6) * 2.0 * ((av ** (p - 1.0) * av)
-                                      @ kernel.boundary_weight)
+        r, bound = term(trial.fields), trial.bounds(kernel)
         with np.errstate(divide="ignore", invalid="ignore"):
             decided = ((bound > 0.0)
                        & (bound - r > slack.min(initial=math.inf))
                        & (1.0 - r / bound
                           > max(rel.min(initial=math.inf), -1e-8)))
-        energy.append(block_seminorm_p(block[~decided], kernel))
-        rhs.append(r[~decided])
+        rows = np.flatnonzero(~decided)
+        energy.append(trial.energies(kernel, rows))
+        rhs.append(r[rows])
     energy, slack, rel = _slacks(energy, rhs)
     at_extremal = slice(len(tail) - len(multiples), len(tail))
     return CertificationReport(

@@ -112,6 +112,14 @@ class Grid:
     def interior_count(self) -> int:
         return self.interior.shape[0]
 
+    @cached_property
+    def lattice_shape(self) -> tuple[int, ...]:
+        """Lines of the interior lattice on each axis: ``build_grid``
+        enumerates the interior as a full n0 (x n1) lattice, axis 0
+        major."""
+        return tuple(np.unique(self.interior[:, axis]).size
+                     for axis in range(self.n_dim))
+
     @property
     def domain_measure(self) -> float:
         """Measure of the discretized domain (interior cells only)."""
@@ -223,14 +231,20 @@ class Kernel:
     Schur complement of K on S and the map from x_S to the other nodes
     (|S|^2 + |S| (M - |S|) doubles).  At p != 2 the pairwise pass runs in
     row blocks through the two scratch arrays of ``pair_buffers``, built
-    on the first such evaluation.  The p != 2 energy visits each unordered
-    pair once, against the ``folded_weights`` table: M^2 / 2 doubles
-    (19.5 MB at M = 2209), built by the first p != 2 seminorm, never by
-    ``build_kernel`` and never at p = 2.  The seeded trial fields that
-    several checks share (the approximation chain's per-level residual
-    probes and the weak residual's trials) are kept here too, with their
-    energies, keyed by (seed, count) (``sampling.trial_energies``), so
-    that each is drawn and evaluated once per kernel.
+    on the first such evaluation or, at any p, on the first lower bound
+    of an energy (``operators.energy_lower_bound``).  The p != 2 energy
+    visits each unordered pair once, against the ``folded_weights``
+    table: M^2 / 2 doubles (19.5 MB at M = 2209), built by the first
+    p != 2 seminorm, never by ``build_kernel`` and never at p = 2.  The
+    seeded trial fields that several checks share (the approximation
+    chain's per-level residual probes, and the weak residual's trials,
+    which ``fss verify`` also certifies as its first ones) are kept here
+    too, keyed by (seed, count) (``sampling.shared_trials``): each is
+    drawn once per kernel.  A lower bound on its energy and its full
+    energy are each taken only when a check first asks for them: the
+    chain asks for every probe's energy, the weak residual and the
+    certification for every bound and for the energies of the trials
+    that the bound cannot decide.
     """
 
     grid: Grid
@@ -286,16 +300,14 @@ class Kernel:
         of ``embedding_constant``, at any p, and never by
         ``build_kernel``.
 
-        ``build_grid`` enumerates the interior as a full n0 (x n1) lattice,
-        axis 0 major, and a pair weight depends only on the pair's lattice
-        offset d (up to rounding: the float coordinates do not repeat
-        their offsets bit for bit).  The table takes the weight of offset
+        On the interior lattice (``Grid.lattice_shape``) a pair weight
+        depends only on the pair's lattice offset d (up to rounding: the
+        float coordinates do not repeat their offsets bit for bit).  The
+        table takes the weight of offset
         d from ``first_row``, the first node's row of W reshaped to the
         lattice, at |d| (``_offset_spectrum``), so W v is a convolution.
         The row sums of W are the same convolution applied to ones."""
-        interior = self.grid.interior
-        shape = tuple(np.unique(interior[:, axis]).size
-                      for axis in range(interior.shape[1]))
+        shape = self.grid.lattice_shape
         lengths, spectrum = _offset_spectrum(self.first_row.reshape(shape))
         row_sums = _lattice_convolution(np.ones(self.interior_count), shape,
                                         lengths, spectrum)
@@ -344,8 +356,9 @@ class Kernel:
 
     @cached_property
     def pair_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two reused (rows, M) scratch arrays of the blocked p != 2 pass,
-        with rows * M about ``PAIR_BLOCK_ELEMENTS``."""
+        """Two reused (rows, M) scratch arrays of the blocked p != 2 pass
+        and of the energy's lower bound (``operators.energy_lower_bound``,
+        at any p), with rows * M about ``PAIR_BLOCK_ELEMENTS``."""
         m = self.interior_count
         rows = max(1, min(m, PAIR_BLOCK_ELEMENTS // m))
         return np.empty((rows, m)), np.empty((rows, m))

@@ -289,6 +289,68 @@ def block_seminorm_p(block: np.ndarray, kernel: Kernel) -> np.ndarray:
     return _folded_seminorms(block, kernel)
 
 
+def energy_lower_bound(block: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """A lower bound on [v]^p for each row v of the (k, M) ``block``:
+
+        L(v) = (1 - 1e-6) 2 (sum_{i~j} w_h |v_i - v_j|^p + sum_i B_i |v_i|^p),
+
+    where i~j runs over the unordered pairs of interior nodes adjacent on
+    the lattice (``Grid.lattice_shape``) and w_h = m^2 / h^(N+sp) is the
+    weight of a pair one cell apart, ``first_row[1]``.  O(M) per row: no
+    M x M table is read or built, at any p or M.  The rows run in blocks
+    through the kernel's two reused ``pair_buffers``, since a fresh
+    temporary of that size costs several times the arithmetic, and the
+    pairs along each lattice axis are one flat difference of the rows at
+    the axis's offset in the node order.
+
+    Every term of [v]^p is nonnegative and these are some of them, each
+    adjacent pair's weight being w_h up to the rounding of the node
+    coordinates.  The computed [v]^p is a sum of at most M^2 terms (at
+    p = 2 the form <K v, v>), and its relative rounding error, of order
+    M^2 times the unit roundoff (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 3), lies far below the 1e-6 allowance,
+    so the computed [v]^p is at least L(v) too.
+    """
+    p, m = kernel.params.p, block.shape[1]
+    # (offset, weights): node i pairs with node i + offset at weight w_h,
+    # or at 0 where the pair straddles the end of a lattice line.
+    pairs = []
+    if m > 1:
+        line = kernel.grid.lattice_shape[-1]
+        along = np.full(m - 1, kernel.first_row[1])
+        along[line - 1::line] = 0.0
+        pairs.append((1, along))
+        if line < m:
+            pairs.append((line, np.full(m - line, kernel.first_row[1])))
+    buffers = [buf.reshape(-1) for buf in kernel.pair_buffers]
+    step = kernel.pair_buffers[0].shape[0]
+    bounds = np.empty(len(block))
+    for first in range(0, len(block), step):
+        rows = block[first:first + step]
+        total = _abs_powers(rows, p, buffers) @ kernel.boundary_weight
+        for offset, weights in pairs:
+            d = buffers[0][:len(rows) * (m - offset)].reshape(len(rows), -1)
+            np.subtract(rows[:, offset:], rows[:, :-offset], out=d)
+            total += _abs_powers(d, p, buffers) @ weights
+        bounds[first:first + step] = total
+    return (1.0 - 1e-6) * 2.0 * bounds
+
+
+def _abs_powers(values: np.ndarray, p: float,
+                buffers: list[np.ndarray]) -> np.ndarray:
+    """|values|^p in a view of the second of the two flat ``buffers``: a
+    square at p = 2, else |values|^(p-1) |values| with the magnitudes in
+    the first buffer (where ``values`` may already lie)."""
+    powers = buffers[1][:values.size].reshape(values.shape)
+    if p == 2.0:
+        return np.square(values, out=powers)
+    magnitudes = np.abs(values,
+                        out=buffers[0][:values.size].reshape(values.shape))
+    np.power(magnitudes, p - 1.0, out=powers)
+    powers *= magnitudes
+    return powers
+
+
 def energy_and_gradient(values: np.ndarray, kernel: Kernel,
                         rhs: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Value and gradient of (1/p)[u]^p - rhs . u from one pairwise pass.

@@ -18,9 +18,14 @@ at most ``grid.PAIR_BLOCK_ELEMENTS`` values, one row per field, so their
 scratch memory does not grow with the number of trials.
 
 The trials that several checks share are kept on the kernel
-(``trial_energies``): the approximation chain's per-level residual
+(``shared_trials``): the approximation chain's per-level residual
 probes, and the weak residual's trials, which ``fss verify`` also
-certifies as its first ones.  Each is drawn and evaluated once per kernel.
+certifies as its first ones.  Each is drawn once per kernel.  Its lower
+bound on the energy (``operators.energy_lower_bound``) and its full
+energy [phi]^p are each taken only when a check first asks for them.
+The chain asks for every probe's energy and for no bound; the weak
+residual and the certification ask for every bound, and for the energy
+only of the trials whose bound cannot decide them.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import PAIR_BLOCK_ELEMENTS, Grid, Kernel
-from .operators import block_seminorm_p
+from .operators import block_seminorm_p, energy_lower_bound
 
 
 def trial_field(grid: Grid, seed: int, index: int) -> np.ndarray:
@@ -68,6 +73,12 @@ def trial_block(grid: Grid, seed: int, start: int, count: int) -> np.ndarray:
     return block
 
 
+def _chunk_rows(grid: Grid, group: int = 1) -> int:
+    """Groups of ``group`` trials per chunk: at most ``PAIR_BLOCK_ELEMENTS``
+    values, or one group when a group alone holds more."""
+    return max(1, PAIR_BLOCK_ELEMENTS // (group * grid.interior_count))
+
+
 def trial_chunks(grid: Grid, seed: int, count: int, group: int = 1,
                  start: int = 0):
     """Groups ``start`` to ``count - 1`` of ``group`` trials each, as
@@ -80,7 +91,7 @@ def trial_chunks(grid: Grid, seed: int, count: int, group: int = 1,
     p = 2 a block's energies come from one GEMM, whose rounding depends
     on the block, and every other block keeps its bits.
     """
-    step = max(1, PAIR_BLOCK_ELEMENTS // (group * grid.interior_count))
+    step = _chunk_rows(grid, group)
     first = start
     while first < count:
         stop = min(first - first % step + step, count)
@@ -88,19 +99,55 @@ def trial_chunks(grid: Grid, seed: int, count: int, group: int = 1,
         first = stop
 
 
-def trial_energies(kernel: Kernel, seed: int,
-                   count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trials 0 to ``count - 1`` of ``seed`` (at least one), one field per
-    row, and their energies [phi]^p on ``kernel``.
+class TrialSet:
+    """Trial fields, one per row, with the energies [phi]^p evaluated so
+    far (``known``, NaN for the others) and, once asked for, a lower bound
+    on each one's energy (``bounds``).
 
-    They are drawn and evaluated chunk by chunk on the first call for
-    (``seed``, ``count``) and kept on the kernel after.  The kernel keeps
-    the arrays only, so they hold no reference back to it, and a dropped
-    kernel is freed at once rather than by the garbage collector.
+    It holds arrays only, no reference back to its kernel, so a kernel
+    that keeps one is freed at once when dropped rather than by the
+    garbage collector.
     """
+
+    def __init__(self, fields: np.ndarray):
+        self.fields = fields
+        self.known = np.full(len(fields), np.nan)
+        self._bounds = None
+
+    def bounds(self, kernel: Kernel) -> np.ndarray:
+        """``operators.energy_lower_bound`` of every trial, taken on the
+        first call."""
+        if self._bounds is None:
+            self._bounds = energy_lower_bound(self.fields, kernel)
+        return self._bounds
+
+    def energies(self, kernel: Kernel, rows: np.ndarray | None = None
+                 ) -> np.ndarray:
+        """The energies of trials ``rows`` (an index array; every trial by
+        default), in that order.
+
+        Those not known yet are evaluated and kept, in increasing order and
+        in blocks of the chunk size of ``trial_chunks``.  Asked for every
+        trial at once, a fresh set of trials 0 to count - 1 evaluates the
+        blocks of ``trial_chunks``, so at p = 2, where a row's energy
+        depends on its block, every energy has the bits of chunk by chunk
+        evaluation.
+        """
+        rows = np.arange(self.known.size) if rows is None else rows
+        missing = np.unique(rows[np.isnan(self.known[rows])])
+        step = _chunk_rows(kernel.grid)
+        for first in range(0, missing.size, step):
+            block = missing[first:first + step]
+            self.known[block] = block_seminorm_p(self.fields[block], kernel)
+        return self.known[rows]
+
+
+def shared_trials(kernel: Kernel, seed: int, count: int) -> TrialSet:
+    """Trials 0 to ``count - 1`` of ``seed`` (at least one) on ``kernel``,
+    drawn chunk by chunk on the first call for (``seed``, ``count``) and
+    kept on the kernel after."""
     key = (seed, count)
     if key not in kernel._trials:
-        chunks = list(trial_chunks(kernel.grid, seed, count))
-        energies = [block_seminorm_p(chunk, kernel) for chunk in chunks]
-        kernel._trials[key] = np.concatenate(chunks), np.concatenate(energies)
+        kernel._trials[key] = TrialSet(
+            np.concatenate(list(trial_chunks(kernel.grid, seed, count))))
     return kernel._trials[key]

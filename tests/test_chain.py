@@ -30,6 +30,8 @@ from fss import (
     weak_residual,
 )
 from fss import chain as chain_module, solver as solver_module
+from fss.operators import block_seminorm_p
+from fss.sampling import trial_chunks
 
 from conftest import (
     compact_bump_values,
@@ -43,7 +45,7 @@ from oracles import (
     scalar_level_solution,
     scalar_singular_solution,
 )
-from test_sampling import count_draws
+from test_sampling import count_draws, count_energy_rows
 
 
 class TestTruncateWeight:
@@ -700,7 +702,7 @@ class TestExistenceBound:
 class TestChainProbes:
     """The per-level residual's probes depend only on the kernel, so they
     are drawn and evaluated once per kernel and kept with it
-    (``sampling.trial_energies``)."""
+    (``sampling.shared_trials``)."""
 
     def test_drawn_once_per_kernel(self, grid_1d, bump_weight, monkeypatch):
         params = FracParams(s=0.5, p=3.0, n_dim=1)
@@ -708,10 +710,17 @@ class TestChainProbes:
         draws = count_draws(monkeypatch)
         run_chain(bump_weight, 1.0, kernel)
         kept = kernel._trials[(7, 100)]
+        # The chain asks for every probe's energy.
+        assert kept.fields.shape == (100, grid_1d.interior_count)
+        assert not np.isnan(kept.known).any()
+        energies = kept.known.copy()
+        rows = count_energy_rows(monkeypatch)
         shared = run_chain(bump_weight, 0.5, kernel)
         assert draws == [100]
+        assert rows == []
         assert list(kernel._trials) == [(7, 100)]
         assert kernel._trials[(7, 100)] is kept
+        assert np.array_equal(kept.known, energies)
         fresh = run_chain(bump_weight, 0.5, build_kernel(grid_1d, params))
         assert draws == [200]
         assert ([level.to_json_record() for level in shared.levels]
@@ -789,6 +798,60 @@ class TestWeakResidual:
         scale = np.abs(grad).sum() + np.abs(source).sum()
         assert abs(report.max_residual - max(residuals)) <= 1e-14 * scale
         assert abs(report.aux_min_slack - min(slacks)) <= 1e-14 * scale
+
+
+class TestWeakResidualBound:
+    """The weak residual takes the energy only of the trials that the lower
+    bound on [v]^p cannot decide, and reports what evaluating every trial
+    gives."""
+
+    @staticmethod
+    def every_trial(u, omega, alpha, kernel, trials, seed):
+        """The residual and the slack over all trials, each with its
+        energy, as trials 0 to ``trials - 1`` are evaluated chunk by
+        chunk."""
+        p = kernel.params.p
+        chunks = list(trial_chunks(kernel.grid, seed, trials))
+        fields = np.concatenate(chunks)
+        norms = np.concatenate([block_seminorm_p(chunk, kernel)
+                                for chunk in chunks]) ** (1.0 / p)
+        source = kernel.grid.measure * omega.values / u.values**alpha
+        gap = fields @ (apply_operator(u, kernel) - source)
+        bound = seminorm_p(u, kernel) ** ((p - 1.0) / p) * norms
+        return (float((np.abs(gap) / (1.0 + norms)).max()),
+                float((bound - np.abs(fields @ source)).min()))
+
+    @pytest.mark.parametrize("fixture",
+                             ["kernel_1d_p15", "kernel_1d", "kernel_1d_p3"])
+    @pytest.mark.parametrize("case", ["solved", "shifted", "linear"])
+    def test_equals_every_trial(self, fixture, case, request, bump_weight):
+        kernel = request.getfixturevalue(fixture)
+        grid = kernel.grid
+        if case == "linear":
+            u = Field(np.linspace(0.2, 1.0, grid.interior_count), grid)
+        else:
+            u = run_chain(bump_weight, 0.5, kernel).u_alpha
+            if case == "shifted":
+                u = Field(u.values + 0.1, grid)
+        # Fresh kernels, which keep no trial energies yet.
+        report = weak_residual(u, bump_weight, 0.5,
+                               build_kernel(grid, kernel.params), 200, 5)
+        expected = self.every_trial(u, bump_weight, 0.5, kernel, 200, 5)
+        got = (report.max_residual, report.aux_min_slack)
+        if kernel.params.p == 2.0:
+            assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+        else:
+            assert got == expected
+        assert report.trials == 200
+
+    def test_evaluates_few_trials(self, kernel_1d_p3, bump_weight,
+                                  monkeypatch):
+        u = run_chain(bump_weight, 0.5, kernel_1d_p3).u_alpha
+        kernel = build_kernel(kernel_1d_p3.grid, kernel_1d_p3.params)
+        rows = count_energy_rows(monkeypatch)
+        report = weak_residual(u, bump_weight, 0.5, kernel, 200, 0)
+        assert sum(rows) <= 20
+        assert report.max_residual <= 1e-7
 
 
 class TestLinftyBound:

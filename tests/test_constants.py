@@ -25,8 +25,6 @@ from fss import (
 )
 
 from fss import chain as chain_module, constants, solver as solver_module
-from fss.constants import SHARED_TRIALS
-from fss.sampling import trial_energies
 
 from conftest import synthetic_unit_kernel, tight_chain_options
 from oracles import (
@@ -37,7 +35,7 @@ from oracles import (
     scalar_singular_solution,
     weighted_qmean,
 )
-from test_sampling import count_draws, record_chunks
+from test_sampling import count_draws, count_energy_rows, record_chunks
 
 ALPHA_GRID = (0.90, 0.925, 0.95, 0.975, 0.99)
 
@@ -473,24 +471,20 @@ class TestBlockCertification:
     @pytest.mark.parametrize("inequality", ["power-mean", "log"])
     def test_bound_decides_most_trials(self, bump_solution_05, bump_mu,
                                        monkeypatch, inequality):
-        # The shared trials, kept on the kernel, and the extremal multiples
-        # set the minima; the exterior lower bound on [v]^p then decides
-        # nearly all of the 800 later trials without their energy.
+        # The extremal multiples set the minima; the lower bound on [v]^p
+        # then decides nearly all of the 1000 trials, the 200 shared ones
+        # among them, without their energy.
         subject, verify = ((bump_solution_05, verify_sobolev)
                            if inequality == "power-mean"
                            else (bump_mu, verify_log_sobolev))
-        trial_energies(subject.kernel, 0, SHARED_TRIALS)
-        rows = []
-        evaluate = constants.block_seminorm_p
-
-        def counted(block, kernel):
-            rows.append(block.shape[0])
-            return evaluate(block, kernel)
-
-        monkeypatch.setattr(constants, "block_seminorm_p", counted)
-        report = verify(subject, trials=1000, seed=0)
+        # A fresh kernel, which keeps no energy of the shared trials yet.
+        kernel = build_kernel(subject.kernel.grid, subject.kernel.params)
+        rows = count_energy_rows(monkeypatch)
+        report = verify(replace(subject, kernel=kernel), trials=1000, seed=0)
         assert rows[0] == 3      # the extremal multiples
-        assert sum(rows) <= 50
+        # Measured: 21 rows (3 + 5 shared + 13 later) for the power-mean
+        # inequality, 18 (3 + 5 + 10) for the log one; 4 rows of margin.
+        assert sum(rows) <= 25
         assert report.violations == 0
 
     @pytest.mark.parametrize("inequality", ["power-mean", "log"])
@@ -498,7 +492,8 @@ class TestBlockCertification:
                                                bump_mu, monkeypatch,
                                                inequality):
         # The weak residual's trials are kept on the kernel, and a
-        # certification of the same seed takes them as its first trials.
+        # certification of the same seed takes them as its first trials,
+        # with every energy the weak residual took.
         subject, verify, u, alpha = (
             (bump_solution_05, verify_sobolev, bump_solution_05.u,
              bump_solution_05.alpha) if inequality == "power-mean"
@@ -511,6 +506,18 @@ class TestBlockCertification:
         verify(subject, trials=100, seed=42)
         assert draws == [100]
         weak_residual(u, subject.omega, alpha, kernel, 200, 42)
+        assert list(kernel._trials) == [(42, 100), (42, 200)]
+        kept = kernel._trials[(42, 200)]
+        taken = kept.known.copy()
+        rows = count_energy_rows(monkeypatch)
+        verify(subject, trials=200, seed=42)
+        # Past the extremal multiples, the certification takes only
+        # energies that the weak residual did not take, and keeps them.
+        assert rows[0] == 3
+        assert sum(rows[1:]) == (np.isnan(taken).sum()
+                                 - np.isnan(kept.known).sum())
+        assert np.array_equal(kept.known[~np.isnan(taken)],
+                              taken[~np.isnan(taken)])
         draws[0] = 0
         shared = verify(subject, trials=300, seed=42)
         assert draws == [100]

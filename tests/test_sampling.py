@@ -12,7 +12,7 @@ from fss import (
     check_strong_monotonicity,
     weak_residual,
 )
-from fss import sampling
+from fss import constants, operators, sampling
 from fss.grid import PAIR_BLOCK_ELEMENTS
 from fss.sampling import trial_block, trial_chunks
 
@@ -184,6 +184,22 @@ def count_draws(monkeypatch):
 
     monkeypatch.setattr(sampling, "trial_block", counted)
     return draws
+
+
+def count_energy_rows(monkeypatch):
+    """Record the rows of every block whose energies [v]^p are evaluated
+    from now on, by the certifications and by the kept trials, in a list
+    of block sizes."""
+    rows = []
+    evaluate = operators.block_seminorm_p
+
+    def counted(block, kernel):
+        rows.append(block.shape[0])
+        return evaluate(block, kernel)
+
+    for module in (constants, sampling):
+        monkeypatch.setattr(module, "block_seminorm_p", counted)
+    return rows
 
 
 def _residual(kernel):

@@ -7,9 +7,12 @@ Runs ``fss solve|verify|sweep|props|constant`` with each checkout's
 benchmark workload configs that ``perfbench/workloads.make_config``
 builds for ``SEED``.  Both checkouts read the same config files, taken
 from NEW_CHECKOUT, with their outputs redirected into ``--workdir``.  A
-config with ``problem.alpha`` runs ``solve`` then ``verify`` on the
-solution it wrote; one with ``problem.alpha_grid`` runs ``sweep``; every
-config runs ``props`` and ``constant`` at each theta of ``THETAS``.
+config with ``problem.alpha`` runs ``solve``, then ``verify`` on the
+solution it wrote, once with the config's trials and seed and once with
+``HELD_OUT`` (``--seed 2 --trials 300``), a draw that no config fixes;
+one with ``problem.alpha_grid`` runs ``sweep``; every config runs
+``props`` and ``constant`` at each theta of ``THETAS``.  That makes 56
+output files on the shipped and workload configs.
 Each config runs in its own directory, emptied first, so a reused
 ``--workdir`` holds no output of an earlier run.  BLAS runs on one
 thread, as in the benchmark.
@@ -41,6 +44,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOADS = ("chain2d_p2", "chain1d_p3", "sweep1d", "solve2d_large")
 SEED = 1
 THETAS = (1.0, 2.0, 3.0, 6.0)
+HELD_OUT = ("--seed", "2", "--trials", "300")
 SKIPPED = {"config_hash"}
 
 
@@ -84,6 +88,9 @@ def _run_config(checkout: Path, workdir: Path,
         codes["verify"] = _run(checkout, workdir, [
             "verify", *base, "--solution", "solution.json",
             "--report", "verify.json"])
+        codes["verify held-out"] = _run(checkout, workdir, [
+            "verify", *base, "--solution", "solution.json", *HELD_OUT,
+            "--report", "verify-held-out.json"])
     if "alpha_grid" in problem:
         codes["sweep"] = _run(checkout, workdir, ["sweep", *base])
     codes["props"] = _run(checkout, workdir,
