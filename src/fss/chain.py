@@ -29,7 +29,14 @@ Optimization, 2006, ch. 3 and 19).  A solve stops once the max-norm of
 its Newton step is at most its tolerance (``fixed_point_tol`` at a level,
 ``POLISH_TOL`` at the limit), or, when that tolerance lies below the
 double-precision floor, after three steps that neither shrink the step
-nor promise a measurable energy decrease; it returns its best iterate.
+nor promise a measurable energy decrease; it returns its best iterate
+and leaves A u of it in the caller's array.  That one pairwise pass, taken
+when the iterate was evaluated, gives the level's
+[u_n]^p = <A u_n, u_n> and the gaps of its weak residual over the
+seeded probes, and it starts the next level's solve and the polish, so
+every point of the walk takes one pass.  The probes' energies are taken
+after the walk, and only for the probes that their lower bound cannot
+decide (``_level_residuals``).
 
 At p = 2, H_p is the stiffness matrix K and D lives only on S.  Each
 step is one solve with K + D on S (``Kernel.support_solve``): the other
@@ -37,7 +44,8 @@ nodes are eliminated once per support through the Schur complement C of
 K on S, and a step factors only the |S| x |S| matrix C + D.  The
 barrier's start is the same solve with D = 0, formed by
 ``solver.solve_barrier``, so the barrier and every level share one C.
-Every other p factors H_p + D by Cholesky at each step.  For p > 2, H_p
+Every other p assembles H_p + D at each step into one M x M work array
+per solve and factors it there in place by Cholesky.  For p > 2, H_p
 vanishes at u = 0, so the walk starts from the barrier.
 
 Levels are walked along the schedule n = 16^k, k < 40
@@ -71,7 +79,7 @@ from .operators import (
     norm_r,
     seminorm_p,
 )
-from .sampling import shared_trials
+from .sampling import TrialSet, shared_trials
 from .solver import SolveOptions, embedding_constant, newton, solve_barrier
 
 
@@ -106,8 +114,8 @@ def _located(err: SolverError, where: str, **context) -> SolverError:
 
 
 def solve_level(omega: WeightField, n: int, alpha: float, kernel: Kernel,
-                init: Field, opts: ChainOptions | None = None
-                ) -> tuple[Field, int, float]:
+                init: Field, opts: ChainOptions | None = None,
+                au: np.ndarray | None = None) -> tuple[Field, int, float]:
     """Minimize the energy J_n of level ``n`` by damped Newton from
     ``init``: the weight truncated to min(omega, n), the shift 1/n.
 
@@ -120,7 +128,9 @@ def solve_level(omega: WeightField, n: int, alpha: float, kernel: Kernel,
     u = 0, so start from a field such as the barrier.  Raises a
     ``SolverError`` naming the level, the step (``sweep``) and alpha when
     a step fails, and its ``StagnationError`` subclass when the step
-    budget runs out.
+    budget runs out.  ``au``, when given, is A init, and on return it
+    holds A u_n (``solver.newton``): the chain hands it from level to
+    level, so no level takes a pairwise pass for its start.
     """
     if n < 1:
         raise ValueError(f"level must be at least 1, got {n}")
@@ -131,7 +141,7 @@ def solve_level(omega: WeightField, n: int, alpha: float, kernel: Kernel,
     opts = opts or ChainOptions()
     u, steps, delta = newton(init.values, np.minimum(omega.values, float(n)),
                              1.0 / n, alpha, kernel, opts.fixed_point_tol,
-                             f"level {n} (alpha {alpha:g})", level=n)
+                             f"level {n} (alpha {alpha:g})", level=n, au=au)
     return Field(u, kernel.grid), steps, delta
 
 
@@ -203,17 +213,34 @@ class ChainResult:
         return worst
 
 
-def _level_residual(au: np.ndarray, source: np.ndarray, probes: np.ndarray,
-                    norms: np.ndarray) -> float:
-    """Weak residual max |<A u, phi> - source . phi| / (1 + [phi]) over the
-    probes, from the dual vectors ``au`` = A u and ``source`` (cell
-    measures included).
+def _level_residuals(gaps: np.ndarray, probes: TrialSet,
+                     kernel: Kernel) -> np.ndarray:
+    """Weak residual max_k |gap_k| / (1 + [phi_k]) of each level over the
+    probes phi_k, from the (levels, probes) array ``gaps`` of
+    |<A u_n, phi_k> - source_n . phi_k| (cell measures in the source).
 
-    Uses the exact identity pairing(u, v) = (A u) . v, so the cost per
-    probe is linear in the node count.
+    Only a few probes take their energy [phi]^p, in two blocks after the
+    walk.  The kept lower bound L(phi) (``TrialSet.bounds``) lies below
+    the computed [phi]^p by far more than the rounding of a power, a sum
+    or a division, and those are monotone, so the cap
+    |gap| / (1 + L(phi)^(1/p)) is at least the probe's ratio in floating
+    point too.  First each level's probe with the largest cap takes its
+    energy, then every probe whose cap exceeds the largest ratio so far
+    of some level.  Every other probe's ratio lies within that level's
+    maximum, which is therefore the maximum over every probe: bitwise at
+    p != 2, to rounding at p = 2, where an energy depends on its block
+    (``block_seminorm_p``).
     """
-    gap = probes @ (au - source)
-    return float((np.abs(gap) / (1.0 + norms)).max())
+    p = kernel.params.p
+    caps = gaps / (1.0 + probes.bounds(kernel) ** (1.0 / p))
+
+    def ratios(rows: np.ndarray) -> np.ndarray:
+        norms = probes.energies(kernel, rows) ** (1.0 / p)
+        return gaps[:, rows] / (1.0 + norms)
+
+    residuals = ratios(caps.argmax(axis=1)).max(axis=1)
+    rest = np.flatnonzero((caps > residuals[:, None]).any(axis=0))
+    return np.maximum(residuals, ratios(rest).max(axis=1, initial=0.0))
 
 
 def existence_bound(omega: WeightField, alpha: float,
@@ -322,30 +349,22 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     # The probes depend only on the kernel, so one draw serves every chain
     # on it (a sweep runs several).
     probes = shared_trials(kernel, _RESIDUAL_SEED, _RESIDUAL_TRIALS)
-    norms = probes.energies(kernel) ** (1.0 / params.p)
-    levels: list[LevelRecord] = []
+    walk, gaps = [], []
     prev: Field | None = None
     converged = False
     final_increment = math.inf
+    # A u of the next solve's start, which each level's solve overwrites
+    # with A u_n, so no point of the walk takes a second pairwise pass.
+    au = apply_operator(init or psi, kernel)
     for n in schedule:
         start = prev if prev is not None else (init or psi)
-        u_n, sweeps, delta = solve_level(omega, n, alpha, kernel, start, opts)
-        # One pairwise pass: [u_n]^p = <A u_n, u_n> and the residual.
-        au = apply_operator(u_n, kernel)
-        sn = float(u_n.values @ au)
+        u_n, sweeps, delta = solve_level(omega, n, alpha, kernel, start, opts,
+                                         au=au)
+        # [u_n]^p = <A u_n, u_n>, and the probes' residual gaps.
         source = kernel.grid.measure * np.minimum(omega.values, float(n)) / (
             u_n.values + 1.0 / n) ** alpha
-        residual = _level_residual(au, source, probes.fields, norms)
-        levels.append(LevelRecord(
-            n=n,
-            u=u_n,
-            seminorm=sn,
-            fp_sweeps=sweeps,
-            fp_delta=delta,
-            residual=residual,
-            min_value=float(u_n.values.min()),
-            max_value=float(u_n.values.max()),
-        ))
+        gaps.append(np.abs(probes.fields @ (au - source)))
+        walk.append((n, u_n, float(u_n.values @ au), sweeps, delta))
         if prev is not None:
             final_increment = (u_n - prev).max_norm()
             if final_increment <= opts.chain_tol:
@@ -353,13 +372,20 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
                 prev = u_n
                 break
         prev = u_n
+    levels = [
+        LevelRecord(n=n, u=u_n, seminorm=sn, fp_sweeps=sweeps,
+                    fp_delta=delta, residual=float(residual),
+                    min_value=float(u_n.values.min()),
+                    max_value=float(u_n.values.max()))
+        for (n, u_n, sn, sweeps, delta), residual
+        in zip(walk, _level_residuals(np.array(gaps), probes, kernel))]
 
     m_alpha = (levels[0].max_value + 1.0) ** (-alpha / (params.p - 1.0))
     u_final, polish_sweeps = prev, 0
     if converged:
         values, polish_sweeps, _ = newton(
             prev.values, omega.values, 0.0, alpha, kernel, POLISH_TOL,
-            f"polish (alpha {alpha:g})")
+            f"polish (alpha {alpha:g})", au=au)
         u_final = Field(values, kernel.grid)
 
     sn_final = seminorm_p(u_final, kernel)

@@ -242,9 +242,8 @@ class Kernel:
     too, keyed by (seed, count) (``sampling.shared_trials``): each is
     drawn once per kernel.  A lower bound on its energy and its full
     energy are each taken only when a check first asks for them: the
-    chain asks for every probe's energy, the weak residual and the
-    certification for every bound and for the energies of the trials
-    that the bound cannot decide.
+    chain, the weak residual and the certification ask for every bound
+    and for the energies of the trials that the bound cannot decide.
     """
 
     grid: Grid
@@ -342,15 +341,17 @@ class Kernel:
         """The nodes R off ``support``, the Schur complement C of K on the
         support and the extension E = -K_RR^-1 K_RS, built from
         ``stiffness`` by one Cholesky factorization of K_RR and kept per
-        support."""
+        support.  K is exactly symmetric, so the transposes of the gathered
+        K_RR and K_SR are K_RR and K_RS in the Fortran order that LAPACK
+        takes without a copy."""
         key = support.tobytes()
         if key not in self._schur_complements:
             rest = np.setdiff1d(np.arange(self.interior_count), support,
                                 assume_unique=True)
             k = self.stiffness
-            k_rs = k[np.ix_(rest, support)]
-            extension = -_cholesky_solve(k[np.ix_(rest, rest)], k_rs)
-            schur = k[np.ix_(support, support)] + k_rs.T @ extension
+            k_sr = k[np.ix_(support, rest)]
+            extension = -_cholesky_solve(k[np.ix_(rest, rest)].T, k_sr.T)
+            schur = k[np.ix_(support, support)] + k_sr @ extension
             self._schur_complements[key] = rest, schur, extension
         return self._schur_complements[key]
 

@@ -311,7 +311,7 @@ def energy_lower_bound(block: np.ndarray, kernel: Kernel) -> np.ndarray:
     Numerical Algorithms, 2002, ch. 3), lies far below the 1e-6 allowance,
     so the computed [v]^p is at least L(v) too.
     """
-    p, m = kernel.params.p, block.shape[1]
+    m = block.shape[1]
     # (offset, weights): node i pairs with node i + offset at weight w_h,
     # or at 0 where the pair straddles the end of a lattice line.
     pairs = []
@@ -322,6 +322,25 @@ def energy_lower_bound(block: np.ndarray, kernel: Kernel) -> np.ndarray:
         pairs.append((1, along))
         if line < m:
             pairs.append((line, np.full(m - line, kernel.first_row[1])))
+    return _lower_bound(block, kernel, pairs)
+
+
+def exterior_lower_bound(block: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """The exterior part of ``energy_lower_bound`` alone,
+    (1 - 1e-6) 2 sum_i B_i |v_i|^p for each row v of the (k, M) ``block``:
+    a weaker lower bound on [v]^p, since the neighbour terms it drops are
+    nonnegative, that reads no pair and so costs a fraction of the full
+    one."""
+    return _lower_bound(block, kernel, [])
+
+
+def _lower_bound(block: np.ndarray, kernel: Kernel,
+                 pairs: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """(1 - 1e-6) 2 (sum_i B_i |v_i|^p + the pair terms) for each row v
+    of ``block``, with the pairs given as (offset, weights): node i pairs
+    with node i + offset at weights[i].  The rows run in blocks through
+    the kernel's two reused ``pair_buffers``."""
+    p, m = kernel.params.p, block.shape[1]
     buffers = [buf.reshape(-1) for buf in kernel.pair_buffers]
     step = kernel.pair_buffers[0].shape[0]
     bounds = np.empty(len(block))
@@ -367,29 +386,35 @@ def energy_and_gradient(values: np.ndarray, kernel: Kernel,
     return energy, grad
 
 
-def energy_hessian(values: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Hessian of (1/p)[u]^p as a new M x M array (the stiffness K at
-    p = 2, without building it):
+def energy_hessian(values: np.ndarray, kernel: Kernel,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Hessian of (1/p)[u]^p (the stiffness K at p = 2, without building
+    it), written into ``out``, a C-ordered M x M work array whose
+    contents are overwritten, or into a new array:
 
         H = 2 (p-1) [diag(sum_j c_ij + B_i |u_i|^(p-2)) - (c_ij)],
         c_ij = w_ij |u_i - u_j|^(p-2),
 
-    assembled through the blocked row pass.  For p < 2 the powers are
-    infinite where two nodes tie or a node vanishes, so |u_i - u_j| and
-    |u_i| are clipped from below at eps = 1e-13 max|u| there (the fixed-eps
-    case of the relaxed Kacanov weights of Diening, Fornasier, Tomasi &
-    Wank, Numer. Math. 145, 2020); entries with |u_i - u_j| > eps are
-    unchanged, and only the zero field keeps infinite entries.  For
-    p >= 2 nothing is clipped.
+    assembled through the blocked row pass, each row block in place in
+    its rows of the output.  For p < 2 the powers are infinite where two
+    nodes tie or a node vanishes, so |u_i - u_j| and |u_i| are clipped
+    from below at eps = 1e-13 max|u| there (the fixed-eps case of the
+    relaxed Kacanov weights of Diening, Fornasier, Tomasi & Wank, Numer.
+    Math. 145, 2020); entries with |u_i - u_j| > eps are unchanged, and
+    only the zero field keeps infinite entries.  For p >= 2 nothing is
+    clipped.  H is exactly symmetric, since w_ij and |u_i - u_j| are, so
+    its transpose is the same matrix in Fortran order.
     """
     p = kernel.params.p
     eps = 1e-13 * float(np.abs(values).max()) if p < 2.0 else 0.0
-    h = np.empty((values.size, values.size))
+    h = np.empty((values.size, values.size)) if out is None else out
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows, diff in _pair_blocks(values, kernel):
-            np.multiply(kernel.w_interior[rows],
-                        np.maximum(np.abs(diff), eps) ** (p - 2.0),
-                        out=h[rows])
+            block = h[rows]
+            np.abs(diff, out=block)
+            np.maximum(block, eps, out=block)
+            np.power(block, p - 2.0, out=block)
+            block *= kernel.w_interior[rows]
         np.fill_diagonal(h, 0.0)
         diagonal = (h.sum(axis=1) + kernel.boundary_weight
                     * np.maximum(np.abs(values), eps) ** (p - 2.0))

@@ -23,9 +23,9 @@ probes, and the weak residual's trials, which ``fss verify`` also
 certifies as its first ones.  Each is drawn once per kernel.  Its lower
 bound on the energy (``operators.energy_lower_bound``) and its full
 energy [phi]^p are each taken only when a check first asks for them.
-The chain asks for every probe's energy and for no bound; the weak
-residual and the certification ask for every bound, and for the energy
-only of the trials whose bound cannot decide them.
+The chain (after its walk), the weak residual and the certification ask
+for every bound, and for the energy only of the trials whose bound
+cannot decide them.
 """
 
 from __future__ import annotations
@@ -60,12 +60,17 @@ def trial_block(grid: Grid, seed: int, start: int, count: int) -> np.ndarray:
         rng = np.random.default_rng([int(seed), ten])
         rng.bit_generator.advance((first - 10 * ten) * m)
         rows = block[first - start:stop - start]
-        rows[...] = rng.uniform(-1.0, 1.0, rows.shape)
+        # uniform(-1, 1) is -1 + 2 u with u from random(), in place here.
+        rng.random(out=rows)
+        rows *= 2.0
+        rows -= 1.0
         if stop == 10 * ten + 10:
             center = lo + rng.uniform(0.2, 0.8, size=grid.n_dim) * (hi - lo)
             width = rng.uniform(0.1, 0.5) * float((hi - lo).max())
             amplitude = rng.uniform(-2.0, 2.0)
-            d2 = ((grid.interior - center) ** 2).sum(axis=1)
+            d2 = np.zeros(m)
+            for x, c in zip(grid.interior.T, center):
+                d2 += (x - c) ** 2
             bump = amplitude * np.exp(-d2 / (2.0 * width**2))
             if np.any(bump != 0.0):
                 rows[-1] = bump

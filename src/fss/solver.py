@@ -81,8 +81,8 @@ class SolveOptions:
 
 def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
            kernel: Kernel, tol: float, where: str | None = None,
-           level: int | None = None,
-           gradient: bool = False) -> tuple[np.ndarray, int, float]:
+           level: int | None = None, gradient: bool = False,
+           au: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
     """Damped Newton on J(u) = (1/p)[u]^p + sum_i m w_i G_alpha(u_i + shift)
     with G_alpha'(z) = -z^(-alpha).
 
@@ -96,13 +96,19 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
     u + shift = 0 and then backtracked until it passes the Armijo test on
     J, and at p < 2 also the curvature test that keeps it from
     overshooting a near-tie (Nocedal & Wright, Numerical Optimization,
-    2006, ch. 3 and 19).
+    2006, ch. 3 and 19).  Each evaluation of J takes one pairwise pass,
+    A v of its point (``operators.energy_and_gradient``).  ``au``, when
+    given, is A u of the start, which then takes no pass, and on return
+    it holds A u of the returned iterate, which the caller can reuse.
 
     At p = 2 with alpha > 0, H_p is the stiffness matrix K and D lives
     only on the support S, so a step solves for u + d through
     ``Kernel.support_solve``: it factors only the |S| x |S| matrix C + D,
     with C the Schur complement of K on S, built once per support.  Every
-    other p factors H_p + D by Cholesky at each step.
+    other p assembles H_p + D at each step into one M x M work array
+    allocated per solve, and factors it there in place by Cholesky: H_p
+    is exactly symmetric, so its transpose is the same matrix in the
+    Fortran order LAPACK takes without a copy.
 
     The solve stops once the max-norm of its Newton step (of its gradient
     when ``gradient``) is at most ``tol``, or, when ``tol`` lies below the
@@ -121,16 +127,22 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
     """
     support = np.flatnonzero(weight != 0.0)
     mass = kernel.grid.measure * weight[support]
+    p = kernel.params.p
 
-    def evaluate(v):
-        """J(v), its gradient, and the size of the terms summed into J."""
-        energy, g = energy_and_gradient(v, kernel)
+    def evaluate(v, av=None):
+        """J(v), its gradient, the size of the terms summed into J, and
+        A v (``av`` when given)."""
+        if av is None:
+            energy, av = energy_and_gradient(v, kernel)
+        else:
+            energy = float(v @ av) / p
         z = v[support] + shift
         potential = mass * (-np.log(z) if alpha == 1.0
                             else z ** (1.0 - alpha) / (alpha - 1.0))
+        g = av.copy()
         g[support] -= mass * z ** (-alpha)
         return (energy + float(potential.sum()), g,
-                energy + float(np.abs(potential).sum()))
+                energy + float(np.abs(potential).sum()), av)
 
     def fail(reason, error=SolverError, **extra):
         if where is not None:
@@ -139,9 +151,10 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
         return error(reason, iterate=u, grad_norm=float(np.abs(grad).max()),
                      iterations=step, **extra)
 
-    fval, grad, size = evaluate(u)
-    best, stale, history, step = u, 0, [], 0
+    fval, grad, size, applied = evaluate(u, au)
+    best, best_applied, stale, history, step = u, applied, 0, [], 0
     best_norm = float(np.abs(grad).max()) if gradient else math.inf
+    work = None
     while best_norm > tol and stale < _FLOOR_STEPS:
         if step == _NEWTON_STEPS:
             raise fail(f"no convergence within {step} Newton steps (last "
@@ -151,18 +164,20 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
         z = u[support] + shift
         curvature = alpha * mass * z ** (-alpha - 1.0) if alpha > 0.0 else 0.0
         try:
-            if alpha > 0.0 and kernel.params.p == 2.0:
+            if alpha > 0.0 and p == 2.0:
                 # -grad = P (m w z^-alpha + D u_S) - (K + D) u, and
                 # m w z^-alpha = D z / alpha.
                 d = kernel.support_solve(
                     support, curvature,
                     curvature * (u[support] + z / alpha)) - u
             else:
-                h = energy_hessian(u, kernel)
+                if work is None:
+                    work = np.empty((u.size, u.size))
+                h = energy_hessian(u, kernel, work)
                 h[support, support] += curvature
                 if not np.isfinite(h).all():
                     raise fail("Hessian has a non-finite entry")
-                d = _cholesky_solve(h, -grad)
+                d = _cholesky_solve(h.T, -grad)
         except LinAlgError as err:
             raise fail("Hessian is not positive definite") from err
         if not np.isfinite(d).all():
@@ -181,7 +196,7 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
         # strong Wolfe conditions), which backtracking meets since J is
         # convex along d.
         overshoot = math.inf
-        if kernel.params.p < 2.0 and slope < 0.0:
+        if p < 2.0 and slope < 0.0:
             overshoot = -_CURVATURE * slope
         delta = float(np.abs(d).max())
         history.append(delta)
@@ -189,21 +204,23 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
         t = min(1.0, _TO_BOUNDARY / reach) if reach > 0.0 else 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = u + t * d
-            ftrial, gtrial, strial = evaluate(trial)
+            ftrial, gtrial, strial, atrial = evaluate(trial)
             if (ftrial <= fval + _SUFFICIENT_DECREASE * t * slope + noise
                     and float(gtrial @ d) <= overshoot):
                 break
             t *= _BACKTRACK
         else:
             raise fail("line search failed")
-        u, fval, grad, size = trial, ftrial, gtrial, strial
+        u, fval, grad, size, applied = trial, ftrial, gtrial, strial, atrial
         norm = float(np.abs(grad).max()) if gradient else delta
         if norm < best_norm:
-            best, best_norm, stale = u, norm, 0
+            best, best_applied, best_norm, stale = u, applied, norm, 0
         elif -slope <= noise:
             stale += 1
     if alpha > 0.0 and best.min() <= 0.0:
         raise fail("solution is not strictly positive")
+    if au is not None:
+        au[...] = best_applied
     return best, step, best_norm
 
 

@@ -29,7 +29,7 @@ from fss import (
     solve_level,
     weak_residual,
 )
-from fss import chain as chain_module, solver as solver_module
+from fss import chain as chain_module, operators, solver as solver_module
 from fss.operators import block_seminorm_p
 from fss.sampling import trial_chunks
 
@@ -701,30 +701,69 @@ class TestExistenceBound:
 
 class TestChainProbes:
     """The per-level residual's probes depend only on the kernel, so they
-    are drawn and evaluated once per kernel and kept with it
-    (``sampling.shared_trials``)."""
+    are drawn once per kernel and kept with it, with the energies taken so
+    far (``sampling.shared_trials``)."""
 
     def test_drawn_once_per_kernel(self, grid_1d, bump_weight, monkeypatch):
         params = FracParams(s=0.5, p=3.0, n_dim=1)
         kernel = build_kernel(grid_1d, params)
         draws = count_draws(monkeypatch)
+        rows = count_energy_rows(monkeypatch)
         run_chain(bump_weight, 1.0, kernel)
         kept = kernel._trials[(7, 100)]
-        # The chain asks for every probe's energy.
+        # The chain asks for the energies of the probes that the lower
+        # bound leaves undecided, each once, and keeps them.
         assert kept.fields.shape == (100, grid_1d.interior_count)
-        assert not np.isnan(kept.known).any()
+        known = ~np.isnan(kept.known)
+        assert 0 < sum(rows) == known.sum() < 100
         energies = kept.known.copy()
-        rows = count_energy_rows(monkeypatch)
+        rows.clear()
         shared = run_chain(bump_weight, 0.5, kernel)
         assert draws == [100]
-        assert rows == []
+        # A second chain takes only the energies the first did not.
+        assert sum(rows) == (~np.isnan(kept.known)).sum() - known.sum()
         assert list(kernel._trials) == [(7, 100)]
         assert kernel._trials[(7, 100)] is kept
-        assert np.array_equal(kept.known, energies)
+        assert np.array_equal(kept.known[known], energies[known])
         fresh = run_chain(bump_weight, 0.5, build_kernel(grid_1d, params))
         assert draws == [200]
         assert ([level.to_json_record() for level in shared.levels]
                 == [level.to_json_record() for level in fresh.levels])
+
+    @staticmethod
+    def every_probe(chain, omega, kernel):
+        """Each level's residual over all 100 probes, each with its
+        energy, as the probes are evaluated chunk by chunk."""
+        p = kernel.params.p
+        chunks = list(trial_chunks(kernel.grid, 7, 100))
+        fields = np.concatenate(chunks)
+        norms = np.concatenate([block_seminorm_p(chunk, kernel)
+                                for chunk in chunks]) ** (1.0 / p)
+        residuals = []
+        for level in chain.levels:
+            source = kernel.grid.measure * np.minimum(
+                omega.values, float(level.n)) / (
+                    level.u.values + 1.0 / level.n) ** chain.alpha
+            gap = fields @ (apply_operator(level.u, kernel) - source)
+            residuals.append(float((np.abs(gap) / (1.0 + norms)).max()))
+        return residuals
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_few_probes_take_their_energy(self, grid_1d, bump_weight, p,
+                                          monkeypatch):
+        # The residuals are those of every probe with its energy, while
+        # at most 25 of the 100 probes take it: measured 17, 19 and 9 at
+        # p = 1.5, 2 and 3.
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
+        rows = count_energy_rows(monkeypatch)
+        chain = run_chain(bump_weight, 1.0, kernel)
+        assert sum(rows) <= 25
+        got = [level.residual for level in chain.levels]
+        expected = self.every_probe(chain, bump_weight, kernel)
+        if p == 2.0:
+            assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+        else:
+            assert got == expected
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_kernel_freed_without_the_collector(self, grid_1d, bump_weight,
@@ -741,6 +780,45 @@ class TestChainProbes:
             assert gone() is None
         finally:
             gc.enable()
+
+
+class TestPairwisePasses:
+    """Each Newton solve of the chain hands A u of its solution on, for
+    [u_n]^p, the probes' gaps and the start of the next solve."""
+
+    def test_one_pass_per_newton_evaluation(self, kernel_1d_p3, bump_weight,
+                                            monkeypatch):
+        # After the barrier, the only pass outside a Newton evaluation is
+        # A u of the first start, and no level's A u_n is taken twice.
+        passes, evaluations = [], [0]
+        gradient = operators._gradient
+        evaluate = solver_module.energy_and_gradient
+        barrier = chain_module.solve_barrier
+
+        def counted_pass(values, kernel):
+            passes.append(values.tobytes())
+            return gradient(values, kernel)
+
+        def counted_evaluation(*args):
+            evaluations[0] += 1
+            return evaluate(*args)
+
+        def counted_from_here(*args):
+            psi = barrier(*args)
+            passes.clear()
+            evaluations[0] = 0
+            return psi
+
+        monkeypatch.setattr(operators, "_gradient", counted_pass)
+        monkeypatch.setattr(solver_module, "energy_and_gradient",
+                            counted_evaluation)
+        monkeypatch.setattr(chain_module, "solve_barrier", counted_from_here)
+        chain = run_chain(bump_weight, 0.5, kernel_1d_p3)
+        assert chain.converged and len(chain.levels) > 2
+        assert chain.polish_sweeps > 0
+        assert len(passes) == evaluations[0] + 1
+        assert all(passes.count(level.u.values.tobytes()) == 1
+                   for level in chain.levels)
 
 
 class TestWeakResidual:

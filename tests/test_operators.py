@@ -26,6 +26,7 @@ from fss.operators import (
     energy_and_gradient,
     energy_hessian,
     energy_lower_bound,
+    exterior_lower_bound,
 )
 from fss.sampling import trial_block
 
@@ -449,7 +450,8 @@ class TestBlockEvaluation:
 
 class TestEnergyLowerBound:
     """``energy_lower_bound``: (1 - 1e-6) times the exterior terms and the
-    lattice-neighbour pair terms of [v]^p, in O(M) per row."""
+    lattice-neighbour pair terms of [v]^p, in O(M) per row, and
+    ``exterior_lower_bound``, the exterior terms alone."""
 
     GRIDS = {
         "1d-M63": ([(0.0, 1.0)], 1.0 / 64, 0.5),
@@ -471,6 +473,7 @@ class TestEnergyLowerBound:
         bounds = energy_lower_bound(block, kernel)
         energies = block_seminorm_p(block, kernel)
         assert np.all(bounds <= energies)
+        assert np.all(exterior_lower_bound(block, kernel) <= bounds)
         # The exterior and neighbour terms carry over half of the median
         # trial's energy here (measured 0.61 to 0.79).
         assert np.median(bounds / energies) > 0.5
@@ -481,6 +484,7 @@ class TestEnergyLowerBound:
         kernel = self.kernel(name, p)
         zero = np.zeros((1, kernel.interior_count))
         assert energy_lower_bound(zero, kernel).tolist() == [0.0]
+        assert exterior_lower_bound(zero, kernel).tolist() == [0.0]
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -503,6 +507,9 @@ class TestEnergyLowerBound:
                 kernel.boundary_weight[k] + neighbours[k] * w_h)
             assert energy_lower_bound(field, kernel)[0] == pytest.approx(
                 expected, rel=1e-13)
+            assert exterior_lower_bound(field, kernel)[0] == pytest.approx(
+                (1.0 - 1e-6) * 2.0 * abs(c) ** p * kernel.boundary_weight[k],
+                rel=1e-13)
 
     def test_single_node_grid(self):
         kernel = synthetic_unit_kernel(p=3.0, pair_weight=2.0)
@@ -567,6 +574,24 @@ class TestHessian:
         assert np.array_equal(np.diag(got)[rows], np.diag(expected)[rows])
         assert got[3, 7] == -2.0 * (p - 1.0) * kernel.w_interior[3, 7] \
             * eps ** (p - 2.0)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 6.0])
+    def test_into_a_work_array(self, grid_1d, p, monkeypatch):
+        # Written over a used work array, in row blocks of three rows and
+        # a last of one, the Hessian has the bits of a new one, also at a
+        # tie and at a zero node (both clipped at p < 2), and it is
+        # exactly symmetric.
+        monkeypatch.setattr(grid_module, "PAIR_BLOCK_ELEMENTS",
+                            3 * grid_1d.interior_count)
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
+        u = rand_field(grid_1d, np.random.default_rng(9)).values
+        u[3] = u[7]
+        u[5] = 0.0
+        work = np.full((u.size, u.size), np.nan)
+        got = energy_hessian(u, kernel, work)
+        assert got is work
+        assert np.array_equal(got, energy_hessian(u, kernel))
+        assert np.array_equal(got, got.T)
 
     def test_is_stiffness_at_p2(self, kernel_1d):
         u = rand_field(kernel_1d.grid, np.random.default_rng(7)).values

@@ -112,12 +112,17 @@ class TestTrialBlock:
                                        count, bumps):
         # Rows before the first asked are skipped, not drawn, and a ten
         # draws its bump (center, width, amplitude) only when its row 9
-        # is asked for.
+        # is asked for.  Every value drawn from the generator counts.
         drawn = []
 
         class Counted(np.random.Generator):
             def __init__(self, seed):
                 super().__init__(np.random.PCG64(seed))
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                values = super().random(size, dtype, out)
+                drawn.append(np.size(values))
+                return values
 
             def uniform(self, low=0.0, high=1.0, size=None):
                 values = super().uniform(low, high, size)
