@@ -36,7 +36,7 @@ when the iterate was evaluated, gives the level's
 seeded probes, and it starts the next level's solve and the polish, so
 every point of the walk takes one pass.  The probes' energies are taken
 after the walk, and only for the probes that their lower bound cannot
-decide (``_level_residuals``).
+decide (``_level_residuals``, by the rule of ``sampling.TrialSet``).
 
 At p = 2, H_p is the stiffness matrix K and D lives only on S.  Each
 step is one solve with K + D on S (``Kernel.support_solve``): the other
@@ -219,28 +219,16 @@ def _level_residuals(gaps: np.ndarray, probes: TrialSet,
     probes phi_k, from the (levels, probes) array ``gaps`` of
     |<A u_n, phi_k> - source_n . phi_k| (cell measures in the source).
 
-    Only a few probes take their energy [phi]^p, in two blocks after the
-    walk.  The kept lower bound L(phi) (``TrialSet.bounds``) lies below
-    the computed [phi]^p by far more than the rounding of a power, a sum
-    or a division, and those are monotone, so the cap
-    |gap| / (1 + L(phi)^(1/p)) is at least the probe's ratio in floating
-    point too.  First each level's probe with the largest cap takes its
-    energy, then every probe whose cap exceeds the largest ratio so far
-    of some level.  Every other probe's ratio lies within that level's
-    maximum, which is therefore the maximum over every probe: bitwise at
-    p != 2, to rounding at p = 2, where an energy depends on its block
-    (``block_seminorm_p``).
+    Each level's negated ratio is a statistic of
+    ``sampling.TrialSet.minima``, so only the probes that their lower
+    bound cannot decide take their energy, after the walk.
     """
     p = kernel.params.p
-    caps = gaps / (1.0 + probes.bounds(kernel) ** (1.0 / p))
 
-    def ratios(rows: np.ndarray) -> np.ndarray:
-        norms = probes.energies(kernel, rows) ** (1.0 / p)
-        return gaps[:, rows] / (1.0 + norms)
+    def negated_ratios(energies: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return -gaps[:, rows] / (1.0 + energies ** (1.0 / p))
 
-    residuals = ratios(caps.argmax(axis=1)).max(axis=1)
-    rest = np.flatnonzero((caps > residuals[:, None]).any(axis=0))
-    return np.maximum(residuals, ratios(rest).max(axis=1, initial=0.0))
+    return -probes.minima(kernel, negated_ratios, [np.inf] * len(gaps))[0]
 
 
 def existence_bound(omega: WeightField, alpha: float,
@@ -427,27 +415,12 @@ def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
     of the duality estimate |sum m w v / u^alpha| <= [u]^(p-1) [v].
     The fields are kept on the kernel (``sampling.shared_trials``), so a
     later check of the same trials draws none of them again and reuses
-    the energies taken here.  Requires u strictly positive at every
-    interior node.
+    the bounds and energies taken here.  Requires u strictly positive at
+    every interior node.
 
-    Only a few trials take their energy [v]^p.  The kept lower bound L(v)
-    (``operators.energy_lower_bound``) lies below the computed [v]^p by
-    far more than the rounding of a power, a sum or a division, and
-    those are monotone, so l = L(v)^(1/p) gives, in floating point too,
-
-        |gap| / (1 + l) >= |gap| / (1 + [v]),
-        [u]^(p-1) l - |sum m w v / u^alpha| <= the slack,
-
-    with gap = pairing(u, v) - sum m w v / u^alpha computed for every
-    trial, as the rest of each term is.  The trial with the largest first
-    bound and the trial with the smallest second bound take their energies
-    first.  Then every trial whose first bound exceeds the largest ratio
-    so far, or whose second bound lies below the smallest slack so far,
-    takes its energy, all of them together (``TrialSet.energies``).
-    Every other trial has a ratio and a slack within those, so the
-    maximum and the minimum are those of evaluating every trial: bitwise
-    at p != 2, where a trial's energy does not depend on its block, and
-    to rounding at p = 2 (``block_seminorm_p``).
+    Each trial's negated ratio and its slack are the statistics of
+    ``sampling.TrialSet.minima``, so only the trials that their lower
+    bounds cannot decide take their energy [v]^p.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -460,22 +433,14 @@ def weak_residual(u: Field, omega: WeightField, alpha: float, kernel: Kernel,
     pull = np.abs(trial.fields @ source)
     scale = seminorm_p(u, kernel) ** ((p - 1.0) / p)
 
-    def extremes(rows: np.ndarray) -> tuple[float, float]:
-        norms = trial.energies(kernel, rows) ** (1.0 / p)
-        return (float((gap[rows] / (1.0 + norms)).max()),
-                float((scale * norms - pull[rows]).min()))
+    def statistics(energies: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        norms = energies ** (1.0 / p)
+        return np.array([-gap[rows] / (1.0 + norms),
+                         scale * norms - pull[rows]])
 
-    floors = trial.bounds(kernel) ** (1.0 / p)
-    ratio_caps = gap / (1.0 + floors)
-    slack_floors = scale * floors - pull
-    ratio, slack = extremes(np.array([ratio_caps.argmax(),
-                                      slack_floors.argmin()]))
-    rest = np.flatnonzero((ratio_caps > ratio) | (slack_floors < slack))
-    if rest.size:
-        rest_ratio, rest_slack = extremes(rest)
-        ratio, slack = max(ratio, rest_ratio), min(slack, rest_slack)
-    return ResidualReport(max_residual=ratio, aux_min_slack=slack,
-                          trials=trials)
+    (ratio, slack), _ = trial.minima(kernel, statistics, [np.inf, np.inf])
+    return ResidualReport(max_residual=float(-ratio),
+                          aux_min_slack=float(slack), trials=trials)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ scale factors are assembled in log space.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -30,15 +31,13 @@ from .chain import ChainOptions, ChainResult, run_chain
 from .exceptions import FssError
 from .grid import Kernel, r_alpha
 from .operators import (Field, WeightField, block_seminorm_p,
-                        energy_lower_bound, exterior_lower_bound,
                         log_functional, seminorm_p)
 from .sampling import TrialSet, shared_trials, trial_chunks
 
 # The first trials of a certification, shared with the weak residual that
 # ``fss verify`` runs before it and kept on the kernel
-# (``sampling.shared_trials``).  Like the later trials, they take their
-# energy only when its lower bound cannot decide them, and an energy the
-# weak residual took is not taken again.
+# (``sampling.shared_trials``), so a bound or an energy the weak residual
+# took is not taken again.
 SHARED_TRIALS = 200
 
 
@@ -208,28 +207,12 @@ def _certify(term, constant: float, kernel: Kernel, extremal: Field,
     multiples form one block, evaluated first; then come the first
     ``SHARED_TRIALS`` trials, those kept on the kernel
     (``sampling.shared_trials``), and the rest, drawn in the chunks of
-    ``sampling.trial_chunks``.  Most trials are decided without their
-    energy.
-
-    Every trial's energy is bounded from below by
-    L'(v) = ``operators.energy_lower_bound``, in O(M), and the computed
-    [v]^p is at least L'.  The report keeps only minima and a count of
-    relative slacks below -1e-8.  A trial with r = term(v) and L' > 0,
-    L' - r > min_slack and 1 - r / L' > max(min_rel, -1e-8), against the
-    minima of the rows evaluated so far, therefore has a slack and a
-    relative slack that strictly exceed those minima, and it is no
-    violation: it cannot change the report, and its energy is skipped.
-    The shared trials are decided so against the minima of the first
-    block, and each later chunk against those of every row evaluated
-    before it.  A later chunk is decided first by the exterior part of L'
-    alone (``operators.exterior_lower_bound``), a lower bound too that
-    decides most rows at a fraction of the cost, and only the rows it
-    leaves undecided take L'.  Every other trial of a chunk, with r
-    infinite or NaN among them, takes its energy in one block, or from the
-    kernel when the weak residual already took it.  A decided row never
-    lowers a minimum, so the report equals that of evaluating every row:
-    bitwise at p != 2, where a row's energy does not depend on its block,
-    and to rounding at p = 2 (``block_seminorm_p``).
+    ``sampling.trial_chunks``.  Each set of trials lowers the minima of
+    the block and sets before it by ``sampling.TrialSet.minima``, with the
+    slack and the relative slack 1 - r / [v]^p, clamped at -1e-8, as its
+    statistics: only the trials that their lower bounds cannot decide
+    take their energy, or read it from the kernel when the weak residual
+    already took it, and every violation is among them.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
@@ -238,32 +221,24 @@ def _certify(term, constant: float, kernel: Kernel, extremal: Field,
     tail = np.array([v.values for v in extra_fields] + list(multiples))
     tail = tail.reshape(-1, extremal.values.size)
     energy, rhs = [block_seminorm_p(tail, kernel)], [term(tail)]
-
-    def undecided(bound: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Whether each row's bound leaves it able to lower a minimum."""
-        _, slack, rel = _slacks(energy, rhs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return ~((bound > 0.0)
-                     & (bound - r > slack.min(initial=math.inf))
-                     & (1.0 - r / bound
-                        > max(rel.min(initial=math.inf), -1e-8)))
-
-    def evaluate(trial: TrialSet, r: np.ndarray, rows: np.ndarray):
-        energy.append(trial.energies(kernel, rows))
-        rhs.append(r[rows])
-
+    _, slack, rel = _slacks(energy, rhs)
+    minima = [slack.min(initial=math.inf),
+              np.maximum(rel.min(initial=math.inf), -1e-8)]
     shared = min(trials, SHARED_TRIALS)
-    if shared:
-        trial = shared_trials(kernel, seed, shared)
+    for trial in itertools.chain(
+            [shared_trials(kernel, seed, shared)] if shared else [],
+            map(TrialSet, trial_chunks(kernel.grid, seed, trials,
+                                       start=shared))):
         r = term(trial.fields)
-        evaluate(trial, r, np.flatnonzero(undecided(trial.bounds(kernel), r)))
-    for block in trial_chunks(kernel.grid, seed, trials, start=shared):
-        r = term(block)
-        rows = np.flatnonzero(undecided(exterior_lower_bound(block, kernel),
-                                        r))
-        rows = rows[undecided(energy_lower_bound(block[rows], kernel),
-                              r[rows])]
-        evaluate(TrialSet(block), r, rows)
+
+        def statistics(energies: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.array([energies - r[rows],
+                                 np.maximum(1.0 - r[rows] / energies, -1e-8)])
+
+        minima, rows = trial.minima(kernel, statistics, minima)
+        energy.append(trial.known[rows])
+        rhs.append(r[rows])
     energy, slack, rel = _slacks(energy, rhs)
     at_extremal = slice(len(tail) - len(multiples), len(tail))
     return CertificationReport(

@@ -240,10 +240,9 @@ class Kernel:
     chain's per-level residual probes, and the weak residual's trials,
     which ``fss verify`` also certifies as its first ones) are kept here
     too, keyed by (seed, count) (``sampling.shared_trials``): each is
-    drawn once per kernel.  A lower bound on its energy and its full
-    energy are each taken only when a check first asks for them: the
-    chain, the weak residual and the certification ask for every bound
-    and for the energies of the trials that the bound cannot decide.
+    drawn once per kernel, and the lower bounds and energies that a
+    check takes of it are kept with it (``sampling.TrialSet``, whose rule
+    decides which a check takes).
     """
 
     grid: Grid

@@ -20,12 +20,10 @@ scratch memory does not grow with the number of trials.
 The trials that several checks share are kept on the kernel
 (``shared_trials``): the approximation chain's per-level residual
 probes, and the weak residual's trials, which ``fss verify`` also
-certifies as its first ones.  Each is drawn once per kernel.  Its lower
-bound on the energy (``operators.energy_lower_bound``) and its full
-energy [phi]^p are each taken only when a check first asks for them.
-The chain (after its walk), the weak residual and the certification ask
-for every bound, and for the energy only of the trials whose bound
-cannot decide them.
+certifies as its first ones.  Each is drawn once per kernel, and the
+lower bounds and energies taken of it are kept with it.  Every seeded
+check reads its trials through ``TrialSet.minima``, which takes an
+energy only where no lower bound on it decides the trial.
 """
 
 from __future__ import annotations
@@ -33,7 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import PAIR_BLOCK_ELEMENTS, Grid, Kernel
-from .operators import block_seminorm_p, energy_lower_bound
+from .operators import (block_seminorm_p, energy_lower_bound,
+                        exterior_lower_bound)
 
 
 def trial_field(grid: Grid, seed: int, index: int) -> np.ndarray:
@@ -106,8 +105,30 @@ def trial_chunks(grid: Grid, seed: int, count: int, group: int = 1,
 
 class TrialSet:
     """Trial fields, one per row, with the energies [phi]^p evaluated so
-    far (``known``, NaN for the others) and, once asked for, a lower bound
-    on each one's energy (``bounds``).
+    far (``known``, NaN for the others) and the lower bounds on them
+    (``operators.energy_lower_bound``) taken so far, both kept.
+
+    A check reports minima over the trials of statistics of the energy,
+    each nondecreasing in it as computed (a maximum is the minimum of the
+    negation), and asks ``minima`` for them.  A lower bound L <= [phi]^p
+    then gives f(L) <= f([phi]^p) for each statistic f, so a trial with
+    f(L) > m for every statistic, m its minimum so far, lowers no
+    minimum: it is decided, and its energy is skipped.  The comparison is
+    strict, so a tie or a NaN statistic leaves a trial undecided, and a
+    check that clamps a statistic at a threshold evaluates, and can count,
+    every trial below it (the certification's relative slack at -1e-8).
+    The bounds are taken weakest first, each only on the trials still
+    undecided: once every minimum is finite, the exterior bound
+    (``operators.exterior_lower_bound``, which reads no pair) of the
+    trials with no kept bound; then the neighbour bound, taken once and
+    kept.  While a minimum is infinite nothing can be decided, and every
+    trial takes the neighbour bound.  The energies follow in two blocks:
+    for each statistic with an infinite minimum, the trial whose bound
+    gives the least value; then every trial still undecided against the
+    minima so lowered.  A decided trial lowers no minimum, so the minima
+    equal those of evaluating every trial: bitwise at p != 2, where an
+    energy does not depend on its block, and to rounding at p = 2
+    (``operators.block_seminorm_p``).
 
     It holds arrays only, no reference back to its kernel, so a kernel
     that keeps one is freed at once when dropped rather than by the
@@ -117,34 +138,55 @@ class TrialSet:
     def __init__(self, fields: np.ndarray):
         self.fields = fields
         self.known = np.full(len(fields), np.nan)
-        self._bounds = None
+        self._bounds = np.full(len(fields), np.nan)
 
-    def bounds(self, kernel: Kernel) -> np.ndarray:
-        """``operators.energy_lower_bound`` of every trial, taken on the
-        first call."""
-        if self._bounds is None:
-            self._bounds = energy_lower_bound(self.fields, kernel)
-        return self._bounds
+    def minima(self, kernel: Kernel, statistics, minima
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The running ``minima`` (one per statistic, +inf before any
+        value) lowered by every trial, by the rule of the class docstring,
+        and the trials whose energies that read, in increasing order.
 
-    def energies(self, kernel: Kernel, rows: np.ndarray | None = None
-                 ) -> np.ndarray:
-        """The energies of trials ``rows`` (an index array; every trial by
-        default), in that order.
-
-        Those not known yet are evaluated and kept, in increasing order and
-        in blocks of the chunk size of ``trial_chunks``.  Asked for every
-        trial at once, a fresh set of trials 0 to count - 1 evaluates the
-        blocks of ``trial_chunks``, so at p = 2, where a row's energy
-        depends on its block, every energy has the bits of chunk by chunk
-        evaluation.
+        ``statistics(energies, rows)`` gives the statistics of trials
+        ``rows`` (an index array) at ``energies``, their energies or lower
+        bounds on them, as a (statistics, rows) array.
         """
-        rows = np.arange(self.known.size) if rows is None else rows
+        minima = np.array(minima, dtype=float)
+        unset = ~(minima < np.inf)
+        bound, rows = self._bounds.copy(), np.arange(len(self.fields))
+        if not unset.any():
+            fresh = np.isnan(bound)
+            bound[fresh] = exterior_lower_bound(self.fields[fresh], kernel)
+            rows = rows[_undecided(statistics(bound, rows), minima)]
+        fresh = rows[np.isnan(self._bounds[rows])]
+        self._bounds[fresh] = bound[fresh] = energy_lower_bound(
+            self.fields[fresh], kernel)
+        at_bound = statistics(bound[rows], rows)
+        first = rows[at_bound[unset].argmin(axis=1)] if rows.size else rows
+        minima = self._lowered(kernel, statistics, minima, first)
+        # The first block's trials stay undecided: each gives the least
+        # value at a bound of a statistic whose minimum the block set.
+        rows = rows[_undecided(at_bound, minima)]
+        return self._lowered(kernel, statistics, minima, rows), rows
+
+    def _lowered(self, kernel: Kernel, statistics, minima: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+        """``minima`` lowered by the statistics of trials ``rows`` at their
+        energies.  Those not known yet are evaluated and kept, in
+        increasing order and in blocks of the chunk size of
+        ``trial_chunks``."""
         missing = np.unique(rows[np.isnan(self.known[rows])])
         step = _chunk_rows(kernel.grid)
         for first in range(0, missing.size, step):
             block = missing[first:first + step]
             self.known[block] = block_seminorm_p(self.fields[block], kernel)
-        return self.known[rows]
+        values = statistics(self.known[rows], rows)
+        return np.minimum(minima, values.min(axis=1, initial=np.inf))
+
+
+def _undecided(values: np.ndarray, minima: np.ndarray) -> np.ndarray:
+    """Whether each column of the (statistics, rows) array ``values`` of
+    statistics at lower bounds could lower one of ``minima``."""
+    return ~(values > minima[:, None]).all(axis=0)
 
 
 def shared_trials(kernel: Kernel, seed: int, count: int) -> TrialSet:

@@ -5,6 +5,7 @@ import pytest
 
 from fss import (
     Field,
+    FracParams,
     WeightField,
     build_grid,
     build_kernel,
@@ -14,7 +15,7 @@ from fss import (
 )
 from fss import constants, operators, sampling
 from fss.grid import PAIR_BLOCK_ELEMENTS
-from fss.sampling import trial_block, trial_chunks
+from fss.sampling import TrialSet, trial_block, trial_chunks
 
 from oracles import trial_field
 
@@ -240,3 +241,76 @@ class TestChunkedChecks:
         assert CHECKS[name](fresh) == whole
         assert len(sizes) > 1
         assert max(sizes) <= bound
+
+
+class TestTrialSetMinima:
+    """``TrialSet.minima`` against brute force, every trial's energy taken:
+    the same minima, bitwise at p != 2, and energies taken for exactly the
+    trials it returns, each of the others unable to lower a minimum."""
+
+    TRIALS = 40
+
+    @staticmethod
+    def statistics(case, energies, rng, p):
+        """The case's statistics of the energy, in the forms of the checks
+        and nondecreasing in it: a negated residual ratio, then a duality
+        slack and a relative slack clamped at -1e-8; for "ties", the ratio
+        and a statistic that every trial ties."""
+        count = len(energies)
+        gap = rng.uniform(0.0, 1.0, count)
+        pull = rng.uniform(0.0, 2.0, count) * energies ** (1.0 / p)
+        rhs = rng.uniform(0.5, 1.5, count) * energies
+        if case == "nan":
+            gap[5] = np.nan
+
+        def stats(e, rows):
+            norms = e ** (1.0 / p)
+            ratio = -gap[rows] / (1.0 + norms)
+            if case == "one":
+                return ratio[None]
+            if case == "ties":
+                return np.array([ratio, np.zeros(len(rows))])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.array([ratio, 1.5 * norms - pull[rows],
+                                 np.maximum(1.0 - rhs[rows] / e, -1e-8)])
+        return stats
+
+    @pytest.mark.parametrize("case", ["one", "three", "finite", "ties",
+                                      "nan", "empty"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_matches_brute_force(self, grid_1d, case, p):
+        kernel = build_kernel(grid_1d, FracParams(s=0.5, p=p, n_dim=1))
+        fields = trial_block(grid_1d, 3, 0,
+                             0 if case == "empty" else self.TRIALS)
+        # Two equal trials: a tie in every statistic.
+        fields[1:2] = fields[:1]
+        energies = operators.block_seminorm_p(fields, kernel)
+        rows = np.arange(len(fields))
+        stats = self.statistics(case, energies, np.random.default_rng(9), p)
+        count = len(stats(energies, rows))
+        start = np.full(count, np.inf)
+        if case == "finite":
+            # As the certification, from minima that some trials lower.
+            start = np.quantile(stats(energies, rows), 0.2, axis=1)
+        expected = np.minimum(start, stats(energies, rows).min(
+            axis=1, initial=np.inf))
+
+        trial = TrialSet(fields)
+        minima, taken = trial.minima(kernel, stats, start)
+        if p == 2.0:
+            # An energy depends on its block (block_seminorm_p).
+            assert minima == pytest.approx(expected, rel=1e-13, nan_ok=True)
+        else:
+            nan = np.isnan(expected)
+            assert np.array_equal(np.isnan(minima), nan)
+            assert minima[~nan].tobytes() == expected[~nan].tobytes()
+        assert np.array_equal(taken, np.flatnonzero(~np.isnan(trial.known)))
+        skipped = np.setdiff1d(rows, taken)
+        assert np.all(stats(energies[skipped], skipped) > expected[:, None])
+        if case == "ties":
+            # Every trial ties the second minimum, so none is decided.
+            assert taken.tolist() == rows.tolist()
+        elif case == "nan":
+            assert 5 in taken and np.isnan(minima[0])
+        elif case != "empty":
+            assert 0 < len(skipped)

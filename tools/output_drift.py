@@ -137,10 +137,13 @@ def _is_number(x) -> bool:
 
 
 def _relative(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 for equal values or two NaNs, infinite
+    when either side alone is NaN or infinite."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
-    scale = max(abs(a), abs(b))
-    return math.inf if not math.isfinite(scale) else abs(a - b) / scale
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 def compare(old: Path, new: Path) -> list[str]:
