@@ -33,8 +33,9 @@ nor promise a measurable energy decrease; it returns its best iterate
 and leaves A u of it in the caller's array.  That one pairwise pass, taken
 when the iterate was evaluated, gives the level's
 [u_n]^p = <A u_n, u_n> and the gaps of its weak residual over the
-seeded probes, and it starts the next level's solve and the polish, so
-every point of the walk takes one pass.  The probes' energies are taken
+seeded probes, and it starts the next level's solve and the polish; the
+barrier hands A psi to the first level the same way, so every point of
+the walk takes one pass.  The probes' energies are taken
 after the walk, and only for the probes that their lower bound cannot
 decide (``_level_residuals``, by the rule of ``sampling.TrialSet``).
 
@@ -329,10 +330,15 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
         raise ValueError("initial field must be nonnegative")
 
     params = kernel.params
+    # A u of the next solve's start, which each level's solve overwrites
+    # with A u_n, so no point of the walk takes a second pairwise pass.
+    au = np.empty(kernel.interior_count)
     try:
-        psi = solve_barrier(omega, kernel, opts.solve)
+        psi = solve_barrier(omega, kernel, opts.solve, au=au)
     except SolverError as err:
         raise _located(err, f"barrier (alpha {alpha:g})", alpha=alpha) from err
+    if init is not None:
+        au = apply_operator(init, kernel)
 
     # The probes depend only on the kernel, so one draw serves every chain
     # on it (a sweep runs several).
@@ -341,9 +347,6 @@ def run_chain(omega: WeightField, alpha: float, kernel: Kernel,
     prev: Field | None = None
     converged = False
     final_increment = math.inf
-    # A u of the next solve's start, which each level's solve overwrites
-    # with A u_n, so no point of the walk takes a second pairwise pass.
-    au = apply_operator(init or psi, kernel)
     for n in schedule:
         start = prev if prev is not None else (init or psi)
         u_n, sweeps, delta = solve_level(omega, n, alpha, kernel, start, opts,

@@ -4,8 +4,8 @@ Subcommands:
 
     solve     run the approximation chain for one alpha, write the
               solution file and per-level diagnostics
-    sweep     chain-solve an alpha grid, write the sweep CSV and the
-              mu report JSON
+    sweep     solve an alpha grid (a chain at the first alpha, then
+              continuation), write the sweep CSV and the mu report JSON
     verify    reload a solution file and re-certify it (weak residual
               plus the matching sharp inequality)
     props     run the standalone lemma checkers

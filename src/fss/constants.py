@@ -21,18 +21,20 @@ scale factors are assembled in log space.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ChainOptions, ChainResult, run_chain
-from .exceptions import FssError
+from .chain import POLISH_TOL, ChainOptions, ChainResult, run_chain
+from .exceptions import FssError, SolverError
 from .grid import Kernel, r_alpha
-from .operators import (Field, WeightField, block_seminorm_p,
+from .operators import (Field, WeightField, apply_operator, block_seminorm_p,
                         log_functional, seminorm_p)
 from .sampling import TrialSet, shared_trials, trial_chunks
+from .solver import newton
 
 # The first trials of a certification, shared with the weak residual that
 # ``fss verify`` runs before it and kept on the kernel
@@ -254,7 +256,11 @@ def _certify(term, constant: float, kernel: Kernel, extremal: Field,
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Best-constant data at one sweep exponent."""
+    """Best-constant data at one sweep exponent.
+
+    ``chain`` is the chain that solved the exponent, and None when the
+    solution was continued from the previous exponent's (``sweep_alpha``).
+    """
 
     alpha: float
     lam: float
@@ -284,15 +290,37 @@ class SweepResult:
         return worst
 
 
+def _continued(u: Field, au: np.ndarray, omega: WeightField, alpha: float,
+               kernel: Kernel) -> Field:
+    """The singular solution at ``alpha`` by the chain's polish started
+    from ``u``, the solution at a nearby exponent.
+
+    The singular energy is strictly convex on positive fields, so the
+    positive stationary point that Newton reaches is the chain's limit.
+    ``au`` is A u on entry and A of the result on return; a failed step
+    raises the ``SolverError`` of ``solver.newton``, stage
+    "continuation (alpha ...)", and leaves ``au`` as it was.
+    """
+    values, _, _ = newton(u.values, omega.values, 0.0, alpha, kernel,
+                          POLISH_TOL, f"continuation (alpha {alpha:g})",
+                          au=au)
+    return Field(values, kernel.grid)
+
+
 def sweep_alpha(omega: WeightField, alpha_grid, kernel: Kernel,
                 opts: ChainOptions | None = None) -> SweepResult:
     """Solve the singular problem along an increasing alpha grid.
 
-    Each point is chain-solved (warm-started from the previous exponent)
-    and reduced to its best constant.  Validates r >= r_alpha at every
-    grid point, asserts that the scaled constants are nondecreasing
-    (1e-8 relative slack), and cross-checks [V_alpha]^p against the
-    log-space scaled constant to 1e-8 relative.
+    The first exponent is chain-solved.  Each later one is continued from
+    the last converged solution (``_continued``), with A u handed from
+    exponent to exponent; when that Newton raises, the exponent is
+    chain-solved instead, warm-started from the last converged solution.
+    A continued record has ``chain`` None.  Each solution is reduced to
+    its best constant (``solution_from_field``, whose two-way agreement
+    check applies on both paths).  Validates r >= r_alpha at every grid
+    point, asserts that the scaled constants are nondecreasing (1e-8
+    relative slack), and cross-checks [V_alpha]^p against the log-space
+    scaled constant to 1e-8 relative.
     """
     opts = opts or ChainOptions()
     grid_points = [float(a) for a in alpha_grid]
@@ -311,18 +339,28 @@ def sweep_alpha(omega: WeightField, alpha_grid, kernel: Kernel,
             )
 
     records: list[SweepRecord] = []
+    # The last converged solution and A u of it.
     warm: Field | None = None
+    au: np.ndarray | None = None
     for a in grid_points:
-        chain = run_chain(omega, a, kernel, opts=opts, init=warm)
-        if not chain.converged:
-            records.append(SweepRecord(
-                alpha=a, lam=math.nan, log_lam=math.nan, scaled=math.nan,
-                log_scaled=math.nan, seminorm_scaled_extremal=math.nan,
-                converged=False, solution=None, chain=chain,
-            ))
-            continue
-        warm = chain.u_alpha
-        sol = lambda_alpha(chain)
+        u = chain = None
+        if warm is not None:
+            with contextlib.suppress(SolverError):
+                u = _continued(warm, au, omega, a, kernel)
+        if u is None:
+            chain = run_chain(omega, a, kernel, opts=opts, init=warm)
+            if not chain.converged:
+                records.append(SweepRecord(
+                    alpha=a, lam=math.nan, log_lam=math.nan,
+                    scaled=math.nan, log_scaled=math.nan,
+                    seminorm_scaled_extremal=math.nan, converged=False,
+                    solution=None, chain=chain,
+                ))
+                continue
+            u = chain.u_alpha
+            au = apply_operator(u, kernel)
+        warm = u
+        sol = solution_from_field(u, omega, kernel, a, chain=chain)
         p = kernel.params.p
         log_scaled = sol.log_lam + p / (1.0 - a) * math.log(omega.norm_1)
         sn_scaled = seminorm_p(sol.scaled_extremal, kernel)
@@ -366,7 +404,7 @@ class MuEstimate:
     trend: str | None = None         # converged | still-rising | diverging
     alpha_grid: tuple[float, ...] | None = None
     scaled_values: tuple[float, ...] | None = None
-    chain: ChainResult | None = None
+    chain: ChainResult | None = None   # None when continued (estimate_mu)
 
 
 def estimate_mu_direct(omega: WeightField, kernel: Kernel,
@@ -419,13 +457,27 @@ def estimate_mu(omega: WeightField, alpha_grid, kernel: Kernel,
     """Combine the direct estimate with the sweep limit and classify the
     trend of the scaled constants.
 
+    The sweep runs first (``sweep_alpha``).  The alpha = 1 solution is
+    then continued from the last converged sweep solution, as the sweep
+    continues from exponent to exponent, and reduced by ``mu_from_field``;
+    the estimate then has ``chain`` None.  When no sweep point converged,
+    or that Newton raises, ``estimate_mu_direct`` solves alpha = 1 by its
+    chain instead.
+
     Trend: ``converged`` when the last scaled value sits within 1e-3
     relative of the direct constant, ``still-rising`` when the gap
     remains but the increments are shrinking, ``diverging`` otherwise.
     """
-    direct = estimate_mu_direct(omega, kernel, opts)
     sweep = sweep_alpha(omega, alpha_grid, kernel, opts)
     recs = sweep.converged_records
+    u_star = None
+    if recs:
+        last = recs[-1].solution.u
+        with contextlib.suppress(SolverError):
+            u_star = _continued(last, apply_operator(last, kernel), omega,
+                                1.0, kernel)
+    direct = (estimate_mu_direct(omega, kernel, opts) if u_star is None
+              else mu_from_field(u_star, omega, kernel))
     scaled = tuple(r.scaled for r in recs)
     mu_sweep = scaled[-1] if scaled else math.nan
     trend = "diverging"
@@ -487,7 +539,9 @@ def check_valfa_limit(sweep: SweepResult,
     Also certifies the uniform sandwich: a single pair (m, M) with
     m * psi <= V_alpha <= M nodewise across all converged sweep points,
     with m built from the smallest scaled constant and M from the largest
-    observed sup norm.  Diagnostic only, never raises.
+    observed sup norm.  psi is the barrier of the first converged record,
+    which is always chain-solved: ``sweep_alpha`` continues only from a
+    converged solution.  Diagnostic only, never raises.
     """
     recs = sweep.converged_records
     if not recs:
@@ -502,7 +556,7 @@ def check_valfa_limit(sweep: SweepResult,
     decreasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(gaps, gaps[1:]))
     final_gap = gaps[-1]
 
-    p = recs[0].chain.kernel.params.p
+    p = recs[0].solution.kernel.params.p
     big_m = max(float(r.solution.scaled_extremal.values.max()) for r in recs)
     alpha0 = recs[0].alpha
     # scaled(alpha0) / |w|_1 * M^(-alpha) lower-bounds the datum of every

@@ -225,7 +225,8 @@ def newton(u: np.ndarray, weight: np.ndarray, shift: float, alpha: float,
 
 
 def _conjugate_gradients(kernel: Kernel, rhs: np.ndarray, u: np.ndarray,
-                         tol: float) -> tuple[np.ndarray, int, float]:
+                         tol: float) -> tuple[np.ndarray, int, float,
+                                              np.ndarray]:
     """Solve K u = rhs from ``u`` by conjugate gradients, with one
     ``kernel.stiffness_product`` per iteration (so K is built only up to
     ``grid.FFT_NODES`` nodes).
@@ -235,16 +236,17 @@ def _conjugate_gradients(kernel: Kernel, rhs: np.ndarray, u: np.ndarray,
     so but the true one does not, the iteration restarts from the true
     residual; a restart that does not lower the true residual marks the
     double-precision floor.  Returns the iterate, the number of
-    iterations and its true residual max-norm.  Running out of iterations
-    raises a ``SolverError``.
+    iterations, its true residual max-norm and K u of it, taken by that
+    last check.  Running out of iterations raises a ``SolverError``.
     """
     u = u.copy()
     iterations, floor = 0, math.inf
     while True:
-        _, grad = energy_and_gradient(u, kernel, rhs)
+        _, applied = energy_and_gradient(u, kernel)
+        grad = applied - rhs
         norm = float(np.abs(grad).max(initial=0.0))
         if norm <= tol or norm >= floor:
-            return u, iterations, norm
+            return u, iterations, norm, applied
         floor = norm
         r = -grad
         d = r.copy()
@@ -267,7 +269,8 @@ def _conjugate_gradients(kernel: Kernel, rhs: np.ndarray, u: np.ndarray,
 
 
 def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
-                      x0: Field | None = None) -> Field:
+                      x0: Field | None = None,
+                      au: np.ndarray | None = None) -> Field:
     """Solve the nonlocal p-problem with nodal datum f.
 
     Returns the unique minimizer of (1/p)[v]^p - sum m f v, i.e. the field
@@ -283,6 +286,8 @@ def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
     and for p < 2 its pair terms are clipped (``energy_hessian``).  Any
     finite datum is accepted; for nonnegative data (every use in this
     package) the minimizer is nonnegative by the comparison principle.
+    ``au``, when given, receives A u of the returned field, taken by the
+    solve's last evaluation, as ``newton`` hands it back.
     """
     opts = opts or SolveOptions()
     fv = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
@@ -296,8 +301,8 @@ def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
     p = kernel.params.p
     if p == 2.0:
         start = x0.values if x0 is not None else np.zeros(fv.size)
-        u, steps, norm = _conjugate_gradients(kernel, rhs, start,
-                                              opts.grad_tol)
+        u, steps, norm, applied = _conjugate_gradients(kernel, rhs, start,
+                                                       opts.grad_tol)
     else:
         if x0 is not None and x0.values.any():
             start = x0.values
@@ -306,18 +311,23 @@ def solve_nonsingular(f, kernel: Kernel, opts: SolveOptions | None = None,
             t = (np.abs(rhs).sum() / (2.0 * kernel.boundary_weight.sum())
                  ) ** (1.0 / (p - 1.0))
             start = np.full(fv.size, t)
+        # newton's first evaluation, taken here so that its A u comes back
+        applied = energy_and_gradient(start, kernel)[1]
         u, steps, norm = newton(start, fv, 0.0, 0.0, kernel, opts.grad_tol,
-                                gradient=True)
+                                gradient=True, au=applied)
     if norm > opts.grad_tol:
         raise SolverError(
             f"gradient tolerance {opts.grad_tol:.1e} is below the "
             f"floating-point floor (stalled at {norm:.3e})",
             iterate=u, grad_norm=norm, iterations=steps)
+    if au is not None:
+        au[...] = applied
     return Field(u, kernel.grid)
 
 
 def solve_barrier(omega: WeightField, kernel: Kernel,
-                  opts: SolveOptions | None = None) -> Field:
+                  opts: SolveOptions | None = None,
+                  au: np.ndarray | None = None) -> Field:
     """Positive field driven by the capped weight min(omega, 1).
 
     Solves the nonlocal p-problem with datum min(omega, 1); the result is
@@ -327,7 +337,7 @@ def solve_barrier(omega: WeightField, kernel: Kernel,
     K u = m min(omega, 1), one ``Kernel.support_solve`` on the weight's
     support S (the datum lives on S, as in the chain's levels), and
     certify it, with no iteration when it already meets the gradient
-    tolerance.
+    tolerance.  ``au``, when given, receives A psi (``solve_nonsingular``).
     """
     datum = np.minimum(omega.values, 1.0)
     x0 = None
@@ -335,7 +345,7 @@ def solve_barrier(omega: WeightField, kernel: Kernel,
         support = np.flatnonzero(omega.values)
         x0 = Field(kernel.support_solve(
             support, 0.0, kernel.grid.measure * datum[support]), kernel.grid)
-    psi = solve_nonsingular(datum, kernel, opts, x0=x0)
+    psi = solve_nonsingular(datum, kernel, opts, x0=x0, au=au)
     if psi.values.min() <= 0.0:
         raise SolverError(
             "barrier field is not strictly positive",

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -7,8 +8,11 @@ import pytest
 from fss import (
     ChainOptions,
     Field,
+    FracParams,
     FssError,
+    SolverError,
     WeightField,
+    build_grid,
     build_kernel,
     check_valfa_limit,
     estimate_mu,
@@ -26,7 +30,8 @@ from fss import (
 
 from fss import chain as chain_module, constants, solver as solver_module
 
-from conftest import synthetic_unit_kernel, tight_chain_options
+from conftest import (compact_bump_values, synthetic_unit_kernel,
+                      tight_chain_options)
 from oracles import (
     certify_per_field,
     extremal_distance,
@@ -259,6 +264,157 @@ class TestSweep:
         weak = WeightField(compact_bump_values(grid_1d), grid_1d, r=1.0)
         with pytest.raises(FssError, match="r_alpha"):
             sweep_alpha(weak, [0.5], kernel_1d)
+
+
+# Sweep grids of the continuation: the shipped sweep's, and one that jumps
+# from 0.5 to 0.9.
+CONTINUATION_GRIDS = {"sweep": ALPHA_GRID, "wide": (0.5, 0.9, 0.95, 0.99)}
+CONTINUATION_CASES = [(1, 1.5), (1, 2.0), (1, 3.0), (2, 2.0), (2, 3.0)]
+
+
+@functools.cache
+def _continuation_problem(n_dim: int, p: float):
+    """A kernel at p and the bump weight: 16 nodes on (0, 1), or 8 x 8 on
+    the unit square."""
+    box = [(0.0, 1.0)] * n_dim
+    grid = build_grid(box, 1.0 / 17 if n_dim == 1 else 1.0 / 9, 0.4)
+    kernel = build_kernel(grid, FracParams(s=0.5, p=p, n_dim=n_dim))
+    return kernel, WeightField(compact_bump_values(grid), grid, r=3.0)
+
+
+def _refuse_continuation(monkeypatch, then=None):
+    """Make every continuation Newton raise, after calling ``then``."""
+    def refuse(*args, **kwargs):
+        if then is not None:
+            then()
+        raise SolverError("continuation refused")
+
+    monkeypatch.setattr(constants, "newton", refuse)
+
+
+def _relative_max_gap(u: Field, ref: Field) -> float:
+    return float(np.abs(u.values - ref.values).max()
+                 / np.abs(ref.values).max())
+
+
+class TestContinuation:
+    """``sweep_alpha`` chain-solves its first exponent and continues the
+    later ones, and ``estimate_mu`` alpha = 1, by the polish's Newton from
+    the last converged solution; a Newton that raises falls back to the
+    chain."""
+
+    @pytest.mark.parametrize("alphas", CONTINUATION_GRIDS.values(),
+                             ids=CONTINUATION_GRIDS.keys())
+    @pytest.mark.parametrize("n_dim,p", CONTINUATION_CASES,
+                             ids=[f"{n}d-p{p}" for n, p in CONTINUATION_CASES])
+    def test_matches_a_chain_per_alpha(self, n_dim, p, alphas):
+        kernel, omega = _continuation_problem(n_dim, p)
+        opts = ChainOptions()
+        est, sweep = estimate_mu(omega, alphas, kernel, opts)
+        assert [rec.converged for rec in sweep.records] == [True] * len(alphas)
+        # Only the first exponent is chain-solved.
+        assert [rec.chain is not None for rec in sweep.records] == (
+            [True] + [False] * (len(alphas) - 1))
+        for rec in sweep.records:
+            ref = lambda_alpha(run_chain(omega, rec.alpha, kernel, opts=opts))
+            scaled = math.exp(ref.log_lam + p / (1.0 - rec.alpha)
+                              * math.log(omega.norm_1))
+            assert rec.lam == pytest.approx(ref.lam, rel=1e-12, abs=0.0)
+            assert rec.scaled == pytest.approx(scaled, rel=1e-12, abs=0.0)
+            assert _relative_max_gap(rec.solution.u, ref.u) <= 1e-12
+        direct = estimate_mu_direct(omega, kernel, opts)
+        assert est.chain is None
+        assert est.mu_direct == pytest.approx(direct.mu_direct, rel=1e-12,
+                                              abs=0.0)
+        assert _relative_max_gap(est.u_star, direct.u_star) <= 1e-12
+
+    @pytest.mark.parametrize("alphas", CONTINUATION_GRIDS.values(),
+                             ids=CONTINUATION_GRIDS.keys())
+    @pytest.mark.parametrize("n_dim,p", [(1, 2.0), (1, 3.0), (2, 2.0)],
+                             ids=["1d-p2.0", "1d-p3.0", "2d-p2.0"])
+    def test_fallback_is_the_chain_per_alpha(self, n_dim, p, alphas,
+                                             monkeypatch):
+        # With every continuation refused, each exponent is the chain
+        # warm-started from the previous limit, bit for bit, and alpha = 1
+        # is estimate_mu_direct's chain.
+        kernel, omega = _continuation_problem(n_dim, p)
+        opts = ChainOptions()
+        _refuse_continuation(monkeypatch)
+        est, sweep = estimate_mu(omega, alphas, kernel, opts)
+        warm = None
+        for rec in sweep.records:
+            chain = run_chain(omega, rec.alpha, kernel, opts=opts, init=warm)
+            warm = chain.u_alpha
+            sol = lambda_alpha(chain)
+            assert rec.chain is not None and rec.converged
+            assert np.array_equal(rec.chain.u_alpha.values,
+                                  chain.u_alpha.values)
+            assert np.array_equal(rec.solution.u.values, sol.u.values)
+            assert (rec.lam, rec.log_lam) == (sol.lam, sol.log_lam)
+            assert rec.scaled == math.exp(
+                sol.log_lam + p / (1.0 - rec.alpha) * math.log(omega.norm_1))
+            assert rec.seminorm_scaled_extremal == seminorm_p(
+                sol.scaled_extremal, kernel)
+        direct = estimate_mu_direct(omega, kernel, opts)
+        assert est.chain is not None
+        assert est.mu_direct == direct.mu_direct
+        assert np.array_equal(est.u_star.values, direct.u_star.values)
+
+    def test_failure_on_both_paths_raises_the_chains_error(self, kernel_1d,
+                                                           bump_weight,
+                                                           monkeypatch):
+        # The continuation at 0.925 fails, and so does the chain that
+        # stands in for it, within a budget of one Newton step.
+        _refuse_continuation(monkeypatch, then=lambda: monkeypatch.setattr(
+            solver_module, "_NEWTON_STEPS", 1))
+        with pytest.raises(SolverError) as err:
+            sweep_alpha(bump_weight, ALPHA_GRID, kernel_1d, ChainOptions())
+        exc = err.value
+        assert str(exc).startswith("level 1 (alpha 0.925), sweep 1: ")
+        assert (exc.level, exc.sweep, exc.alpha) == (1, 1, 0.925)
+
+    def test_newton_stage_named_continuation(self, kernel_1d, bump_weight,
+                                             monkeypatch):
+        stages = []
+        newton = constants.newton
+
+        def recorded(*args, **kwargs):
+            stages.append(args[6])
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(constants, "newton", recorded)
+        estimate_mu(bump_weight, (0.9, 0.95), kernel_1d, ChainOptions())
+        assert stages == ["continuation (alpha 0.95)",
+                          "continuation (alpha 1)"]
+
+    def test_first_converged_record_is_chain_solved(self, kernel_1d,
+                                                    bump_weight, monkeypatch):
+        # The first chain stops unconverged, so nothing is continued from
+        # it: the next exponent is chain-solved, and the uniform sandwich
+        # reads psi from that chain.
+        opts = ChainOptions()
+        chains = []
+
+        def first_unconverged(*args, **kwargs):
+            if not chains:
+                kwargs["schedule"] = [1]
+            chains.append(run_chain(*args, **kwargs))
+            return chains[-1]
+
+        monkeypatch.setattr(constants, "run_chain", first_unconverged)
+        est, sweep = estimate_mu(bump_weight, ALPHA_GRID, kernel_1d, opts)
+        assert [rec.converged for rec in sweep.records] == (
+            [False] + [True] * (len(ALPHA_GRID) - 1))
+        assert [rec.chain is not None for rec in sweep.records] == (
+            [True, True] + [False] * (len(ALPHA_GRID) - 2))
+        assert len(chains) == 2 and est.chain is None
+        first = sweep.converged_records[0]
+        assert first.chain is chains[1]
+        report = check_valfa_limit(sweep, est)
+        assert report.barrier_ok and math.isfinite(report.lower_scale)
+        for rec in sweep.converged_records:
+            assert np.all(report.lower_scale * first.chain.psi.values
+                          <= rec.solution.scaled_extremal.values + 1e-8)
 
 
 class TestMuEstimate:
